@@ -3,11 +3,12 @@
 Contains the quadrature tables (all rules have strictly interior
 points and positive weights, which matters because the coefficients we
 integrate blow up at the boundary of some elements), matrix assembly
-for weighted stiffness and mass forms, a Jacobi-preconditioned
-conjugate gradient solver, and extreme generalized eigenvalue
-iterations. Assembly walks elements in mesh order so matrices are
-reproducible; optional worker threads split the element range but
-merge their blocks in task order.
+for weighted stiffness and mass forms, Jacobi-preconditioned conjugate
+gradients for one-shot solves, spd_solver for repeated solves (one
+SuperLU factor in 2D and on surfaces, warm-started CG in 3D), and
+extreme generalized eigenvalue iterations built on it. Assembly walks
+elements in mesh order so matrices are reproducible; optional worker
+threads split the element range but merge their blocks in task order.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
+import scipy.sparse.linalg
 
 from . import kernels
 from .config import worker_count
@@ -26,6 +28,10 @@ from .errors import (ConvergenceError, IndefiniteOperatorError,
 from .mesh import SimplicialMesh
 
 MAX_DEGREE = 5
+# Average nonzeros per row up to which spd_solver factors: P1 has 6-7 in
+# 2D and on surfaces, where a SuperLU factor costs about one CG solve,
+# and about 14 in 3D, where its fill-in costs far more than the solves.
+LU_MAX_ROW_NNZ = 10
 
 
 @dataclass(frozen=True)
@@ -420,6 +426,7 @@ def cg_solve(matrix, rhs, tol: float = 1e-10, maxiter: int | None = None,
     z = inv_diag * r
     p = z.copy()
     rz = kernels.neumaier_dot(r, z)
+    res = math.sqrt(max(kernels.neumaier_dot(r, r), 0.0))
     if maxiter is None:
         maxiter = max(1000, 20 * n)
     for it in range(1, maxiter + 1):
@@ -462,6 +469,28 @@ def _start_vector(n: int) -> np.ndarray:
     return v / math.sqrt(kernels.neumaier_dot(v, v))
 
 
+def spd_solver(matrix, tol: float = 1e-12):
+    """Return solve(b) for repeated solves with one SPD matrix.
+
+    A matrix with at most LU_MAX_ROW_NNZ nonzeros per row on average is
+    factored once by SuperLU with its default column ordering, and each
+    solve is a pair of triangular sweeps. A denser one gets
+    Jacobi-preconditioned CG at the relative tolerance tol, started from
+    the previous solution. The LU path does not check definiteness.
+    """
+    n = matrix.shape[0]
+    if matrix.nnz <= LU_MAX_ROW_NNZ * n:
+        return scipy.sparse.linalg.splu(matrix.tocsc()).solve
+    last = None
+
+    def solve(rhs):
+        nonlocal last
+        last, _ = cg_solve(matrix, rhs, tol=tol, x0=last)
+        return last
+
+    return solve
+
+
 def generalized_eig_extreme(a_mat, b_mat, which: str = "min",
                             tol: float = 1e-10, maxiter: int = 500,
                             inner_tol: float = 1e-12) -> tuple[float, np.ndarray, dict]:
@@ -469,21 +498,24 @@ def generalized_eig_extreme(a_mat, b_mat, which: str = "min",
 
     which="min" runs inverse iteration (solves with A, needs A SPD);
     which="max" solves with B each step (needs B SPD). Both matrices
-    must be symmetric. The start vector is fixed, so results are
-    deterministic.
+    must be symmetric. The solved matrix goes through spd_solver once,
+    before the loop, so 2D and surface pencils cost one factorization
+    and 3D pencils one warm-started CG solve (to inner_tol) per step.
+    The start vector is fixed, so results are deterministic.
     """
+    if which not in ("min", "max"):
+        raise ValueError("which must be 'min' or 'max'")
     n = a_mat.shape[0]
     if n == 0:
         raise ValueError("empty operator")
+    if which == "min":
+        solve, apply = spd_solver(a_mat, inner_tol), b_mat
+    else:
+        solve, apply = spd_solver(b_mat, inner_tol), a_mat
     x = _start_vector(n)
     lam_old = None
     for it in range(1, maxiter + 1):
-        if which == "min":
-            y, _ = cg_solve(a_mat, b_mat @ x, tol=inner_tol)
-        elif which == "max":
-            y, _ = cg_solve(b_mat, a_mat @ x, tol=inner_tol)
-        else:
-            raise ValueError("which must be 'min' or 'max'")
+        y = solve(apply @ x)
         norm = math.sqrt(max(kernels.neumaier_dot(y, b_mat @ y), 0.0))
         if norm == 0.0:
             raise ConvergenceError("eigen iteration collapsed to zero")

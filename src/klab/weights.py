@@ -65,28 +65,31 @@ class EtaField:
     def __call__(self, points: np.ndarray) -> np.ndarray:
         return distance_to_singular_set(self.domain, points)
 
+    def _nearest(self, pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Distance to and coordinates of the nearest singular point."""
+        if self.domain.dimension == 2:
+            d, idx = kernels.nearest_points(pts, self.domain.vertices)
+            return d, self.domain.vertices[idx]
+        segs = self.domain.singular_segments()
+        d, nearest, _ = kernels.nearest_on_segments(pts, segs[:, 0], segs[:, 1])
+        return d, nearest
+
     def gradient(self, points: np.ndarray) -> np.ndarray:
         """Unit vector from the nearest singular point, zero on the set."""
         pts = np.atleast_2d(np.asarray(points, dtype=float))
-        if self.domain.dimension == 2:
-            d, idx = kernels.nearest_points(pts, self.domain.vertices)
-            nearest = self.domain.vertices[idx]
-        else:
-            segs = self.domain.singular_segments()
-            d, nearest, _ = kernels.nearest_on_segments(pts, segs[:, 0], segs[:, 1])
-        rel = pts - nearest
+        d, nearest = self._nearest(pts)
         safe = np.where(d > 0.0, d, 1.0)
-        out = rel / safe[:, None]
+        out = (pts - nearest) / safe[:, None]
         out[d == 0.0] = 0.0
         return out
 
     def grad_over_value(self, points: np.ndarray) -> np.ndarray:
         """grad(eta) / eta; the squared norm of this is 1 / eta^2."""
         pts = np.atleast_2d(np.asarray(points, dtype=float))
-        d = self(pts)
+        d, nearest = self._nearest(pts)
         if np.any(d <= 0.0):
             raise NonpositiveWeightError("grad_over_value evaluated on the singular set")
-        return self.gradient(pts) / d[:, None]
+        return (pts - nearest) / d[:, None] / d[:, None]
 
 
 def eta_field(domain: Polyhedron) -> EtaField:

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 import scipy.sparse as sp
+import scipy.sparse.linalg
 
 from klab import femcore, mesh as meshmod
 from klab.errors import (ConvergenceError, IndefiniteOperatorError,
@@ -187,6 +188,13 @@ def test_cg_errors():
         femcore.cg_solve(big, np.ones(50), maxiter=2)
 
 
+def test_cg_zero_iterations_reports_residual():
+    a = sp.identity(4, format="csr")
+    with pytest.raises(ConvergenceError) as err:
+        femcore.cg_solve(a, np.ones(4), maxiter=0)
+    assert err.value.residual == 1.0
+
+
 def test_cgnr_nonsymmetric():
     rng = np.random.default_rng(11)
     a = sp.csr_matrix(np.eye(30) + 0.1 * rng.standard_normal((30, 30)))
@@ -204,6 +212,8 @@ def test_generalized_eig_diagonal():
     assert np.abs(vec[1:]).max() < 1e-4
     lam_max, _, _ = femcore.generalized_eig_extreme(a, b, which="max")
     assert lam_max == pytest.approx(5.0, rel=1e-8)
+    with pytest.raises(ValueError):
+        femcore.generalized_eig_extreme(a, b, which="middle")
 
 
 def test_generalized_eig_dirichlet_laplacian(square_mesh):
@@ -218,6 +228,48 @@ def test_generalized_eig_dirichlet_laplacian(square_mesh):
     # h = 1/8 overestimates by O(h^2)
     assert lam == pytest.approx(2.0 * math.pi ** 2, rel=0.05)
     assert lam > 2.0 * math.pi ** 2
+
+
+def _count_splu(monkeypatch):
+    calls = []
+    real = scipy.sparse.linalg.splu
+
+    def counting(matrix, *args, **kwargs):
+        calls.append(matrix.nnz / matrix.shape[0])
+        return real(matrix, *args, **kwargs)
+
+    monkeypatch.setattr(scipy.sparse.linalg, "splu", counting)
+    return calls
+
+
+def _dirichlet_pencil(mesh):
+    k = femcore.assemble_stiffness(mesh)
+    m = femcore.assemble_weighted_mass(mesh, lambda p: np.ones(len(p)))
+    constrained = mesh.boundary_node_mask()
+    return (femcore.split_dirichlet(k, constrained)[0],
+            femcore.split_dirichlet(m, constrained)[0])
+
+
+def test_eigensolve_factors_2d_pencil_once(monkeypatch, lshape_mesh):
+    calls = _count_splu(monkeypatch)
+    k_ff, m_ff = _dirichlet_pencil(lshape_mesh)
+    _, _, info = femcore.generalized_eig_extreme(k_ff, m_ff, which="min")
+    assert info["iterations"] > 1
+    assert len(calls) == 1 and calls[0] <= femcore.LU_MAX_ROW_NNZ
+    femcore.generalized_eig_extreme(m_ff, k_ff, which="max")
+    assert len(calls) == 2
+
+
+def test_eigensolve_iterates_on_dense_3d_pencil(monkeypatch, box):
+    calls = _count_splu(monkeypatch)
+    k_ff, m_ff = _dirichlet_pencil(meshmod.build_mesh(box, 0.125))
+    assert k_ff.nnz / k_ff.shape[0] > femcore.LU_MAX_ROW_NNZ
+    lam, _, _ = femcore.generalized_eig_extreme(k_ff, m_ff, which="min")
+    assert calls == []
+    # first Dirichlet eigenvalue of the unit cube is 3 pi^2; P1
+    # overestimates it
+    assert lam == pytest.approx(3.0 * math.pi ** 2, rel=0.1)
+    assert lam > 3.0 * math.pi ** 2
 
 
 def test_operator_round_trip(tmp_path, square_mesh):

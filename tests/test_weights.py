@@ -54,6 +54,15 @@ def test_grad_over_value(lshape):
         eta.grad_over_value(np.array([[0.0, 0.0]]))
 
 
+@pytest.mark.parametrize("name", ["lshape", "box"])
+def test_grad_over_value_is_gradient_over_eta(name, request):
+    domain = request.getfixturevalue(name)
+    eta = weights.eta_field(domain)
+    pts = weights.sample_interior(domain, 300)
+    assert np.array_equal(eta.grad_over_value(pts),
+                          eta.gradient(pts) / eta(pts)[:, None])
+
+
 def test_rho_smooth_properties():
     scale = 0.25
     r = np.linspace(0.0, 3.0, 4001)

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from klab import femcore, mesh as meshmod, poincare, sobolev, weights, wellposed
 from klab.errors import InadmissibleIndexError
@@ -172,9 +173,26 @@ def test_window_probe_detects_breakdown(lshape, lshape_mesh):
     assert rep.bracket == {"last_stable": 0.5, "first_unstable": 1.9}
     assert rep.window["upper"] == 0.5
     bad = [e for e in rep.entries if e["a"] == 1.9][0]
-    assert bad["indicator"] is None or bad["indicator"] < rep.threshold
+    assert isinstance(bad["indicator"], float) and bad["indicator"] < 0.0
+    assert bad["note"] == "energy breakdown: K - a^2 M is indefinite"
     with pytest.raises(InadmissibleIndexError):
         wellposed.weight_window_probe(lshape, lshape_mesh, (0.0, 2.5))
+
+
+def test_window_probe_indicator_matches_dense_pencil(lshape, lshape_mesh):
+    a_values = (0.0, 0.5, 0.66, 1.9)
+    rep = wellposed.weight_window_probe(lshape, lshape_mesh, a_values)
+    eta = weights.eta_field(lshape)
+    free = np.where(~lshape_mesh.boundary_node_mask())[0]
+    k = femcore.assemble_stiffness(lshape_mesh)[free][:, free].toarray()
+    m = femcore.assemble_weighted_mass(
+        lshape_mesh, weights.power_weight(eta, -2.0),
+        degree=5)[free][:, free].toarray()
+    for a, entry in zip(a_values, rep.entries):
+        dense = scipy.linalg.eigh(k - a * a * m, k, eigvals_only=True,
+                                  subset_by_index=[0, 0])[0]
+        assert entry["indicator"] == pytest.approx(dense, abs=1e-9)
+    assert rep.entries[-1]["indicator"] < 0.0
 
 
 def test_window_probe_3d_has_no_prediction(box):
