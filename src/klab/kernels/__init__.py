@@ -8,8 +8,12 @@ Their reductions differ: ``neumaier_sum`` is correctly rounded in the
 fallback and Neumaier-compensated in the compiled backend, while
 ``neumaier_dot`` is compensated only in the compiled backend and is
 plain ``np.dot`` in the fallback (it is the Jacobi-CG inner product,
-where an exact sum would dominate the solve time). ``BACKEND`` records
-which one is active, ``"compiled"`` or ``"fallback"``.
+where an exact sum would dominate the solve time). The fallback's
+distance kernels (``nearest_on_segments``, ``nearest_points``) work on
+blocks of ``_fallback.BLOCK`` query points, so their (P, S, d)
+temporaries stay at a few MB however many points are queried; the
+compiled backend loops over points and needs no temporaries. ``BACKEND``
+records which one is active, ``"compiled"`` or ``"fallback"``.
 """
 
 import os

@@ -10,7 +10,9 @@ arithmetic; the reductions differ in accumulation scheme.
 plain ``np.dot`` here and Neumaier-compensated in the extension: it is
 the inner product of every Jacobi-CG iteration, where an exact sum of
 the products would cost more than the solve itself. All reductions are
-deterministic on a fixed platform.
+deterministic on a fixed platform. The distance kernels run over blocks
+of BLOCK query points, which bounds their (P, S, d) temporaries at
+BLOCK * S * d doubles per array and gives the same bits as one block.
 """
 
 import math
@@ -18,6 +20,13 @@ import math
 import numpy as np
 
 BACKEND_NAME = "fallback"
+
+# Query points per block in the distance kernels. Their (P, S, d)
+# temporaries then hold at most BLOCK * S * d doubles per array: with the
+# 12 singular edges of a polyhedron in 3D that is about 9 MB, where one
+# block of the 779k quadrature points of a refined box mesh would take
+# about 220 MB per array.
+BLOCK = 32768
 
 
 def simplex_geometry(nodes: np.ndarray, elements: np.ndarray):
@@ -94,12 +103,20 @@ def neumaier_dot(x: np.ndarray, y: np.ndarray) -> float:
     return float(np.dot(x, y))
 
 
-def nearest_on_segments(points: np.ndarray, seg_a: np.ndarray, seg_b: np.ndarray):
-    """Closest point on a set of segments, for every query point.
+def _blocked(kernel, points: np.ndarray, *targets):
+    """Run ``kernel`` over blocks of at most BLOCK query points.
 
-    Returns (dist (P,), nearest (P, d), seg_index (P,)). Ties resolve to
-    the lowest segment index.
+    The kernels treat each query point on its own, so the blocked result
+    equals one call on all points; only the temporaries shrink.
     """
+    if len(points) <= BLOCK:
+        return kernel(points, *targets)
+    parts = [kernel(points[i:i + BLOCK], *targets)
+             for i in range(0, len(points), BLOCK)]
+    return tuple(np.concatenate(col) for col in zip(*parts))
+
+
+def _nearest_on_segments(points, seg_a, seg_b):
     d = seg_b - seg_a  # (S, dim)
     dd = np.einsum("sd,sd->s", d, d)
     dd = np.where(dd > 0.0, dd, 1.0)  # degenerate segments act as points
@@ -114,9 +131,26 @@ def nearest_on_segments(points: np.ndarray, seg_a: np.ndarray, seg_b: np.ndarray
     return np.sqrt(dist2[rows, idx]), best, idx
 
 
-def nearest_points(points: np.ndarray, targets: np.ndarray):
-    """Nearest target point for every query point: (dist, index)."""
+def nearest_on_segments(points: np.ndarray, seg_a: np.ndarray, seg_b: np.ndarray):
+    """Closest point on a set of segments, for every query point.
+
+    Returns (dist (P,), nearest (P, d), seg_index (P,)). Ties resolve to
+    the lowest segment index. Temporaries are (BLOCK, S, d) at most.
+    """
+    return _blocked(_nearest_on_segments, points, seg_a, seg_b)
+
+
+def _nearest_points(points, targets):
     diff = points[:, None, :] - targets[None, :, :]
     dist2 = np.einsum("ptd,ptd->pt", diff, diff)
     idx = np.argmin(dist2, axis=1)
     return np.sqrt(dist2[np.arange(len(points)), idx]), idx
+
+
+def nearest_points(points: np.ndarray, targets: np.ndarray):
+    """Nearest target point for every query point: (dist, index).
+
+    Ties resolve to the lowest target index. Temporaries are (BLOCK, T, d)
+    at most.
+    """
+    return _blocked(_nearest_points, points, targets)

@@ -26,6 +26,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg
+import scipy.sparse as sp
 
 from . import femcore, geometry, kernels, sobolev, sphere, weights
 from .errors import DecompositionError, DegenerateLinkError
@@ -632,17 +633,33 @@ class KappaCertificate:
                 "passed": self.passed}
 
 
-def domain_poincare_constant(mesh: SimplicialMesh) -> tuple[float, int]:
-    """1 / lambda_1 of the Dirichlet Laplacian, discrete."""
-    k_mat = femcore.assemble_stiffness(mesh)
-    m_mat = femcore.assemble_weighted_mass(mesh, lambda p: np.ones(len(p)),
-                                           degree=2)
+def _free_nodes(mesh: SimplicialMesh) -> np.ndarray:
     free = np.where(~mesh.boundary_node_mask())[0]
     if not len(free):
         raise DecompositionError("mesh has no interior nodes")
+    return free
+
+
+def _free_stiffness(mesh: SimplicialMesh) -> sp.csr_matrix:
+    """Stiffness matrix restricted to the interior (zero-trace) nodes."""
+    free = _free_nodes(mesh)
+    return femcore.assemble_stiffness(mesh)[free][:, free].tocsr()
+
+
+def domain_poincare_constant(mesh: SimplicialMesh,
+                             k_free: sp.csr_matrix | None = None
+                             ) -> tuple[float, int]:
+    """1 / lambda_1 of the Dirichlet Laplacian, discrete.
+
+    ``k_free`` is ``_free_stiffness(mesh)`` when the caller has it already.
+    """
+    free = _free_nodes(mesh)
+    if k_free is None:
+        k_free = _free_stiffness(mesh)
+    m_mat = femcore.assemble_weighted_mass(mesh, lambda p: np.ones(len(p)),
+                                           degree=2)
     lam, _, info = femcore.generalized_eig_extreme(
-        k_mat[free][:, free].tocsr(), m_mat[free][:, free].tocsr(),
-        which="min")
+        k_free, m_mat[free][:, free].tocsr(), which="min")
     return 1.0 / lam, info["iterations"]
 
 
@@ -694,11 +711,12 @@ def constructive_kappa(domain: Polyhedron, mesh: SimplicialMesh,
         else math.inf
     eta_min = min(decomp.eta_min_bound, sampled_min)
 
-    c_p, its = domain_poincare_constant(mesh)
+    k_free = _free_stiffness(mesh)
+    c_p, its = domain_poincare_constant(mesh, k_free)
     residual = c_p / eta_min ** 2
     kappa = 1.0 + total + residual
 
-    var = variational_kappa(domain, mesh)
+    var = variational_kappa(domain, mesh, k_free)
     slack = 0.05 * var.kappa
     passed = var.kappa <= kappa + slack
 
@@ -725,8 +743,8 @@ class VariationalKappa:
                 "provenance": "eigensolve"}
 
 
-def variational_kappa(domain: Polyhedron,
-                      mesh: SimplicialMesh) -> VariationalKappa:
+def variational_kappa(domain: Polyhedron, mesh: SimplicialMesh,
+                      k_free: sp.csr_matrix | None = None) -> VariationalKappa:
     """Smallest kappa with norm(u, K11)^2 <= kappa * energy, discrete.
 
     Computed as 1 + lambda_max of the 1/eta^2 weighted mass against the
@@ -734,14 +752,13 @@ def variational_kappa(domain: Polyhedron,
     one the order-1 index-1 norm itself integrates, so the inequality
     with the returned kappa is a sharp Rayleigh bound for every
     zero-trace field on this mesh, not just an asymptotic statement.
+    ``k_free`` is ``_free_stiffness(mesh)`` when the caller has it already.
     """
-    k_mat = femcore.assemble_stiffness(mesh)
+    free = _free_nodes(mesh)
+    if k_free is None:
+        k_free = _free_stiffness(mesh)
     m_mat = sobolev.k11_mass(domain, mesh)
-    free = np.where(~mesh.boundary_node_mask())[0]
-    if not len(free):
-        raise DecompositionError("mesh has no interior nodes")
     lam, _, info = femcore.generalized_eig_extreme(
-        m_mat[free][:, free].tocsr(), k_mat[free][:, free].tocsr(),
-        which="max")
+        m_mat[free][:, free].tocsr(), k_free, which="max")
     return VariationalKappa(kappa=1.0 + lam, eigenvalue=lam,
                             iterations=info["iterations"], dofs=len(free))

@@ -39,6 +39,10 @@ from .geometry import Polyhedron
 from .mesh import SimplicialMesh
 
 DEFAULT_S1 = 0.25
+# Mesh nodes through which rho1 is relaxed at an arbitrary point; nodes
+# tied in distance with the last of them are taken too, so the value does
+# not depend on how a search orders equidistant nodes.
+RHO1_NEIGHBOURS = 8
 
 
 def distance_to_vertices(domain: Polyhedron, points: np.ndarray) -> np.ndarray:
@@ -157,20 +161,45 @@ class RomegaField:
             cost += 1.0 / self.rho0(mid)
         return cost * lengths / samples
 
+    def _near_nodes(self, pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(point row, node) pairs: the RHO1_NEIGHBOURS nearest mesh nodes
+        of every point and every node tied with the last of them."""
+        # Imported here: scipy.spatial adds about 0.1 s to the start of
+        # every process, and only 3D weights need it.
+        from scipy.spatial import cKDTree
+
+        nodes = self.mesh.nodes
+        k = min(RHO1_NEIGHBOURS, len(nodes))
+        tree = cKDTree(nodes)
+        rows, near = [], []
+        todo = np.arange(len(pts))
+        width = min(k + 1, len(nodes))
+        while True:
+            # A list of ranks keeps the (P, width) shape, width 1 included.
+            dist, idx = tree.query(pts[todo], list(range(1, width + 1)))
+            keep = dist <= dist[:, k - 1:k]
+            # A point whose last column still ties is searched wider.
+            done = ~keep[:, -1] | (width == len(nodes))
+            r, c = np.nonzero(keep[done])
+            rows.append(todo[done][r])
+            near.append(idx[done][r, c])
+            todo = todo[~done]
+            if not len(todo):
+                return np.concatenate(rows), np.concatenate(near)
+            width = min(2 * width, len(nodes))
+
     def _rho1_raw(self, points: np.ndarray) -> np.ndarray:
+        """Cheapest of the straight path to the nearest edge point and
+        the straight paths to nearby nodes plus their Dijkstra cost."""
         pts = np.atleast_2d(np.asarray(points, dtype=float))
         segs = self.domain.singular_segments()
         _, nearest, _ = kernels.nearest_on_segments(pts, segs[:, 0], segs[:, 1])
         best = self._segment_cost(pts, nearest)
-        nodes = self.mesh.nodes
-        k = min(8, len(nodes))
-        for p_idx, p in enumerate(pts):
-            d2 = np.einsum("nd,nd->n", nodes - p, nodes - p)
-            near = np.argpartition(d2, k - 1)[:k]
-            cand = self.node_rho1_raw[near] + self._segment_cost(
-                np.repeat(p[None, :], k, axis=0), nodes[near])
-            best[p_idx] = min(best[p_idx], float(cand.min()))
-        return best
+        rows, near = self._near_nodes(pts)
+        via = np.full(len(pts), np.inf)
+        np.minimum.at(via, rows, self.node_rho1_raw[near] + self._segment_cost(
+            pts[rows], self.mesh.nodes[near]))
+        return np.minimum(best, via)
 
 
 def romega_field(domain: Polyhedron, mesh: SimplicialMesh | None = None,
@@ -186,17 +215,18 @@ def romega_field(domain: Polyhedron, mesh: SimplicialMesh | None = None,
     return w
 
 
+def _edge_pairs(elements: np.ndarray) -> np.ndarray:
+    """Mesh edges as (low, high) node pairs in lexicographic order."""
+    k = elements.shape[1]
+    local = [(i, j) for i in range(k) for j in range(i + 1, k)]
+    pairs = np.asarray(elements, dtype=np.int64)[:, local].reshape(-1, 2)
+    return np.unique(np.sort(pairs, axis=1), axis=0)
+
+
 def _node_rho1(domain: Polyhedron, mesh: SimplicialMesh, w: RomegaField) -> np.ndarray:
     """Multi-source Dijkstra to the singular edges in the 1/rho0_s metric."""
     nodes = mesh.nodes
-    pairs = set()
-    k = mesh.elements.shape[1]
-    for row in mesh.elements:
-        for i in range(k):
-            for j in range(i + 1, k):
-                a, b = int(row[i]), int(row[j])
-                pairs.add((a, b) if a < b else (b, a))
-    pairs = np.array(sorted(pairs), dtype=np.int64)
+    pairs = _edge_pairs(mesh.elements)
     mids = 0.5 * (nodes[pairs[:, 0]] + nodes[pairs[:, 1]])
     lengths = np.linalg.norm(nodes[pairs[:, 1]] - nodes[pairs[:, 0]], axis=1)
     costs = lengths / w.rho0(mids)
@@ -250,14 +280,17 @@ def halton(n: int, dim: int, start: int = 1) -> np.ndarray:
     bases = (2, 3, 5)[:dim]
     out = np.empty((n, dim))
     for j, b in enumerate(bases):
-        for i in range(n):
-            k = start + i
-            inv, f = 0.0, 1.0 / b
-            while k > 0:
-                inv += f * (k % b)
-                k //= b
-                f /= b
-            out[i, j] = inv
+        # Radical inverse, one digit of every index per pass. Finished
+        # indices add f * 0 = 0.0, so each entry sees the same float
+        # operations as a digit loop run on its own index.
+        k = np.arange(start, start + n, dtype=np.int64)
+        inv = np.zeros(n)
+        f = 1.0 / b
+        while k.any():
+            inv += f * (k % b)
+            k //= b
+            f /= b
+        out[:, j] = inv
     return out
 
 

@@ -162,3 +162,57 @@ def test_local_stiffness_is_consistent():
     for ke in k:
         w = np.linalg.eigvalsh(ke)
         assert w.min() > -1e-12
+
+
+# Small grid coordinates make exact distance ties between targets common.
+GRID = st.integers(min_value=-4, max_value=4).map(lambda i: i / 4.0)
+
+
+@st.composite
+def _blocked_case(draw):
+    block = draw(st.integers(min_value=1, max_value=8))
+    # Point counts below, at and across block boundaries.
+    n_pts = draw(st.sampled_from([block - 1, block, block + 1, 2 * block,
+                                  3 * block + 1]) | st.integers(0, 40))
+    dim = draw(st.sampled_from([2, 3]))
+    coords = st.lists(GRID, min_size=dim, max_size=dim)
+    pts = np.array(draw(st.lists(coords, min_size=n_pts, max_size=n_pts)),
+                   dtype=float).reshape(-1, dim)
+    n_t = draw(st.integers(min_value=1, max_value=6))
+    a = np.array(draw(st.lists(coords, min_size=n_t, max_size=n_t)))
+    b = np.array(draw(st.lists(coords, min_size=n_t, max_size=n_t)))
+    return block, pts, a, b
+
+
+@settings(deadline=None, max_examples=200)
+@given(_blocked_case())
+def test_blocked_distance_kernels_equal_one_block(case):
+    """Blocking the query points changes no bit of the distance kernels,
+    and ties still resolve to the lowest index."""
+    block, pts, a, b = case
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(_fallback, "BLOCK", block)
+        blocked_seg = _fallback.nearest_on_segments(pts, a, b)
+        blocked_pts = _fallback.nearest_points(pts, a)
+    one_seg = _fallback._nearest_on_segments(pts, a, b)
+    one_pts = _fallback._nearest_points(pts, a)
+    for got, want in zip(blocked_seg + blocked_pts, one_seg + one_pts):
+        assert got.shape == want.shape
+        assert np.array_equal(got, want)
+    # lowest index among the targets at the minimal distance
+    d2 = ((pts[:, None, :] - a[None, :, :]) ** 2).sum(axis=2)
+    if len(pts):
+        lowest = np.argmax(d2 == d2.min(axis=1, keepdims=True), axis=1)
+        assert np.array_equal(blocked_pts[1], lowest)
+
+
+def test_blocked_kernels_bound_temporaries(monkeypatch):
+    """One block's temporaries are what a call allocates at most."""
+    calls = []
+    inner = _fallback._nearest_on_segments
+    monkeypatch.setattr(_fallback, "BLOCK", 16)
+    monkeypatch.setattr(_fallback, "_nearest_on_segments",
+                        lambda p, a, b: calls.append(len(p)) or inner(p, a, b))
+    pts = RNG.random((50, 3))
+    _fallback.nearest_on_segments(pts, RNG.random((4, 3)), RNG.random((4, 3)))
+    assert calls == [16, 16, 16, 2]

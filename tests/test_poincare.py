@@ -174,6 +174,22 @@ def test_constructive_kappa_certificate(lshape, lshape_mesh):
     assert d["poincare_constant"]["provenance"] == "eigensolve"
 
 
+def test_constructive_kappa_assembles_stiffness_once(lshape, lshape_mesh,
+                                                     monkeypatch):
+    """Both eigensolves share one stiffness matrix, with the same results
+    as the standalone calls that assemble their own."""
+    calls = []
+    assemble = femcore.assemble_stiffness
+    monkeypatch.setattr(femcore, "assemble_stiffness",
+                        lambda m: calls.append(1) or assemble(m))
+    cert = poincare.constructive_kappa(lshape, lshape_mesh, samples=300)
+    assert len(calls) == 1
+    c_p, its = poincare.domain_poincare_constant(lshape_mesh)
+    var = poincare.variational_kappa(lshape, lshape_mesh)
+    assert (cert.poincare_constant, cert.poincare_iterations) == (c_p, its)
+    assert cert.variational == var.kappa
+
+
 def test_constructive_kappa_box(box, box_mesh):
     cert = poincare.constructive_kappa(box, box_mesh, samples=150)
     assert cert.passed

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from klab import mesh as meshmod, weights
+from klab import kernels, mesh as meshmod, weights
 from klab.errors import NonpositiveWeightError
 
 
@@ -104,6 +104,27 @@ def test_halton_determinism_and_range():
     assert np.array_equal(a[32:], c)
 
 
+def _halton_reference(n, dim, start=1):
+    """Digit loop on one index at a time."""
+    out = np.empty((n, dim))
+    for j, b in enumerate((2, 3, 5)[:dim]):
+        for i in range(n):
+            k, inv, f = start + i, 0.0, 1.0 / b
+            while k > 0:
+                inv += f * (k % b)
+                k //= b
+                f /= b
+            out[i, j] = inv
+    return out
+
+
+@pytest.mark.parametrize("n,dim,start", [(0, 3, 1), (1, 2, 1), (500, 3, 1),
+                                         (257, 3, 40001), (64, 1, 0)])
+def test_halton_matches_digit_loop(n, dim, start):
+    assert np.array_equal(weights.halton(n, dim, start=start),
+                          _halton_reference(n, dim, start=start))
+
+
 def test_sample_interior(lshape):
     pts = weights.sample_interior(lshape, 500)
     assert pts.shape == (500, 2)
@@ -163,3 +184,46 @@ def test_romega_3d_properties(box):
 def test_romega_requires_mesh_in_3d(box):
     with pytest.raises(ValueError):
         weights.romega_field(box)
+
+
+def test_edge_pairs_match_sorted_set(l_prism, lshape_mesh):
+    for elements in (meshmod.build_mesh(l_prism, 0.25).elements,
+                     lshape_mesh.elements):
+        pairs = set()
+        for row in elements:
+            for i in range(len(row)):
+                for j in range(i + 1, len(row)):
+                    a, b = int(row[i]), int(row[j])
+                    pairs.add((a, b) if a < b else (b, a))
+        assert np.array_equal(weights._edge_pairs(elements),
+                              np.array(sorted(pairs), dtype=np.int64))
+
+
+def _rho1_reference(w, pts, k):
+    """Per-point relaxation through the k nearest nodes and their ties."""
+    segs = w.domain.singular_segments()
+    _, nearest, _ = kernels.nearest_on_segments(pts, segs[:, 0], segs[:, 1])
+    best = w._segment_cost(pts, nearest)
+    nodes = w.mesh.nodes
+    for i, p in enumerate(pts):
+        d2 = np.einsum("nd,nd->n", nodes - p, nodes - p)
+        near = np.flatnonzero(d2 <= np.partition(d2, k - 1)[k - 1])
+        cand = w.node_rho1_raw[near] + w._segment_cost(
+            np.repeat(p[None, :], len(near), axis=0), nodes[near])
+        best[i] = min(best[i], float(cand.min()))
+    return best
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("k", [8, 1])
+def test_rho1_batched_matches_point_loop(l_prism, monkeypatch, k):
+    monkeypatch.setattr(weights, "RHO1_NEIGHBOURS", k)
+    m = meshmod.build_mesh(l_prism, 0.25)
+    w = weights.romega_field(l_prism, mesh=m)
+    # Halton samples, and the nodes themselves, where equidistant
+    # neighbours tie with the k-th nearest one.
+    for pts in (weights.sample_interior(l_prism, 1500), m.nodes):
+        got = w._rho1_raw(pts)
+        want = _rho1_reference(w, pts, k)
+        assert np.array_equal(got, want, equal_nan=True)
+    assert w._rho1_raw(np.empty((0, 3))).shape == (0,)
