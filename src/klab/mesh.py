@@ -363,46 +363,61 @@ def refine(mesh: SimplicialMesh, levels: int = 1,
     return out
 
 
+# Local edges in the order children and facets name their midpoints.
+_REFINE_EDGES = {2: ((0, 1), (1, 2), (2, 0)),
+                 3: ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))}
+# Children as local indices into (vertices, edge midpoints): 0..dim are
+# the parent's vertices, dim + 1 + e the midpoint of local edge e.
+_CHILDREN = {
+    2: ((0, 3, 5), (3, 1, 4), (5, 4, 2), (3, 4, 5)),
+    3: ((0, 4, 5, 6), (4, 1, 7, 8), (5, 7, 2, 9), (6, 8, 9, 3),
+        (4, 5, 6, 8), (4, 5, 7, 8), (5, 6, 8, 9), (5, 7, 8, 9)),
+}
+
+
 def _refine_once(dim, nodes, elements, facets):
-    pool_coords = [tuple(p) for p in nodes]
-    midpoint: dict = {}
+    """One edge-midpoint subdivision of elements and boundary facets.
 
-    def mid(a, b):
-        key = (a, b) if a < b else (b, a)
-        if key not in midpoint:
-            p = 0.5 * (nodes[a] + nodes[b])
-            midpoint[key] = len(pool_coords)
-            pool_coords.append(tuple(p))
-        return midpoint[key]
+    Midpoints are numbered after the parent's nodes in the order their
+    edges are first met walking the elements, so parents keep their
+    indices and the numbering is deterministic. Facets reuse the
+    midpoints of their element edges.
+    """
+    nodes = np.asarray(nodes, dtype=float)
+    elements = np.asarray(elements, dtype=np.int64)
+    facets = np.asarray(facets, dtype=np.int64)
+    n = len(nodes)
+    local = list(_REFINE_EDGES[dim])
+    pairs = np.sort(elements[:, local].reshape(-1, 2), axis=1)
+    keys = pairs[:, 0] * n + pairs[:, 1]
+    # np.unique's first indices come from a stable sort, so ranking the
+    # distinct edges by them reproduces the order of first appearance.
+    uniq, first, inverse = np.unique(keys, return_index=True,
+                                     return_inverse=True)
+    order = np.argsort(first)
+    rank = np.empty(len(uniq), dtype=np.int64)
+    rank[order] = np.arange(len(uniq))
+    a, b = pairs[first[order]].T
+    new_nodes = np.concatenate([nodes, 0.5 * (nodes[a] + nodes[b])])
 
-    children = []
+    vertex_mid = np.concatenate(
+        [elements, n + rank[inverse].reshape(len(elements), len(local))],
+        axis=1)
+    children = vertex_mid[:, np.array(_CHILDREN[dim])].reshape(-1, dim + 1)
+
+    f_local = [(0, 1)] if dim == 2 else list(_REFINE_EDGES[2])
+    f_pairs = np.sort(facets[:, f_local].reshape(-1, 2), axis=1)
+    f_keys = f_pairs[:, 0] * n + f_pairs[:, 1]
+    if not np.isin(f_keys, uniq).all():
+        raise GeometryError("a boundary facet edge is not an element edge")
+    pos = np.searchsorted(uniq, f_keys)
+    f_mid = np.concatenate(
+        [facets, n + rank[pos].reshape(len(facets), len(f_local))], axis=1)
     if dim == 2:
-        for (a, b, c) in elements:
-            ab, bc, ca = mid(a, b), mid(b, c), mid(c, a)
-            children += [(a, ab, ca), (ab, b, bc), (ca, bc, c), (ab, bc, ca)]
+        new_facets = f_mid[:, np.array(((0, 2), (2, 1)))].reshape(-1, 2)
     else:
-        for (x0, x1, x2, x3) in elements:
-            m01, m02, m03 = mid(x0, x1), mid(x0, x2), mid(x0, x3)
-            m12, m13, m23 = mid(x1, x2), mid(x1, x3), mid(x2, x3)
-            children += [
-                (x0, m01, m02, m03), (m01, x1, m12, m13),
-                (m02, m12, x2, m23), (m03, m13, m23, x3),
-                (m01, m02, m03, m13), (m01, m02, m12, m13),
-                (m02, m03, m13, m23), (m02, m12, m13, m23),
-            ]
-    new_facets = []
-    for f in facets:
-        if dim == 2:
-            a, b = f
-            m = mid(a, b)
-            new_facets += [(a, m), (m, b)]
-        else:
-            a, b, c = f
-            ab, bc, ca = mid(a, b), mid(b, c), mid(c, a)
-            new_facets += [(a, ab, ca), (ab, b, bc), (ca, bc, c), (ab, bc, ca)]
-    return (np.array(pool_coords, dtype=float),
-            np.array(children, dtype=np.int64),
-            np.array(new_facets, dtype=np.int64))
+        new_facets = f_mid[:, np.array(_CHILDREN[2])].reshape(-1, 3)
+    return new_nodes, children, new_facets
 
 
 def _apply_grading(mesh: SimplicialMesh, spec: GradingSpec) -> SimplicialMesh:

@@ -364,22 +364,29 @@ def k11_mass(domain: Polyhedron, mesh: SimplicialMesh):
     return mat.tocsr()
 
 
-def k11_form(domain: Polyhedron, mesh: SimplicialMesh):
+def k11_form(domain: Polyhedron, mesh: SimplicialMesh, stiffness=None):
     """Gram matrix of the order-1 index-1 norm, split-degree quadrature.
 
     This is the quadratic form k_norm evaluates for NormSpec(1, 1):
-    stiffness plus the k11_mass weighted mass.
+    stiffness plus the k11_mass weighted mass. ``stiffness`` is
+    ``assemble_stiffness(mesh)`` when the caller has it already.
     """
-    return (femcore.assemble_stiffness(mesh) + k11_mass(domain, mesh)).tocsr()
+    if stiffness is None:
+        stiffness = femcore.assemble_stiffness(mesh)
+    return (stiffness + k11_mass(domain, mesh)).tocsr()
 
 
-def minimal_extension(domain: Polyhedron, mesh: SimplicialMesh, g) -> FemField:
-    """Field with the given boundary values and least K(1, 1) energy."""
+def minimal_extension(domain: Polyhedron, mesh: SimplicialMesh, g,
+                      form=None) -> FemField:
+    """Field with the given boundary values and least K(1, 1) energy.
+
+    ``form`` is ``k11_form(domain, mesh)`` when the caller has it already.
+    """
     if callable(g):
         g_nodes = np.asarray(g(mesh.nodes), dtype=float)
     else:
         g_nodes = np.asarray(g, dtype=float)
-    a_mat = k11_form(domain, mesh)
+    a_mat = form if form is not None else k11_form(domain, mesh)
     constrained = mesh.boundary_node_mask()
     a_ff, a_fc, free, fixed = femcore.split_dirichlet(a_mat, constrained)
     rhs = -a_fc @ g_nodes[fixed]
@@ -402,8 +409,8 @@ def trace_norm_surrogate(domain: Polyhedron, mesh: SimplicialMesh, g,
     if (order, index) != (0.5, 0.5):
         raise InadmissibleIndexError(
             "trace surrogate is defined for order 1/2, index 1/2 only")
-    ext = minimal_extension(domain, mesh, g)
     a_mat = k11_form(domain, mesh)
+    ext = minimal_extension(domain, mesh, g, form=a_mat)
     energy = float(kernels.neumaier_dot(ext.values, a_mat @ ext.values))
     return NormReport(value=math.sqrt(max(energy, 0.0)), mu=1, a=1.0,
                       terms={"extension_energy": energy}, overflow=False)

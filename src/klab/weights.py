@@ -143,7 +143,12 @@ class RomegaField:
         pts = np.atleast_2d(np.asarray(points, dtype=float))
         if self.domain.dimension == 2:
             return self.rho0(pts)
-        return self.rho0(pts) * self.rho1(pts)
+        # At a vertex rho0 is 0 and rho1 is 0 * inf; r_omega is 0 there.
+        r0 = self.rho0(pts)
+        out = np.zeros(len(pts))
+        away = r0 > 0.0
+        out[away] = r0[away] * self.rho1(pts[away])
+        return out
 
     def rho1(self, points: np.ndarray) -> np.ndarray:
         if self.domain.dimension == 2:

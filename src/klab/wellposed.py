@@ -115,12 +115,16 @@ def conjugate_parts(domain: Polyhedron, mesh: SimplicialMesh,
     return k_mat, (g_mat.T - g_mat).tocsr(), m_mat
 
 
-def combine_conjugate(parts, a: float):
-    """B_a from precomputed parts; a = 0 returns K itself."""
+def _check_conjugation(a: float) -> None:
     if abs(a) > MAX_CONJUGATION:
         raise InadmissibleIndexError(
             f"conjugation exponent {a} outside [-{MAX_CONJUGATION}, "
             f"{MAX_CONJUGATION}]")
+
+
+def combine_conjugate(parts, a: float):
+    """B_a from precomputed parts; a = 0 returns K itself."""
+    _check_conjugation(a)
     k_mat, skew, m_mat = parts
     if a == 0.0:
         return k_mat
@@ -134,10 +138,7 @@ def conjugate_operator(domain: Polyhedron, mesh: SimplicialMesh, a: float,
     At a = 0 this is exactly assemble_stiffness; otherwise the product
     rule expansion assembled at quadrature points.
     """
-    if abs(a) > MAX_CONJUGATION:
-        raise InadmissibleIndexError(
-            f"conjugation exponent {a} outside [-{MAX_CONJUGATION}, "
-            f"{MAX_CONJUGATION}]")
+    _check_conjugation(a)
     if a == 0.0:
         return femcore.assemble_stiffness(mesh)
     return combine_conjugate(conjugate_parts(domain, mesh, weight, degree), a)
@@ -169,18 +170,41 @@ def solve_dirichlet(problem: BvpProblem) -> SolveReport:
 
     a = 0 uses conjugate-free assembly and conjugate-gradient solves;
     conjugated systems are nonsymmetric and go through a sparse direct
-    factorization.
+    factorization. The stiffness matrix K is assembled once (it is B_0,
+    and the first of the conjugate parts otherwise), and the K(1, 1)
+    form K + k11_mass once when there is boundary data: it gives the
+    lift, the minimal extension of g, and the g surrogate, the energy
+    of that lift in the same form, which is exactly the value
+    sobolev.trace_norm_surrogate reports.
     """
     domain, mesh = problem.domain, problem.mesh
-    b_mat = conjugate_operator(domain, mesh, problem.a)
+    if problem.a == 0.0:
+        k_mat = b_mat = femcore.assemble_stiffness(mesh)
+    else:
+        _check_conjugation(problem.a)
+        parts = conjugate_parts(domain, mesh)
+        k_mat, b_mat = parts[0], combine_conjugate(parts, problem.a)
+        del parts
     f_vec = _load_vector(problem)
-    lift = lift_boundary_data(domain, mesh, problem.g)
+    if problem.g is None:
+        lift = np.zeros(mesh.num_nodes)
+        g_surr = 0.0
+    else:
+        form = sobolev.k11_form(domain, mesh, stiffness=k_mat)
+        lift = sobolev.minimal_extension(domain, mesh, problem.g,
+                                         form=form).values
+        energy = float(kernels.neumaier_dot(lift, form @ lift))
+        g_surr = math.sqrt(max(energy, 0.0))
+        # Freed here so they do not add to the peak of the solve and of
+        # the norm quadrature below.
+        del form
+    del k_mat
 
     constrained = mesh.boundary_node_mask()
     free = np.where(~constrained)[0]
     if not len(free):
         raise ValueError("mesh has no interior nodes")
-    rhs_full = f_vec - b_mat @ lift.values
+    rhs_full = f_vec - b_mat @ lift
     rhs = rhs_full[free]
     b_ff = b_mat[free][:, free].tocsr()
 
@@ -198,7 +222,7 @@ def solve_dirichlet(problem: BvpProblem) -> SolveReport:
     residual = math.sqrt(max(kernels.neumaier_dot(res_vec, res_vec), 0.0)) \
         / rhs_norm
 
-    values = np.array(lift.values)
+    values = np.array(lift)
     values[free] += x
     u = FemField(mesh, values)
 
@@ -212,10 +236,6 @@ def solve_dirichlet(problem: BvpProblem) -> SolveReport:
             else np.asarray(problem.f, dtype=float)
         f_norm = sobolev.k_data_norm(domain, mesh, f_arg,
                                      a=problem.a - 1.0).value
-    if problem.g is None:
-        g_surr = 0.0
-    else:
-        g_surr = sobolev.trace_norm_surrogate(domain, mesh, problem.g).value
 
     denom = f_norm + g_surr + u_base.value
     if denom == 0.0:
@@ -319,7 +339,8 @@ def weight_window_probe(domain: Polyhedron, mesh: SimplicialMesh,
         if abs(a) > MAX_CONJUGATION:
             raise InadmissibleIndexError(f"probe exponent {a} out of range")
     eta = weights.eta_field(domain)
-    k_mat = femcore.assemble_stiffness(mesh)
+    parts = conjugate_parts(domain, mesh)
+    k_mat = parts[0]
     m_mat = femcore.assemble_weighted_mass(
         mesh, weights.power_weight(eta, -2.0), degree=5)
     free = np.where(~mesh.boundary_node_mask())[0]
@@ -337,7 +358,6 @@ def weight_window_probe(domain: Polyhedron, mesh: SimplicialMesh,
         def f(points):
             return np.ones(len(points))
     f_vec = femcore.assemble_load(mesh, f, degree=4)
-    parts = conjugate_parts(domain, mesh)
 
     entries = []
     indicator_zero = 1.0

@@ -94,6 +94,24 @@ def test_weights_dump_and_certify(tmp_path):
     assert payload["n_points"] >= 1000
 
 
+def test_weights_dump_3d_has_no_nan(tmp_path, l_prism):
+    res = run_cli("weights", "dump", "--domain", problem_path("l_prism.json"),
+                  "--h", "0.25", "--out", tmp_path)
+    assert res.returncode == 0, res.stderr
+    assert "RuntimeWarning" not in res.stderr
+    rows = np.loadtxt(tmp_path / "weights.csv", delimiter=",", skiprows=1)
+    assert np.all(np.isfinite(rows))
+    coords, r_omega = rows[:, 1:4], rows[:, 5]
+    at_vertex = (np.abs(coords[:, None, :] - l_prism.vertices[None])
+                 .max(axis=2) == 0.0).any(axis=1)
+    assert at_vertex.sum() == len(l_prism.vertices)
+    assert np.all(r_omega[at_vertex] == 0.0)
+    # zero on the singular edges, positive off them
+    eta = rows[:, 4]
+    assert np.all(r_omega[eta == 0.0] == 0.0)
+    assert np.all(r_omega[eta > 0.0] > 0.0)
+
+
 def test_norm_command_matches_library(tmp_path, square):
     res = run_cli("norm", "--domain", problem_path("square.json"),
                   "--expr", "x*y", "--mu", "1", "--a", "0.5",

@@ -1,9 +1,12 @@
 """Mesh generation, grading, refinement and file round trips."""
 
+import functools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from klab import geometry
 from klab import mesh as meshmod
@@ -61,6 +64,105 @@ def test_refinement_is_nested(square):
     coarse = {tuple(p) for p in np.round(m.nodes, 12)}
     fine = {tuple(p) for p in np.round(r.nodes, 12)}
     assert coarse <= fine
+
+
+def _refine_once_reference(dim, nodes, elements, facets):
+    """Edge-midpoint subdivision with a midpoint dict, one element at a time."""
+    pool = [tuple(p) for p in nodes]
+    midpoint = {}
+
+    def mid(a, b):
+        key = (a, b) if a < b else (b, a)
+        if key not in midpoint:
+            midpoint[key] = len(pool)
+            pool.append(tuple(0.5 * (nodes[a] + nodes[b])))
+        return midpoint[key]
+
+    children, new_facets = [], []
+    for row in elements:
+        if dim == 2:
+            a, b, c = row
+            ab, bc, ca = mid(a, b), mid(b, c), mid(c, a)
+            children += [(a, ab, ca), (ab, b, bc), (ca, bc, c), (ab, bc, ca)]
+        else:
+            x0, x1, x2, x3 = row
+            m01, m02, m03 = mid(x0, x1), mid(x0, x2), mid(x0, x3)
+            m12, m13, m23 = mid(x1, x2), mid(x1, x3), mid(x2, x3)
+            children += [
+                (x0, m01, m02, m03), (m01, x1, m12, m13),
+                (m02, m12, x2, m23), (m03, m13, m23, x3),
+                (m01, m02, m03, m13), (m01, m02, m12, m13),
+                (m02, m03, m13, m23), (m02, m12, m13, m23)]
+    for f in facets:
+        if dim == 2:
+            a, b = f
+            m = mid(a, b)
+            new_facets += [(a, m), (m, b)]
+        else:
+            a, b, c = f
+            ab, bc, ca = mid(a, b), mid(b, c), mid(c, a)
+            new_facets += [(a, ab, ca), (ab, b, bc), (ca, bc, c), (ab, bc, ca)]
+    return (np.array(pool, dtype=float), np.array(children, dtype=np.int64),
+            np.array(new_facets, dtype=np.int64))
+
+
+@functools.lru_cache(maxsize=None)
+def _small_mesh(name, graded):
+    if name == "lshape":
+        dom = geometry.build_polygon(geometry.L_SHAPE_VERTICES)
+    elif name == "square":
+        dom = geometry.build_polygon([(0, 0), (1, 0), (1, 1), (0, 1)])
+    else:
+        dom = geometry.build_polyhedron_3d(name)
+    h = 0.25 if dom.dimension == 2 else 0.5
+    grading = default_grading(dom, 0.5) if graded else None
+    return meshmod.build_mesh(dom, h, grading=grading)
+
+
+@settings(deadline=None, max_examples=40)
+@given(st.sampled_from(["square", "lshape", "box", "l_prism"]), st.booleans(),
+       st.integers(min_value=1, max_value=2),
+       st.integers(min_value=0, max_value=2 ** 32 - 1))
+def test_refine_once_matches_dict_loop(name, graded, levels, seed):
+    """The array refinement equals the dict loop bit for bit, for any
+    element order and vertex rotation, and keeps every parent node."""
+    m = _small_mesh(name, graded)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(meshmod, "_refine_once", _refine_once_reference)
+        want = meshmod.refine(m, levels)
+    got = meshmod.refine(m, levels)
+    for attr in ("nodes", "elements", "boundary_facets"):
+        assert np.array_equal(getattr(got, attr), getattr(want, attr))
+
+    rng = np.random.default_rng(seed)
+    k = m.elements.shape[1]
+    elements = m.elements[rng.permutation(m.num_elements)]
+    shift = rng.integers(0, k, size=(len(elements), 1))
+    elements = np.take_along_axis(elements, (np.arange(k) + shift) % k, axis=1)
+    facets = m.boundary_facets[rng.permutation(len(m.boundary_facets))]
+    nodes = m.nodes
+    for _ in range(levels):
+        out = meshmod._refine_once(m.dimension, nodes, elements, facets)
+        ref = _refine_once_reference(m.dimension, nodes, elements, facets)
+        for a, b in zip(out, ref):
+            assert a.dtype == b.dtype and np.array_equal(a, b)
+        # nested: parent nodes keep their indices and coordinates, and
+        # every parent vertex is a vertex of its children
+        assert np.array_equal(out[0][:len(nodes)], nodes)
+        assert np.array_equal(
+            out[1].reshape(len(elements), -1, k)[:, np.arange(k), np.arange(k)],
+            elements)
+        nodes, elements, facets = out
+
+
+def test_refine_rejects_facet_off_the_elements(square):
+    m = meshmod.build_mesh(square, 0.5)
+    edges = {tuple(sorted(e)) for row in m.elements.tolist()
+             for e in ((row[0], row[1]), (row[1], row[2]), (row[2], row[0]))}
+    far = next(j for j in range(1, m.num_nodes) if (0, j) not in edges)
+    facets = np.vstack([m.boundary_facets, [[0, far]]])
+    with pytest.raises(GeometryError):
+        meshmod._refine_once(2, m.nodes, m.elements, facets)
 
 
 # -- grading -----------------------------------------------------------

@@ -181,6 +181,23 @@ def test_romega_3d_properties(box):
     assert w2 / w1 == pytest.approx(d2 / d1, rel=0.35)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_romega_3d_vanishes_at_vertices(l_prism):
+    """r_omega is exactly 0 where rho0 is, and finite and positive
+    elsewhere on the mesh, with no floating-point warning."""
+    m = meshmod.build_mesh(l_prism, 0.25)
+    w = weights.romega_field(l_prism, mesh=m)
+    assert np.array_equal(w(l_prism.vertices), np.zeros(len(l_prism.vertices)))
+    vals = w(m.nodes)
+    at_vertex = weights.distance_to_vertices(l_prism, m.nodes) == 0.0
+    assert at_vertex.sum() == len(l_prism.vertices)
+    assert np.all(vals[at_vertex] == 0.0)
+    assert np.all(np.isfinite(vals)) and np.all(vals[~at_vertex] >= 0.0)
+    # the vertices do not change the value anywhere else
+    away = m.nodes[~at_vertex]
+    assert np.array_equal(vals[~at_vertex], w(away))
+
+
 def test_romega_requires_mesh_in_3d(box):
     with pytest.raises(ValueError):
         weights.romega_field(box)

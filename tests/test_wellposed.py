@@ -240,3 +240,49 @@ def test_conjugation_lipschitz_regression(lshape, lshape_mesh):
 def test_lift_boundary_data_none(square, square_mesh):
     lift = wellposed.lift_boundary_data(square, square_mesh, None)
     assert np.all(lift.values == 0.0)
+
+
+def _count_calls(monkeypatch, module, name):
+    calls = []
+    inner = getattr(module, name)
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return inner(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counting)
+    return calls
+
+
+@pytest.mark.parametrize("a", [0.0, 0.3])
+def test_solve_dirichlet_builds_lift_once(lshape, lshape_mesh, monkeypatch, a):
+    """One stiffness assembly and one minimal extension per solve, and the
+    g surrogate is the trace surrogate's value bit for bit."""
+    g = lambda p: np.sin(p[:, 0]) + p[:, 1] ** 2
+    problem = BvpProblem(lshape, lshape_mesh, f=lambda p: np.ones(len(p)),
+                         g=g, a=a)
+    with monkeypatch.context() as mp:
+        extensions = _count_calls(mp, sobolev, "minimal_extension")
+        stiffness = _count_calls(mp, femcore, "assemble_stiffness")
+        rep = wellposed.solve_dirichlet(problem)
+    assert (len(extensions), len(stiffness)) == (1, 1)
+    surrogate = sobolev.trace_norm_surrogate(lshape, lshape_mesh, g).value
+    assert rep.norms["g_surrogate"] == surrogate
+    boundary = lshape_mesh.boundary_node_mask()
+    assert np.array_equal(rep.solution.values[boundary],
+                          g(lshape_mesh.nodes)[boundary])
+
+
+def test_solve_dirichlet_rejects_exponent_before_assembly(
+        lshape, lshape_mesh, monkeypatch):
+    stiffness = _count_calls(monkeypatch, femcore, "assemble_stiffness")
+    with pytest.raises(InadmissibleIndexError):
+        wellposed.solve_dirichlet(BvpProblem(lshape, lshape_mesh, a=2.5))
+    assert stiffness == []
+
+
+def test_window_probe_assembles_stiffness_once(lshape, lshape_mesh,
+                                               monkeypatch):
+    stiffness = _count_calls(monkeypatch, femcore, "assemble_stiffness")
+    wellposed.weight_window_probe(lshape, lshape_mesh, (0.0, 0.5))
+    assert len(stiffness) == 1
