@@ -3,12 +3,16 @@
 Contains the quadrature tables (all rules have strictly interior
 points and positive weights, which matters because the coefficients we
 integrate blow up at the boundary of some elements), matrix assembly
-for weighted stiffness and mass forms, Jacobi-preconditioned conjugate
-gradients for one-shot solves, spd_solver for repeated solves (one
-SuperLU factor in 2D and on surfaces, warm-started CG in 3D), and
-extreme generalized eigenvalue iterations built on it. Assembly walks
-elements in mesh order so matrices are reproducible; optional worker
-threads split the element range but merge their blocks in task order.
+for weighted stiffness and mass forms, and the SPD solvers. The solvers
+run on the nested hierarchy that mesh refinement records: v_cycle is a
+geometric multigrid V-cycle on it (Bramble, Pasciak and Xu 1990),
+cg_solve is conjugate gradients preconditioned by that V-cycle (Jacobi
+without a hierarchy), and generalized_eig_extreme is LOBPCG
+(Knyazev 2001) preconditioned by it (by one SuperLU factor or Jacobi
+without a hierarchy). Both solvers report iterations and residuals.
+Assembly walks elements in mesh order so matrices are reproducible;
+optional worker threads split the element range but merge their
+blocks in task order.
 """
 
 from __future__ import annotations
@@ -28,9 +32,11 @@ from .errors import (ConvergenceError, IndefiniteOperatorError,
 from .mesh import SimplicialMesh
 
 MAX_DEGREE = 5
-# Average nonzeros per row up to which spd_solver factors: P1 has 6-7 in
-# 2D and on surfaces, where a SuperLU factor costs about one CG solve,
-# and about 14 in 3D, where its fill-in costs far more than the solves.
+# Average nonzeros per row up to which an eigensolve without a hierarchy
+# is preconditioned by a SuperLU factor: P1 has 6-7 in 2D and on
+# surfaces, where the factor is cheap, and about 14 in 3D, where its
+# fill-in costs far more than the iterations. Above it the V-cycle
+# smooths with a smaller Jacobi damping.
 LU_MAX_ROW_NNZ = 10
 
 
@@ -404,12 +410,56 @@ def split_dirichlet(matrix: sp.csr_matrix, constrained: np.ndarray):
     return a_ff, a_fc, free, fixed
 
 
-def cg_solve(matrix, rhs, tol: float = 1e-10, maxiter: int | None = None,
-             x0: np.ndarray | None = None) -> tuple[np.ndarray, dict]:
-    """Jacobi-preconditioned conjugate gradients for SPD systems.
+def v_cycle(matrix, hierarchy=()):
+    """Symmetric multigrid V-cycle for an SPD matrix: apply(r) ~ A^-1 r.
 
-    Raises IndefiniteOperatorError on negative curvature and
-    ConvergenceError if the residual target is not met.
+    hierarchy holds the prolongations between the free nodes of nested
+    levels, coarse first (mesh.free_prolongations), the last one ending
+    at the matrix's rows. Coarse operators are the Galerkin products
+    P^T A P. Each level smooths with 2 damped Jacobi sweeps before the
+    coarse correction and 2 after it; the coarsest level is solved by
+    one SuperLU factor. With no hierarchy the cycle is that factor.
+    """
+    omega = 0.6 if matrix.nnz > LU_MAX_ROW_NNZ * matrix.shape[0] else 0.8
+    levels = []
+    a_mat = matrix.tocsr()
+    for p in reversed(hierarchy):
+        levels.append((a_mat, omega / a_mat.diagonal(), p))
+        a_mat = (p.T @ a_mat @ p).tocsr()
+    coarse = scipy.sparse.linalg.splu(a_mat.tocsc()).solve
+    del a_mat
+
+    # A loop over the levels, not a recursive closure: a closure that
+    # refers to itself is a reference cycle and would keep every level
+    # alive until the garbage collector runs.
+    def apply(r):
+        rhs, smoothed = [], []
+        for a_l, d_l, p in levels:
+            x = d_l * r
+            x += d_l * (r - a_l @ x)
+            rhs.append(r)
+            smoothed.append(x)
+            r = p.T @ (r - a_l @ x)
+        x = coarse(r)
+        for (a_l, d_l, p), r, x_l in zip(reversed(levels), reversed(rhs),
+                                         reversed(smoothed)):
+            x = x_l + p @ x
+            for _ in range(2):
+                x += d_l * (r - a_l @ x)
+        return x
+
+    return apply
+
+
+def cg_solve(matrix, rhs, tol: float = 1e-10, maxiter: int | None = None,
+             hierarchy: tuple = ()) -> tuple[np.ndarray, dict]:
+    """Preconditioned conjugate gradients for SPD systems.
+
+    The preconditioner is the multigrid v_cycle on hierarchy when one is
+    given (mesh.free_prolongations of the system's free nodes) and
+    Jacobi otherwise. Stops when the residual is at most tol times the
+    right-hand side's norm. Raises IndefiniteOperatorError on negative
+    curvature and ConvergenceError if the residual target is not met.
     """
     n = matrix.shape[0]
     if n == 0:
@@ -417,13 +467,19 @@ def cg_solve(matrix, rhs, tol: float = 1e-10, maxiter: int | None = None,
     diag = np.asarray(matrix.diagonal(), dtype=float)
     if np.any(diag <= 0.0):
         raise IndefiniteOperatorError("operator has a nonpositive diagonal entry")
-    inv_diag = 1.0 / diag
-    x = np.zeros(n) if x0 is None else np.array(x0, dtype=float)
-    r = rhs - matrix @ x
+    if hierarchy:
+        precondition = v_cycle(matrix, hierarchy)
+    else:
+        inv_diag = 1.0 / diag
+
+        def precondition(r):
+            return inv_diag * r
+    x = np.zeros(n)
+    r = np.array(rhs, dtype=float)
     rhs_norm = math.sqrt(max(kernels.neumaier_dot(rhs, rhs), 0.0))
     if rhs_norm == 0.0:
         return np.zeros(n), {"iterations": 0, "residual": 0.0}
-    z = inv_diag * r
+    z = precondition(r)
     p = z.copy()
     rz = kernels.neumaier_dot(r, z)
     res = math.sqrt(max(kernels.neumaier_dot(r, r), 0.0))
@@ -441,7 +497,7 @@ def cg_solve(matrix, rhs, tol: float = 1e-10, maxiter: int | None = None,
         res = math.sqrt(max(kernels.neumaier_dot(r, r), 0.0))
         if res <= tol * rhs_norm:
             return x, {"iterations": it, "residual": res / rhs_norm}
-        z = inv_diag * r
+        z = precondition(r)
         rz_new = kernels.neumaier_dot(r, z)
         p = z + (rz_new / rz) * p
         rz = rz_new
@@ -469,64 +525,79 @@ def _start_vector(n: int) -> np.ndarray:
     return v / math.sqrt(kernels.neumaier_dot(v, v))
 
 
-def spd_solver(matrix, tol: float = 1e-12):
-    """Return solve(b) for repeated solves with one SPD matrix.
-
-    A matrix with at most LU_MAX_ROW_NNZ nonzeros per row on average is
-    factored once by SuperLU with its default column ordering, and each
-    solve is a pair of triangular sweeps. A denser one gets
-    Jacobi-preconditioned CG at the relative tolerance tol, started from
-    the previous solution. The LU path does not check definiteness.
-    """
-    n = matrix.shape[0]
-    if matrix.nnz <= LU_MAX_ROW_NNZ * n:
-        return scipy.sparse.linalg.splu(matrix.tocsc()).solve
-    last = None
-
-    def solve(rhs):
-        nonlocal last
-        last, _ = cg_solve(matrix, rhs, tol=tol, x0=last)
-        return last
-
-    return solve
+def _rayleigh(a_mat, b_mat, x):
+    """(lambda, B-normalized x, relative residual, |lambda| norm(B x))."""
+    bx = b_mat @ x
+    norm = math.sqrt(kernels.neumaier_dot(x, bx))
+    x, bx = x / norm, bx / norm
+    lam = kernels.neumaier_dot(x, a_mat @ x)
+    r = a_mat @ x - lam * bx
+    scale = abs(lam) * math.sqrt(kernels.neumaier_dot(bx, bx))
+    return lam, x, math.sqrt(kernels.neumaier_dot(r, r)) / scale, scale
 
 
 def generalized_eig_extreme(a_mat, b_mat, which: str = "min",
-                            tol: float = 1e-10, maxiter: int = 500,
-                            inner_tol: float = 1e-12) -> tuple[float, np.ndarray, dict]:
-    """Extreme eigenvalue of the pencil A x = lambda B x.
+                            tol: float = 1e-8, maxiter: int = 500,
+                            hierarchy: tuple = ()) -> tuple[float, np.ndarray, dict]:
+    """Extreme eigenvalue of the pencil A x = lambda B x, by LOBPCG.
 
-    which="min" runs inverse iteration (solves with A, needs A SPD);
-    which="max" solves with B each step (needs B SPD). Both matrices
-    must be symmetric. The solved matrix goes through spd_solver once,
-    before the loop, so 2D and surface pencils cost one factorization
-    and 3D pencils one warm-started CG solve (to inner_tol) per step.
-    The start vector is fixed, so results are deterministic.
+    which="min" gives the smallest eigenvalue and needs A SPD;
+    which="max" the largest. Both matrices must be symmetric and B
+    positive definite. The SPD matrix named by which (A for "min", B
+    for "max") preconditions the iteration (Knyazev 2001): the v_cycle
+    on hierarchy when one is given (mesh.free_prolongations), else one
+    SuperLU factor for at most LU_MAX_ROW_NNZ nonzeros per row (2D and
+    surface pencils), else Jacobi. The start vector is fixed, so
+    results are deterministic.
+
+    Converged means the relative residual
+    norm(A x - lambda B x) / (|lambda| norm(B x)) is at most tol; the
+    info dict carries it with the iteration count (preconditioner
+    applications). scipy's lobpcg stops on the absolute residual, so
+    its tolerance is tol times |lambda| norm(B x) of the current
+    B-normalized iterate, and it is called again from its result while
+    that scale was too loose. ConvergenceError, carrying the residual,
+    is raised when maxiter iterations do not reach tol. x is returned
+    B-normalized.
     """
     if which not in ("min", "max"):
         raise ValueError("which must be 'min' or 'max'")
     n = a_mat.shape[0]
     if n == 0:
         raise ValueError("empty operator")
-    if which == "min":
-        solve, apply = spd_solver(a_mat, inner_tol), b_mat
+    solved = a_mat if which == "min" else b_mat
+    if hierarchy or solved.nnz <= LU_MAX_ROW_NNZ * n:
+        precondition = v_cycle(solved, hierarchy)
     else:
-        solve, apply = spd_solver(b_mat, inner_tol), a_mat
-    x = _start_vector(n)
-    lam_old = None
-    for it in range(1, maxiter + 1):
-        y = solve(apply @ x)
-        norm = math.sqrt(max(kernels.neumaier_dot(y, b_mat @ y), 0.0))
-        if norm == 0.0:
-            raise ConvergenceError("eigen iteration collapsed to zero")
-        x = y / norm
-        num = kernels.neumaier_dot(x, a_mat @ x)
-        den = kernels.neumaier_dot(x, b_mat @ x)
-        lam = num / den
-        if lam_old is not None and abs(lam - lam_old) <= tol * max(1.0, abs(lam)):
-            return lam, x, {"iterations": it}
-        lam_old = lam
-    raise ConvergenceError(f"eigen iteration stalled after {maxiter} iterations")
+        inv_diag = 1.0 / solved.diagonal()
+
+        def precondition(r):
+            return inv_diag * r
+    iterations = 0
+
+    def apply(r):
+        nonlocal iterations
+        iterations += 1
+        return precondition(np.ravel(r))
+
+    prec = scipy.sparse.linalg.LinearOperator((n, n), matvec=apply,
+                                              dtype=float)
+    lam, x, residual, scale = _rayleigh(a_mat, b_mat, _start_vector(n))
+    while residual > tol and iterations < maxiter:
+        before = iterations
+        _, xs = scipy.sparse.linalg.lobpcg(
+            a_mat, x[:, None], B=b_mat, M=prec, tol=tol * scale,
+            maxiter=maxiter - iterations, largest=(which == "max"))
+        lam, x, residual, scale = _rayleigh(a_mat, b_mat, xs[:, 0])
+        if iterations == before:
+            break
+    if residual > tol:
+        raise ConvergenceError(
+            f"eigen iteration reached relative residual {residual:.3e} "
+            f"after {iterations} iterations, above tol {tol:.1e}",
+            residual=residual)
+    return lam, x, {"iterations": iterations, "residual": residual,
+                    "converged": True}
 
 
 # ---------------------------------------------------------------------

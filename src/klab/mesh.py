@@ -6,10 +6,12 @@ produce the same arrays, so reports built on top of them are
 reproducible byte for byte.
 
 Refinement is nested (edge-midpoint subdivision: quadrisection of
-triangles, octasection of tetrahedra). Grading toward corner
-singularities is a radial map applied inside disjoint vertex collars;
-the grading parameters travel with the mesh so that further refinement
-can undo the map, refine the underlying ungraded mesh, and reapply it.
+triangles, octasection of tetrahedra), and a refined mesh carries the
+P1 prolongation of each level it came from, the hierarchy multigrid
+solvers run on. Grading toward corner singularities is a radial map
+applied inside disjoint vertex collars; the grading parameters travel
+with the mesh so that further refinement can undo the map, refine the
+underlying ungraded mesh, and reapply it.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.sparse as sp
 
 from . import kernels
 from .config import (DEFAULT_NODE_CAP, GEOM_TOL, MIN_ANGLE_FLOOR,
@@ -71,7 +74,13 @@ class GradingSpec:
 
 @dataclass
 class SimplicialMesh:
-    """Conforming simplicial mesh with explicit boundary facets."""
+    """Conforming simplicial mesh with explicit boundary facets.
+
+    prolongations holds the sparse P1 prolongation of every refinement
+    that produced this mesh, coarse first: the last one maps nodal
+    values on the parent mesh to this one. It is empty for a mesh that
+    was not refined, or that was read from a file.
+    """
 
     dimension: int
     nodes: np.ndarray
@@ -79,6 +88,7 @@ class SimplicialMesh:
     boundary_facets: np.ndarray
     grading: GradingSpec | None = None
     provenance: dict = field(default_factory=dict)
+    prolongations: tuple = ()
 
     @property
     def num_nodes(self) -> int:
@@ -336,7 +346,10 @@ def refine(mesh: SimplicialMesh, levels: int = 1,
     A graded mesh is refined by pulling its nodes back through the
     inverse radial map, refining the ungraded mesh (midpoints of
     straight edges), and mapping forward again, so the graded family
-    stays nested in the ungraded coordinates.
+    stays nested in the ungraded coordinates. Each level appends its
+    prolongation to the parent's: an old node keeps its value and a
+    midpoint gets the mean of its edge's ends, which interpolates
+    exactly in the ungraded coordinates.
     """
     if levels < 1:
         raise MeshSizeError("refinement levels must be >= 1")
@@ -349,13 +362,18 @@ def refine(mesh: SimplicialMesh, levels: int = 1,
         nodes = mesh.grading.unapply(nodes)
     elements = mesh.elements
     facets = mesh.boundary_facets
+    prolongations = mesh.prolongations
     for _ in range(levels):
-        nodes, elements, facets = _refine_once(mesh.dimension, nodes, elements, facets)
+        n = len(nodes)
+        nodes, elements, facets, parents = _refine_once(
+            mesh.dimension, nodes, elements, facets)
         if len(nodes) > DEFAULT_NODE_CAP:
             raise MeshSizeError(f"refinement exceeds the node cap {DEFAULT_NODE_CAP}")
+        prolongations += (_prolongation(n, parents),)
     elements = _oriented(mesh.dimension, nodes, elements)
     out = SimplicialMesh(mesh.dimension, nodes, elements, facets,
-                         provenance=dict(mesh.provenance))
+                         provenance=dict(mesh.provenance),
+                         prolongations=prolongations)
     out.provenance["refined"] = out.provenance.get("refined", 0) + levels
     if spec is not None:
         out = _apply_grading(out, spec)
@@ -381,7 +399,9 @@ def _refine_once(dim, nodes, elements, facets):
     Midpoints are numbered after the parent's nodes in the order their
     edges are first met walking the elements, so parents keep their
     indices and the numbering is deterministic. Facets reuse the
-    midpoints of their element edges.
+    midpoints of their element edges. Returns the new nodes, elements
+    and facets, and the (M, 2) parent edge (a, b), a < b, of each
+    midpoint in numbering order.
     """
     nodes = np.asarray(nodes, dtype=float)
     elements = np.asarray(elements, dtype=np.int64)
@@ -417,7 +437,34 @@ def _refine_once(dim, nodes, elements, facets):
         new_facets = f_mid[:, np.array(((0, 2), (2, 1)))].reshape(-1, 2)
     else:
         new_facets = f_mid[:, np.array(_CHILDREN[2])].reshape(-1, 3)
-    return new_nodes, children, new_facets
+    return new_nodes, children, new_facets, np.column_stack([a, b])
+
+
+def _prolongation(n_coarse: int, parents: np.ndarray) -> sp.csr_matrix:
+    """P1 prolongation: unit rows for old nodes, 1/2 at each end of a
+    midpoint's parent edge."""
+    m = len(parents)
+    mid = np.arange(n_coarse, n_coarse + m)
+    rows = np.concatenate([np.arange(n_coarse), mid, mid])
+    cols = np.concatenate([np.arange(n_coarse), parents[:, 0], parents[:, 1]])
+    vals = np.concatenate([np.ones(n_coarse), np.full(2 * m, 0.5)])
+    return sp.csr_matrix((vals, (rows, cols)), shape=(n_coarse + m, n_coarse))
+
+
+def free_prolongations(prolongations: tuple, free: np.ndarray) -> tuple:
+    """The prolongations between the free nodes of each level, coarse first.
+
+    free lists the finest level's free (interior) nodes in increasing
+    order. Refinement keeps the parent's node numbers and boundary, so
+    the free nodes of the coarser level are free[free < n_coarse];
+    a midpoint's weight on a constrained end is dropped.
+    """
+    out = []
+    for p in reversed(prolongations):
+        coarse = free[free < p.shape[1]]
+        out.append(p[free][:, coarse].tocsr())
+        free = coarse
+    return tuple(reversed(out))
 
 
 def _apply_grading(mesh: SimplicialMesh, spec: GradingSpec) -> SimplicialMesh:
@@ -430,7 +477,8 @@ def _apply_grading(mesh: SimplicialMesh, spec: GradingSpec) -> SimplicialMesh:
             raise GeometryError("grading collars overlap")
     out = SimplicialMesh(mesh.dimension, spec.apply(mesh.nodes), mesh.elements,
                          mesh.boundary_facets, grading=spec,
-                         provenance=dict(mesh.provenance))
+                         provenance=dict(mesh.provenance),
+                         prolongations=mesh.prolongations)
     vols = out.element_volumes()
     if vols.min(initial=np.inf) <= 0.0:
         raise GeometryError("grading map inverted an element; increase kappa or "

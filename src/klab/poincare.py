@@ -32,7 +32,7 @@ from . import femcore, geometry, kernels, sobolev, sphere, weights
 from .errors import DecompositionError, DegenerateLinkError
 from .femcore import FemField
 from .geometry import Polyhedron
-from .mesh import SimplicialMesh
+from .mesh import SimplicialMesh, free_prolongations
 
 DEFAULT_SEED = 20240917
 ETA_MATCH_TOL = 1e-10
@@ -659,7 +659,8 @@ def domain_poincare_constant(mesh: SimplicialMesh,
     m_mat = femcore.assemble_weighted_mass(mesh, lambda p: np.ones(len(p)),
                                            degree=2)
     lam, _, info = femcore.generalized_eig_extreme(
-        k_free, m_mat[free][:, free].tocsr(), which="min")
+        k_free, m_mat[free][:, free].tocsr(), which="min",
+        hierarchy=free_prolongations(mesh.prolongations, free))
     return 1.0 / lam, info["iterations"]
 
 
@@ -759,6 +760,7 @@ def variational_kappa(domain: Polyhedron, mesh: SimplicialMesh,
         k_free = _free_stiffness(mesh)
     m_mat = sobolev.k11_mass(domain, mesh)
     lam, _, info = femcore.generalized_eig_extreme(
-        m_mat[free][:, free].tocsr(), k_free, which="max")
+        m_mat[free][:, free].tocsr(), k_free, which="max",
+        hierarchy=free_prolongations(mesh.prolongations, free))
     return VariationalKappa(kappa=1.0 + lam, eigenvalue=lam,
                             iterations=info["iterations"], dofs=len(free))

@@ -32,7 +32,7 @@ from .config import OVERFLOW_GUARD
 from .errors import InadmissibleIndexError, NonpositiveWeightError
 from .femcore import FemField
 from .geometry import Polyhedron
-from .mesh import SimplicialMesh, singular_node_mask
+from .mesh import SimplicialMesh, free_prolongations, singular_node_mask
 
 _AXES = "xyz"
 
@@ -381,6 +381,8 @@ def minimal_extension(domain: Polyhedron, mesh: SimplicialMesh, g,
     """Field with the given boundary values and least K(1, 1) energy.
 
     ``form`` is ``k11_form(domain, mesh)`` when the caller has it already.
+    The solve is preconditioned by multigrid on the mesh's refinement
+    hierarchy when it has one.
     """
     if callable(g):
         g_nodes = np.asarray(g(mesh.nodes), dtype=float)
@@ -390,7 +392,9 @@ def minimal_extension(domain: Polyhedron, mesh: SimplicialMesh, g,
     constrained = mesh.boundary_node_mask()
     a_ff, a_fc, free, fixed = femcore.split_dirichlet(a_mat, constrained)
     rhs = -a_fc @ g_nodes[fixed]
-    x_f, _ = femcore.cg_solve(a_ff, rhs, tol=1e-12)
+    x_f, _ = femcore.cg_solve(
+        a_ff, rhs, tol=1e-12,
+        hierarchy=free_prolongations(mesh.prolongations, free))
     values = np.array(g_nodes, dtype=float)
     values[free] = x_f
     values[fixed] = g_nodes[fixed]

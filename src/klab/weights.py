@@ -143,12 +143,8 @@ class RomegaField:
         pts = np.atleast_2d(np.asarray(points, dtype=float))
         if self.domain.dimension == 2:
             return self.rho0(pts)
-        # At a vertex rho0 is 0 and rho1 is 0 * inf; r_omega is 0 there.
-        r0 = self.rho0(pts)
-        out = np.zeros(len(pts))
-        away = r0 > 0.0
-        out[away] = r0[away] * self.rho1(pts[away])
-        return out
+        # Both factors are 0 at a vertex.
+        return self.rho0(pts) * self.rho1(pts)
 
     def rho1(self, points: np.ndarray) -> np.ndarray:
         if self.domain.dimension == 2:
@@ -195,8 +191,15 @@ class RomegaField:
 
     def _rho1_raw(self, points: np.ndarray) -> np.ndarray:
         """Cheapest of the straight path to the nearest edge point and
-        the straight paths to nearby nodes plus their Dijkstra cost."""
+        the straight paths to nearby nodes plus their Dijkstra cost.
+
+        0 where rho0 is 0: a vertex lies on the singular edges, and the
+        path from it to itself would cost 0 * inf.
+        """
         pts = np.atleast_2d(np.asarray(points, dtype=float))
+        out = np.zeros(len(pts))
+        away = self.rho0(pts) > 0.0
+        pts = pts[away]
         segs = self.domain.singular_segments()
         _, nearest, _ = kernels.nearest_on_segments(pts, segs[:, 0], segs[:, 1])
         best = self._segment_cost(pts, nearest)
@@ -204,7 +207,8 @@ class RomegaField:
         via = np.full(len(pts), np.inf)
         np.minimum.at(via, rows, self.node_rho1_raw[near] + self._segment_cost(
             pts[rows], self.mesh.nodes[near]))
-        return np.minimum(best, via)
+        out[away] = np.minimum(best, via)
+        return out
 
 
 def romega_field(domain: Polyhedron, mesh: SimplicialMesh | None = None,

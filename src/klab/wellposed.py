@@ -30,7 +30,7 @@ from . import femcore, geometry, kernels, sobolev, weights
 from .errors import InadmissibleIndexError
 from .femcore import FemField
 from .geometry import Polyhedron
-from .mesh import SimplicialMesh
+from .mesh import SimplicialMesh, free_prolongations
 from .sobolev import NormSpec
 
 SIGN_CONVENTIONS = ("laplace", "minus_laplace")
@@ -168,14 +168,15 @@ def _sign_note(problem: BvpProblem) -> str:
 def solve_dirichlet(problem: BvpProblem) -> SolveReport:
     """Solve B_a u = F with Dirichlet data lifted by minimal extension.
 
-    a = 0 uses conjugate-free assembly and conjugate-gradient solves;
-    conjugated systems are nonsymmetric and go through a sparse direct
-    factorization. The stiffness matrix K is assembled once (it is B_0,
-    and the first of the conjugate parts otherwise), and the K(1, 1)
-    form K + k11_mass once when there is boundary data: it gives the
-    lift, the minimal extension of g, and the g surrogate, the energy
-    of that lift in the same form, which is exactly the value
-    sobolev.trace_norm_surrogate reports.
+    a = 0 uses conjugate-free assembly and conjugate-gradient solves,
+    preconditioned by multigrid on the mesh's refinement hierarchy when
+    it has one; conjugated systems are nonsymmetric and go through a
+    sparse direct factorization. The stiffness matrix K is assembled
+    once (it is B_0, and the first of the conjugate parts otherwise),
+    and the K(1, 1) form K + k11_mass once when there is boundary data:
+    it gives the lift, the minimal extension of g, and the g surrogate,
+    the energy of that lift in the same form, which is exactly the
+    value sobolev.trace_norm_surrogate reports.
     """
     domain, mesh = problem.domain, problem.mesh
     if problem.a == 0.0:
@@ -209,7 +210,9 @@ def solve_dirichlet(problem: BvpProblem) -> SolveReport:
     b_ff = b_mat[free][:, free].tocsr()
 
     if problem.a == 0.0:
-        x, info = femcore.cg_solve(b_ff, rhs, tol=problem.solver_tol)
+        x, info = femcore.cg_solve(
+            b_ff, rhs, tol=problem.solver_tol,
+            hierarchy=free_prolongations(mesh.prolongations, free))
         iterations = info["iterations"]
         method = "cg"
     else:
@@ -348,7 +351,8 @@ def weight_window_probe(domain: Polyhedron, mesh: SimplicialMesh,
     m_ff = m_mat[free][:, free].tocsr()
 
     lam_max, _, eig_info = femcore.generalized_eig_extreme(
-        m_ff, k_ff, which="max")
+        m_ff, k_ff, which="max",
+        hierarchy=free_prolongations(mesh.prolongations, free))
     acrit = 1.0 / math.sqrt(lam_max)
     acrit_note = {"value": acrit, "eigenvalue": lam_max,
                   "iterations": eig_info["iterations"],

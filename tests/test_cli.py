@@ -203,6 +203,27 @@ def test_byte_identical_reruns(tmp_path):
         (d2 / "solve_convergence.csv").read_bytes()
 
 
+@pytest.mark.parametrize("argv, reports", [
+    (["solve", "--problem", problem_path("lshape_singular.json"),
+      "--levels", "3"], ["solve.json", "solve_convergence.csv"]),
+    (["poincare", "--domain", problem_path("box.json"), "--h", "0.25",
+      "--levels", "1"], ["poincare.json"]),
+])
+def test_reports_do_not_depend_on_threads(tmp_path, argv, reports):
+    """Multigrid-preconditioned solves and eigensolves (the meshes are
+    refined) give the same report bytes with 1 and 2 worker threads."""
+    blobs = []
+    for threads in ("1", "2"):
+        out = tmp_path / threads
+        res = subprocess.run(
+            [sys.executable, "-m", "klab.cli", *argv, "--out", str(out)],
+            capture_output=True, text=True,
+            env=dict(os.environ, KLAB_THREADS=threads))
+        assert res.returncode == 0, res.stderr
+        blobs.append([(out / name).read_bytes() for name in reports])
+    assert blobs[0] == blobs[1]
+
+
 def test_missing_file_exit_code(tmp_path):
     res = run_cli("solve", "--problem", tmp_path / "nope.json",
                   "--out", tmp_path)

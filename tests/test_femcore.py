@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 import scipy.sparse as sp
 import scipy.sparse.linalg
 
@@ -270,6 +271,86 @@ def test_eigensolve_iterates_on_dense_3d_pencil(monkeypatch, box):
     # overestimates it
     assert lam == pytest.approx(3.0 * math.pi ** 2, rel=0.1)
     assert lam > 3.0 * math.pi ** 2
+
+
+def _free_system(mesh):
+    """K_ff, the free nodes and the free-node hierarchy of a mesh."""
+    free = np.where(~mesh.boundary_node_mask())[0]
+    k_ff = femcore.assemble_stiffness(mesh)[free][:, free].tocsr()
+    return k_ff, free, meshmod.free_prolongations(mesh.prolongations, free)
+
+
+@pytest.mark.parametrize("case", ["graded_lshape", "box"])
+def test_vcycle_cg_matches_direct_solve(case, lshape, box):
+    if case == "box":
+        mesh = meshmod.refine(meshmod.build_mesh(box, 0.25), 2)
+    else:
+        grading = meshmod.default_grading(lshape, 0.5)
+        mesh = meshmod.refine(meshmod.build_mesh(lshape, 0.25, grading=grading),
+                              3, grading=grading)
+    k_ff, free, hierarchy = _free_system(mesh)
+    assert len(hierarchy) == len(mesh.prolongations) > 1
+    rhs = np.random.default_rng(3).standard_normal(len(free))
+    x, info = femcore.cg_solve(k_ff, rhs, tol=1e-12, hierarchy=hierarchy)
+    want = scipy.sparse.linalg.spsolve(k_ff.tocsc(), rhs)
+    assert np.abs(x - want).max() <= 1e-10 * np.abs(want).max()
+    assert info["iterations"] <= 30 and info["residual"] <= 1e-12
+    _, jacobi = femcore.cg_solve(k_ff, rhs, tol=1e-12)
+    assert jacobi["iterations"] > 3 * info["iterations"]
+
+
+def _weighted_pencil(domain, mesh):
+    """(M_w, K, M) on the free nodes, M_w the 1/eta^2 weighted mass."""
+    from klab import weights
+    k_ff, free, hierarchy = _free_system(mesh)
+    inv_sq = weights.power_weight(weights.eta_field(domain), -2.0)
+    m_w = femcore.assemble_weighted_mass(mesh, inv_sq, degree=5)
+    m = femcore.assemble_weighted_mass(mesh, lambda p: np.ones(len(p)))
+    return (m_w[free][:, free].tocsr(), k_ff, m[free][:, free].tocsr(),
+            hierarchy)
+
+
+@pytest.mark.parametrize("with_hierarchy", [True, False])
+@pytest.mark.parametrize("case", ["graded_lshape", "box"])
+def test_eigensolve_matches_dense(case, with_hierarchy, lshape, box):
+    """LOBPCG's extreme eigenvalues agree with a dense solve, with the
+    V-cycle and with the fallback preconditioners (SuperLU in 2D,
+    Jacobi in 3D)."""
+    if case == "box":
+        domain, mesh = box, meshmod.refine(meshmod.build_mesh(box, 0.5), 2)
+    else:
+        grading = meshmod.default_grading(lshape, 0.5)
+        domain = lshape
+        mesh = meshmod.refine(meshmod.build_mesh(lshape, 0.5, grading=grading),
+                              2, grading=grading)
+    m_w, k_ff, m_ff, hierarchy = _weighted_pencil(domain, mesh)
+    hierarchy = hierarchy if with_hierarchy else ()
+    lam_min, x, info = femcore.generalized_eig_extreme(
+        k_ff, m_ff, which="min", hierarchy=hierarchy)
+    want = scipy.linalg.eigh(k_ff.toarray(), m_ff.toarray(),
+                             eigvals_only=True)[0]
+    assert abs(lam_min - want) <= 1e-10 * want
+    assert info["converged"] and info["residual"] <= 1e-8
+    r = k_ff @ x - lam_min * (m_ff @ x)
+    assert np.linalg.norm(r) <= 1e-8 * lam_min * np.linalg.norm(m_ff @ x)
+
+    lam_max, _, info = femcore.generalized_eig_extreme(
+        m_w, k_ff, which="max", hierarchy=hierarchy)
+    want = scipy.linalg.eigh(m_w.toarray(), k_ff.toarray(),
+                             eigvals_only=True)[-1]
+    assert abs(lam_max - want) <= 1e-10 * want
+    assert info["converged"] and info["residual"] <= 1e-8
+
+
+def test_eigensolve_reports_nonconvergence(lshape):
+    grading = meshmod.default_grading(lshape, 0.5)
+    mesh = meshmod.refine(meshmod.build_mesh(lshape, 0.5, grading=grading),
+                          2, grading=grading)
+    m_w, k_ff, _, hierarchy = _weighted_pencil(lshape, mesh)
+    with pytest.raises(ConvergenceError) as err:
+        femcore.generalized_eig_extreme(m_w, k_ff, which="max", maxiter=1,
+                                        hierarchy=hierarchy)
+    assert err.value.residual > 1e-8
 
 
 def test_operator_round_trip(tmp_path, square_mesh):

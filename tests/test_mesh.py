@@ -67,7 +67,9 @@ def test_refinement_is_nested(square):
 
 
 def _refine_once_reference(dim, nodes, elements, facets):
-    """Edge-midpoint subdivision with a midpoint dict, one element at a time."""
+    """Edge-midpoint subdivision with a midpoint dict, one element at a time.
+
+    Also returns the parent edge (low, high) of each midpoint."""
     pool = [tuple(p) for p in nodes]
     midpoint = {}
 
@@ -103,7 +105,8 @@ def _refine_once_reference(dim, nodes, elements, facets):
             ab, bc, ca = mid(a, b), mid(b, c), mid(c, a)
             new_facets += [(a, ab, ca), (ab, b, bc), (ca, bc, c), (ab, bc, ca)]
     return (np.array(pool, dtype=float), np.array(children, dtype=np.int64),
-            np.array(new_facets, dtype=np.int64))
+            np.array(new_facets, dtype=np.int64),
+            np.array(list(midpoint), dtype=np.int64).reshape(-1, 2))
 
 
 @functools.lru_cache(maxsize=None)
@@ -133,6 +136,9 @@ def test_refine_once_matches_dict_loop(name, graded, levels, seed):
     got = meshmod.refine(m, levels)
     for attr in ("nodes", "elements", "boundary_facets"):
         assert np.array_equal(getattr(got, attr), getattr(want, attr))
+    assert len(got.prolongations) == len(want.prolongations) == levels
+    for p, q in zip(got.prolongations, want.prolongations):
+        assert (p != q).nnz == 0
 
     rng = np.random.default_rng(seed)
     k = m.elements.shape[1]
@@ -144,6 +150,7 @@ def test_refine_once_matches_dict_loop(name, graded, levels, seed):
     for _ in range(levels):
         out = meshmod._refine_once(m.dimension, nodes, elements, facets)
         ref = _refine_once_reference(m.dimension, nodes, elements, facets)
+        assert len(out) == len(ref) == 4
         for a, b in zip(out, ref):
             assert a.dtype == b.dtype and np.array_equal(a, b)
         # nested: parent nodes keep their indices and coordinates, and
@@ -152,7 +159,62 @@ def test_refine_once_matches_dict_loop(name, graded, levels, seed):
         assert np.array_equal(
             out[1].reshape(len(elements), -1, k)[:, np.arange(k), np.arange(k)],
             elements)
-        nodes, elements, facets = out
+        nodes, elements, facets, _ = out
+
+
+@settings(deadline=None, max_examples=30)
+@given(st.sampled_from(["square", "lshape", "box", "l_prism"]), st.booleans(),
+       st.integers(min_value=1, max_value=2),
+       st.lists(st.floats(min_value=-2.0, max_value=2.0), min_size=4,
+                max_size=4))
+def test_prolongation_interpolates_linear_functions(name, graded, levels, coef):
+    """Each level's prolongation maps a linear function's nodal values
+    on the parent to its values on the child, in ungraded coordinates;
+    rows sum to 1 and the shapes chain from the base mesh up."""
+    m = _small_mesh(name, graded)
+    fine = meshmod.refine(m, levels)
+    assert m.prolongations == () and len(fine.prolongations) == levels
+    nodes = fine.nodes if fine.grading is None \
+        else fine.grading.unapply(fine.nodes)
+    c = np.asarray(coef[:m.dimension + 1])
+    values = c[0] + nodes @ c[1:]
+    n_coarse = m.num_nodes
+    for p in fine.prolongations:
+        assert p.shape[1] == n_coarse
+        assert np.array_equal(np.asarray(p.sum(axis=1)).ravel(),
+                              np.ones(p.shape[0]))
+        got = p @ values[:n_coarse]
+        assert np.allclose(got, values[:p.shape[0]], rtol=0.0, atol=1e-12)
+        n_coarse = p.shape[0]
+    assert n_coarse == fine.num_nodes
+
+
+def test_hierarchy_extends_and_is_not_written(tmp_path, lshape):
+    grading = default_grading(lshape, 0.5)
+    m1 = meshmod.refine(meshmod.build_mesh(lshape, 0.5, grading=grading), 1)
+    m2 = meshmod.refine(m1, 1)
+    assert m2.prolongations[:1] == m1.prolongations
+    assert len(m2.prolongations) == 2
+    path = tmp_path / "m.txt"
+    meshmod.write_mesh(path, m2)
+    back = meshmod.read_mesh(path)
+    assert back.prolongations == ()
+    plain = meshmod.SimplicialMesh(m2.dimension, m2.nodes, m2.elements,
+                                   m2.boundary_facets, grading=m2.grading)
+    meshmod.write_mesh(tmp_path / "plain.txt", plain)
+    assert path.read_bytes() == (tmp_path / "plain.txt").read_bytes()
+
+
+def test_free_prolongations_restrict_nested_free_nodes(square):
+    m = meshmod.refine(meshmod.build_mesh(square, 0.5), 2)
+    free = np.where(~m.boundary_node_mask())[0]
+    hierarchy = meshmod.free_prolongations(m.prolongations, free)
+    # square at h 0.5 has 1 interior node, then 9, then 49
+    assert [p.shape for p in hierarchy] == [(9, 1), (49, 9)]
+    for full, p in zip(m.prolongations, hierarchy):
+        fine_free = free[free < full.shape[0]]
+        coarse_free = free[free < full.shape[1]]
+        assert (p != full[fine_free][:, coarse_free]).nnz == 0
 
 
 def test_refine_rejects_facet_off_the_elements(square):

@@ -188,6 +188,8 @@ def test_romega_3d_vanishes_at_vertices(l_prism):
     m = meshmod.build_mesh(l_prism, 0.25)
     w = weights.romega_field(l_prism, mesh=m)
     assert np.array_equal(w(l_prism.vertices), np.zeros(len(l_prism.vertices)))
+    assert np.array_equal(w.rho1(l_prism.vertices),
+                          np.zeros(len(l_prism.vertices)))
     vals = w(m.nodes)
     at_vertex = weights.distance_to_vertices(l_prism, m.nodes) == 0.0
     assert at_vertex.sum() == len(l_prism.vertices)
@@ -217,12 +219,17 @@ def test_edge_pairs_match_sorted_set(l_prism, lshape_mesh):
 
 
 def _rho1_reference(w, pts, k):
-    """Per-point relaxation through the k nearest nodes and their ties."""
+    """Per-point relaxation through the k nearest nodes and their ties;
+    0 at the domain's vertices."""
     segs = w.domain.singular_segments()
     _, nearest, _ = kernels.nearest_on_segments(pts, segs[:, 0], segs[:, 1])
-    best = w._segment_cost(pts, nearest)
+    away = w.rho0(pts) > 0.0
+    best = np.zeros(len(pts))
+    best[away] = w._segment_cost(pts[away], nearest[away])
     nodes = w.mesh.nodes
     for i, p in enumerate(pts):
+        if not away[i]:
+            continue
         d2 = np.einsum("nd,nd->n", nodes - p, nodes - p)
         near = np.flatnonzero(d2 <= np.partition(d2, k - 1)[k - 1])
         cand = w.node_rho1_raw[near] + w._segment_cost(
@@ -231,7 +238,7 @@ def _rho1_reference(w, pts, k):
     return best
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("k", [8, 1])
 def test_rho1_batched_matches_point_loop(l_prism, monkeypatch, k):
     monkeypatch.setattr(weights, "RHO1_NEIGHBOURS", k)
@@ -242,5 +249,5 @@ def test_rho1_batched_matches_point_loop(l_prism, monkeypatch, k):
     for pts in (weights.sample_interior(l_prism, 1500), m.nodes):
         got = w._rho1_raw(pts)
         want = _rho1_reference(w, pts, k)
-        assert np.array_equal(got, want, equal_nan=True)
+        assert np.array_equal(got, want)
     assert w._rho1_raw(np.empty((0, 3))).shape == (0,)
