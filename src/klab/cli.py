@@ -145,14 +145,20 @@ def _mesh_for(cfg: RunConfig, domain: Polyhedron) -> meshmod.SimplicialMesh:
 
 
 def _mesh_summary(m: meshmod.SimplicialMesh) -> dict:
+    """Report block of a mesh. The minimum angle of a built, refined or
+    graded mesh is the one its shape-regularity check stored; only a mesh
+    read from a file has it computed here."""
+    diameters = m.element_diameters()
+    angle = m.provenance.get("min_angle")
+    if angle is None:
+        angle = meshmod.minimum_angle(m)
     return {
         "dimension": m.dimension,
         "nodes": m.num_nodes,
         "elements": m.num_elements,
-        "h_max": m.h_max(),
-        "h_min": m.h_min(),
-        "min_angle": {"value": meshmod.minimum_angle(m),
-                      "provenance": "quadrature"},
+        "h_max": float(diameters.max()),
+        "h_min": float(diameters.min()),
+        "min_angle": {"value": angle, "provenance": "quadrature"},
         "total_volume": m.total_volume(),
         "graded": m.grading is not None,
         "kappa": None if m.grading is None else m.grading.kappa,
@@ -371,11 +377,11 @@ def _cmd_mesh_build(cfg: RunConfig) -> int:
     m = _make_mesh(domain, cfg.h, cfg.kappa, cfg.levels)
     mesh_path = _out_path(cfg, "mesh.txt")
     meshmod.write_mesh(mesh_path, m)
-    payload = {"mesh_file": os.path.basename(mesh_path),
-               "summary": _mesh_summary(m)}
+    summary = _mesh_summary(m)
+    payload = {"mesh_file": os.path.basename(mesh_path), "summary": summary}
     path = report.write_json(_out_path(cfg, "mesh_build.json"), payload)
     print(f"mesh: {m.num_nodes} nodes, {m.num_elements} elements, "
-          f"h_max {m.h_max():.6g}")
+          f"h_max {summary['h_max']:.6g}")
     print(f"files: {mesh_path}, {path}")
     return 0
 

@@ -9,9 +9,11 @@ fallback and Neumaier-compensated in the compiled backend, while
 ``neumaier_dot`` is compensated only in the compiled backend and is
 plain ``np.dot`` in the fallback (it is the Jacobi-CG inner product,
 where an exact sum would dominate the solve time). The fallback's
-distance kernels (``nearest_on_segments``, ``nearest_points``) work on
-blocks of ``_fallback.BLOCK`` query points, so their (P, S, d)
-temporaries stay at a few MB however many points are queried; the
+distance kernels (``nearest_on_segments``, ``nearest_points``) do the
+compiled kernel's arithmetic one coordinate at a time on (S, P) arrays,
+over blocks of ``_fallback.BLOCK`` query points, so their temporaries
+stay below a MB however many points are queried; each block is measured
+only against the targets that can be nearest to one of its points. The
 compiled backend loops over points and needs no temporaries. ``BACKEND``
 records which one is active, ``"compiled"`` or ``"fallback"``.
 """

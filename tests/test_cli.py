@@ -69,6 +69,34 @@ def test_mesh_build_and_refine(tmp_path):
     assert info["summary"]["min_angle"]["value"] > 0.0
 
 
+@pytest.mark.parametrize("case", ["box", "graded_lshape_refined"])
+def test_mesh_summary_reuses_stored_min_angle(case, tmp_path, monkeypatch):
+    """A built, graded or refined mesh's summary reports the minimum angle
+    its shape-regularity check stored, without computing it again; the
+    same mesh read back from a file has it computed, to the same value."""
+    from klab import cli, geometry
+
+    if case == "box":
+        m = meshmod.build_mesh(geometry.build_polyhedron_3d("box"), 0.5)
+    else:
+        dom = geometry.build_polygon(geometry.L_SHAPE_VERTICES)
+        m = meshmod.refine(meshmod.build_mesh(
+            dom, 0.25, grading=meshmod.default_grading(dom, 0.5)), 1)
+    want = meshmod.minimum_angle(m)
+    calls = []
+    real = meshmod.minimum_angle
+    monkeypatch.setattr(meshmod, "minimum_angle",
+                        lambda mesh: calls.append(mesh) or real(mesh))
+    summary = cli._mesh_summary(m)
+    assert calls == []
+    assert summary["min_angle"]["value"] == want
+    assert (summary["h_max"], summary["h_min"]) == (m.h_max(), m.h_min())
+    meshmod.write_mesh(tmp_path / "mesh.txt", m)
+    read = meshmod.read_mesh(tmp_path / "mesh.txt")
+    assert cli._mesh_summary(read)["min_angle"]["value"] == want
+    assert len(calls) == 1
+
+
 def test_mesh_build_graded(tmp_path):
     res = run_cli("mesh", "build", "--domain", problem_path("l_shape.json"),
                   "--h", "0.25", "--kappa", "0.5", "--out", tmp_path)

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from klab import kernels
@@ -70,15 +70,17 @@ def test_distance_kernels_backends_agree():
     b = RNG.random((15, 3))
     d1, n1, i1 = _fallback.nearest_on_segments(pts, a, b)
     d2, n2, i2 = _speedups.nearest_on_segments(pts, a, b)
-    assert np.allclose(d1, d2, rtol=1e-13, atol=1e-15)
-    assert np.allclose(n1, n2, rtol=1e-13, atol=1e-15)
+    # Same arithmetic in the same order: nearest points and indices agree
+    # bit for bit; the square root (sqrt against pow) within one ulp.
+    assert np.array_equal(n1, n2)
     assert np.array_equal(i1, i2)
+    assert np.all(np.abs(d1 - d2) <= np.spacing(d2))
 
     t = RNG.random((10, 3))
     d1, i1 = _fallback.nearest_points(pts, t)
     d2, i2 = _speedups.nearest_points(pts, t)
-    assert np.allclose(d1, d2, rtol=1e-13, atol=1e-15)
     assert np.array_equal(i1, i2)
+    assert np.all(np.abs(d1 - d2) <= np.spacing(d2))
 
 
 @pytest.mark.skipif(_speedups is None, reason="compiled backend not built")
@@ -164,55 +166,191 @@ def test_local_stiffness_is_consistent():
         assert w.min() > -1e-12
 
 
-# Small grid coordinates make exact distance ties between targets common.
+def _reference_nearest_on_segments(points, seg_a, seg_b):
+    """The distance kernel before per-dimension arithmetic and pruning,
+    kept verbatim as the reference: (P, S, d) arrays, einsum sums."""
+    d = seg_b - seg_a  # (S, dim)
+    dd = np.einsum("sd,sd->s", d, d)
+    dd = np.where(dd > 0.0, dd, 1.0)  # degenerate segments act as points
+    diff = points[:, None, :] - seg_a[None, :, :]  # (P, S, dim)
+    t = np.einsum("psd,sd->ps", diff, d) / dd[None, :]
+    t = np.clip(t, 0.0, 1.0)
+    proj = seg_a[None, :, :] + t[:, :, None] * d[None, :, :]
+    dist2 = np.einsum("psd,psd->ps", points[:, None, :] - proj, points[:, None, :] - proj)
+    idx = np.argmin(dist2, axis=1)
+    rows = np.arange(len(points))
+    best = proj[rows, idx]
+    return np.sqrt(dist2[rows, idx]), best, idx
+
+
+def _reference_nearest_points(points, targets):
+    """The point-target kernel before the rewrite, kept verbatim."""
+    diff = points[:, None, :] - targets[None, :, :]
+    dist2 = np.einsum("ptd,ptd->pt", diff, diff)
+    idx = np.argmin(dist2, axis=1)
+    return np.sqrt(dist2[np.arange(len(points)), idx]), idx
+
+
+# Small grid coordinates: with them point-to-point distances are exact,
+# and exact distance ties between targets are common.
 GRID = st.integers(min_value=-4, max_value=4).map(lambda i: i / 4.0)
+REAL = st.floats(min_value=-1.0, max_value=1.0, allow_subnormal=False)
 
 
 @st.composite
-def _blocked_case(draw):
-    block = draw(st.integers(min_value=1, max_value=8))
-    # Point counts below, at and across block boundaries.
+def _distance_case(draw, kind):
+    """Block size, points (P, d) and segments (S, d) x 2: 2D or 3D, one,
+    two or more segments, some degenerate (a == b), point counts below,
+    at and across block boundaries (zero included), some points on a
+    segment.
+
+    ``kind`` "exact" draws grid coordinates and segment directions L * e
+    with L a power of two and e one or two unit steps along the axes, so
+    |e|^2 is 1 or 2: then every operation of both kernels is exact, the
+    summation order cannot matter, and ties are exact. "grid" draws both
+    endpoints from the grid, "real" arbitrary reals in [-1, 1].
+    """
+    dim = draw(st.sampled_from([2, 3]))
+    coord = REAL if kind == "real" else GRID
+    vec = st.lists(coord, min_size=dim, max_size=dim)
+
+    def array(elements, n):
+        return np.array(draw(st.lists(elements, min_size=n, max_size=n)),
+                        dtype=float).reshape(n, dim)
+
+    n_seg = draw(st.sampled_from([1, 2]) | st.integers(1, 12))
+    a = array(vec, n_seg)
+    if kind == "exact":
+        steps = st.lists(st.sampled_from([-1.0, 0.0, 1.0]), min_size=dim,
+                         max_size=dim).filter(lambda e: sum(map(abs, e)) <= 2)
+        lengths = st.sampled_from([0.25, 0.5, 1.0])
+        b = a + array(steps, n_seg) * np.array(
+            draw(st.lists(lengths, min_size=n_seg, max_size=n_seg)))[:, None]
+    else:
+        b = array(vec, n_seg)
+    flat = draw(st.lists(st.booleans(), min_size=n_seg, max_size=n_seg))
+    b[flat] = a[flat]
+    block = draw(st.integers(min_value=1, max_value=9))
     n_pts = draw(st.sampled_from([block - 1, block, block + 1, 2 * block,
                                   3 * block + 1]) | st.integers(0, 40))
-    dim = draw(st.sampled_from([2, 3]))
-    coords = st.lists(GRID, min_size=dim, max_size=dim)
-    pts = np.array(draw(st.lists(coords, min_size=n_pts, max_size=n_pts)),
-                   dtype=float).reshape(-1, dim)
-    n_t = draw(st.integers(min_value=1, max_value=6))
-    a = np.array(draw(st.lists(coords, min_size=n_t, max_size=n_t)))
-    b = np.array(draw(st.lists(coords, min_size=n_t, max_size=n_t)))
+    pts = array(vec, n_pts)
+    fractions = (st.floats(0.0, 1.0) if kind == "real"
+                 else st.sampled_from([0.0, 0.25, 0.5, 1.0]))
+    on = draw(st.lists(st.tuples(st.integers(0, n_seg - 1), fractions),
+                       max_size=n_pts))
+    for i, (j, u) in enumerate(on):
+        pts[i] = a[j] + u * (b[j] - a[j])
     return block, pts, a, b
 
 
+def _kernels_at_block(block, pts, a, b):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(_fallback, "BLOCK", block)
+        return (_fallback.nearest_on_segments(pts, a, b)
+                + _fallback.nearest_points(pts, a))
+
+
+@settings(deadline=None, max_examples=300)
+@given(_distance_case("exact"))
+# Everything at one point: the gap and T are both 0, and the test that
+# keeps the segment must admit equality.
+@example((1, np.zeros((2, 3)), np.zeros((1, 3)), np.zeros((1, 3))))
+def test_distance_kernels_match_reference_on_grid(case):
+    """Where every operation is exact, pruning and the per-coordinate
+    summation change no bit: distances, nearest points and indices, ties
+    to the lowest index included."""
+    block, pts, a, b = case
+    got = _kernels_at_block(block, pts, a, b)
+    want = (_reference_nearest_on_segments(pts, a, b)
+            + _reference_nearest_points(pts, a))
+    for g, w in zip(got, want):
+        assert g.shape == w.shape and g.dtype == w.dtype
+        assert g.tobytes() == w.tobytes()
+
+
+def _ulps(got, want, extent):
+    """|got - want| in units in the last place of max(|want|, extent)."""
+    return np.abs(got - want) / np.spacing(np.maximum(np.abs(want), extent))
+
+
+@settings(deadline=None, max_examples=300)
+@given(_distance_case("real"))
+# The nearest point a + 1 * (b - a) rounds to 0.33333333333333326, past b:
+# the computed distance falls below the computed box gap, and only the
+# pruning margin keeps the segment.
+@example((1, np.zeros((1, 3)), np.array([[0.0, 1.0, 0.0]]),
+          np.array([[0.0, 1.0 / 3.0, 0.0]])))
+def test_distance_kernels_match_reference(case):
+    """On arbitrary coordinates the indices agree, and distances and
+    nearest points move only with the summation order: by at most 2 units
+    in the last place of the configuration's extent (the diagonal of the
+    box around points and segments), the size of a rounding of the
+    segment parameter t times the segment length."""
+    block, pts, a, b = case
+    d, nearest, idx, dp, ip = _kernels_at_block(block, pts, a, b)
+    rd, rnearest, ridx = _reference_nearest_on_segments(pts, a, b)
+    rdp, rip = _reference_nearest_points(pts, a)
+    assert np.array_equal(idx, ridx) and np.array_equal(ip, rip)
+    every = np.concatenate([pts, a, b])
+    extent = np.linalg.norm(every.max(axis=0) - every.min(axis=0))
+    assert _ulps(d, rd, extent).max(initial=0.0) <= 2.0
+    assert _ulps(nearest, rnearest, extent).max(initial=0.0) <= 2.0
+    assert _ulps(dp, rdp, extent).max(initial=0.0) <= 2.0
+
+
+def test_compact_block_prunes_segments(monkeypatch):
+    """A block of points near one edge of the unit cube measures them
+    against fewer than the cube's 12 edges, with the unpruned result."""
+    corners = np.array([[x, y, z] for x in (0.0, 1.0) for y in (0.0, 1.0)
+                        for z in (0.0, 1.0)])
+    pairs = [(i, j) for i in range(8) for j in range(i + 1, 8)
+             if np.abs(corners[i] - corners[j]).sum() == 1.0]
+    a = corners[[i for i, _ in pairs]]
+    b = corners[[j for _, j in pairs]]
+    pts = np.column_stack([RNG.random(50), 0.05 * RNG.random(50),
+                           0.05 * RNG.random(50)])
+    sizes = []
+    core = _fallback._squared_distances
+    monkeypatch.setattr(
+        _fallback, "_squared_distances",
+        lambda pt, *args: sizes.append((pt.shape[1], args[0].shape[1])) or core(pt, *args))
+    got = _fallback.nearest_on_segments(pts, a, b)
+    kept = [s for p, s in sizes if p == len(pts)]
+    assert len(kept) == 1 and kept[0] < len(a)
+    want = _reference_nearest_on_segments(pts, a, b)
+    for g, w in zip(got, want):
+        assert np.array_equal(g, w)
+
+
 @settings(deadline=None, max_examples=200)
-@given(_blocked_case())
+@given(st.sampled_from(["exact", "grid", "real"]).flatmap(_distance_case))
 def test_blocked_distance_kernels_equal_one_block(case):
     """Blocking the query points changes no bit of the distance kernels,
     and ties still resolve to the lowest index."""
     block, pts, a, b = case
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(_fallback, "BLOCK", block)
-        blocked_seg = _fallback.nearest_on_segments(pts, a, b)
-        blocked_pts = _fallback.nearest_points(pts, a)
-    one_seg = _fallback._nearest_on_segments(pts, a, b)
-    one_pts = _fallback._nearest_points(pts, a)
-    for got, want in zip(blocked_seg + blocked_pts, one_seg + one_pts):
+    blocked = _kernels_at_block(block, pts, a, b)
+    one = _kernels_at_block(max(len(pts), 1), pts, a, b)
+    for got, want in zip(blocked, one):
         assert got.shape == want.shape
         assert np.array_equal(got, want)
     # lowest index among the targets at the minimal distance
     d2 = ((pts[:, None, :] - a[None, :, :]) ** 2).sum(axis=2)
     if len(pts):
         lowest = np.argmax(d2 == d2.min(axis=1, keepdims=True), axis=1)
-        assert np.array_equal(blocked_pts[1], lowest)
+        assert np.array_equal(blocked[4], lowest)
 
 
 def test_blocked_kernels_bound_temporaries(monkeypatch):
-    """One block's temporaries are what a call allocates at most."""
-    calls = []
-    inner = _fallback._nearest_on_segments
+    """Every block holds at most BLOCK points, and the per-coordinate
+    (S, P) arrays never span more than one block."""
+    blocks, widths = [], []
+    candidates, core = _fallback._candidates, _fallback._squared_distances
     monkeypatch.setattr(_fallback, "BLOCK", 16)
-    monkeypatch.setattr(_fallback, "_nearest_on_segments",
-                        lambda p, a, b: calls.append(len(p)) or inner(p, a, b))
+    monkeypatch.setattr(_fallback, "_candidates",
+                        lambda pt, *args: blocks.append(pt.shape[1]) or candidates(pt, *args))
+    monkeypatch.setattr(_fallback, "_squared_distances",
+                        lambda pt, *args: widths.append(pt.shape[1]) or core(pt, *args))
     pts = RNG.random((50, 3))
     _fallback.nearest_on_segments(pts, RNG.random((4, 3)), RNG.random((4, 3)))
-    assert calls == [16, 16, 16, 2]
+    assert blocks == [16, 16, 16, 2]
+    assert max(widths) <= 16
