@@ -1,37 +1,10 @@
-"""Build script for the optional compiled kernel extension.
+"""Setuptools shim: all metadata is in pyproject.toml.
 
-The package is fully functional without the extension: ``klab.kernels``
-falls back to numpy implementations of the same operations when the
-compiled module is absent (or when KLAB_PURE_PYTHON=1 is set).
+Kept so that ``python setup.py develop`` installs the package and the
+``klab`` console script where ``pip install -e .`` cannot (offline,
+without the ``wheel`` package).
 """
 
-from setuptools import Extension, setup
+from setuptools import setup
 
-ext_modules = []
-try:
-    import numpy as np
-    from Cython.Build import cythonize
-
-    ext = Extension(
-        "klab.kernels._speedups",
-        ["src/klab/kernels/_speedups.pyx"],
-        include_dirs=[np.get_include()],
-        # -ffp-contract=off keeps the compiled arithmetic free of fused
-        # multiply-adds so both backends perform plain IEEE operations.
-        extra_compile_args=["-O3", "-ffp-contract=off"],
-        define_macros=[("NPY_NO_DEPRECATED_API", "NPY_1_7_API_VERSION")],
-        optional=True,
-    )
-    ext_modules = cythonize(
-        [ext],
-        compiler_directives={
-            "language_level": "3",
-            "boundscheck": False,
-            "wraparound": False,
-            "initializedcheck": False,
-        },
-    )
-except ImportError:
-    pass
-
-setup(ext_modules=ext_modules)
+setup()

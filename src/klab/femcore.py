@@ -308,7 +308,7 @@ def assemble_weighted_mass(mesh: SimplicialMesh, weight_fn, degree: int = 2,
     nodes = mesh.nodes
 
     def local(elems):
-        vols, _ = kernels.simplex_geometry(nodes, elems)
+        vols = kernels.simplex_volumes(nodes, elems)
         pts = np.einsum("qi,eid->eqd", rule.bary, nodes[elems])
         wvals = np.asarray(weight_fn(pts.reshape(-1, mesh.dimension)),
                            dtype=float).reshape(len(vols), -1)
@@ -354,7 +354,7 @@ def assemble_gradvec(mesh: SimplicialMesh, vector_fn, degree: int = 2,
 def assemble_load(mesh: SimplicialMesh, fun, degree: int = 2) -> np.ndarray:
     """Vector of integral of f v."""
     rule = simplex_rule(mesh.dimension, degree)
-    vols, _ = kernels.simplex_geometry(mesh.nodes, mesh.elements)
+    vols = kernels.simplex_volumes(mesh.nodes, mesh.elements)
     pts = quadrature_points(mesh, rule)
     fvals = np.asarray(fun(pts.reshape(-1, mesh.dimension)),
                        dtype=float).reshape(mesh.num_elements, -1)
@@ -506,19 +506,6 @@ def cg_solve(matrix, rhs, tol: float = 1e-10, maxiter: int | None = None,
         residual=res / rhs_norm)
 
 
-def cgnr_solve(matrix, rhs, tol: float = 1e-10,
-               maxiter: int | None = None) -> tuple[np.ndarray, dict]:
-    """Least-squares CG on the normal equations for nonsymmetric systems."""
-    at = matrix.T.tocsr()
-    normal = (at @ matrix).tocsr()
-    x, info = cg_solve(normal, at @ rhs, tol=tol, maxiter=maxiter)
-    res = rhs - matrix @ x
-    info = dict(info)
-    rhs_norm = math.sqrt(max(kernels.neumaier_dot(rhs, rhs), 1e-300))
-    info["residual"] = math.sqrt(max(kernels.neumaier_dot(res, res), 0.0)) / rhs_norm
-    return x, info
-
-
 def _start_vector(n: int) -> np.ndarray:
     rng = np.random.default_rng(20240917)
     v = 1.0 + 0.01 * rng.standard_normal(n)
@@ -598,35 +585,3 @@ def generalized_eig_extreme(a_mat, b_mat, which: str = "min",
             residual=residual)
     return lam, x, {"iterations": iterations, "residual": residual,
                     "converged": True}
-
-
-# ---------------------------------------------------------------------
-# operator files
-# ---------------------------------------------------------------------
-
-
-def dump_operator(path, matrix) -> None:
-    """Text dump: header, then one `row col value` line per entry."""
-    coo = sp.coo_matrix(matrix)
-    order = np.lexsort((coo.col, coo.row))
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"KLABOP 1\nSHAPE {coo.shape[0]} {coo.shape[1]}\nNNZ {coo.nnz}\n")
-        for k in order:
-            fh.write(f"{coo.row[k]} {coo.col[k]} {repr(float(coo.data[k]))}\n")
-
-
-def load_operator(path) -> sp.csr_matrix:
-    with open(path, "r", encoding="utf-8") as fh:
-        magic = fh.readline().split()
-        if magic[:1] != ["KLABOP"]:
-            raise ValueError("not an operator file")
-        shape = fh.readline().split()
-        nnz = int(fh.readline().split()[1])
-        m, n = int(shape[1]), int(shape[2])
-        rows, cols, vals = [], [], []
-        for _ in range(nnz):
-            r, c, v = fh.readline().split()
-            rows.append(int(r))
-            cols.append(int(c))
-            vals.append(float(v))
-    return sp.coo_matrix((vals, (rows, cols)), shape=(m, n)).tocsr()

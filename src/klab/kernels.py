@@ -1,43 +1,118 @@
-"""Numpy implementations of the numeric kernels.
+"""Numeric kernels: P1 simplex geometry, local element matrices, batched
+point-to-singular-set distances and the scalar reductions of the
+iterative solvers, all in numpy. ``BACKEND`` names this one backend.
 
-These are the reference implementations of the operations the compiled
-extension accelerates: P1 simplex geometry, local element matrices,
-batched point-to-singular-set distances and the scalar reductions used
-by the iterative solvers. Both backends perform the same per-element
-arithmetic; the reductions differ in accumulation scheme.
-``neumaier_sum`` is ``math.fsum`` here (correctly rounded, Shewchuk
-1997) and Neumaier-compensated in the extension. ``neumaier_dot`` is
-plain ``np.dot`` here and Neumaier-compensated in the extension: it is
-the inner product of every Jacobi-CG iteration, where an exact sum of
-the products would cost more than the solve itself. All reductions are
-deterministic on a fixed platform.
+The element kernels (``simplex_geometry``, ``simplex_volumes``,
+``local_stiffness``) keep one (m,) array per coordinate over blocks of
+BLOCK elements, so their temporaries stay within about a MB however
+large the mesh. Sums of two or three per-coordinate products (the
+determinant u . (v x w) and each stiffness entry) are taken in the
+order ``numpy.einsum`` takes them (``_einsum_sum``), and cross products
+in ``np.cross``'s arithmetic, so the results are bit-equal to the
+``np.cross``/``einsum`` formulation on whole (E, d+1, d) arrays.
+
+The reductions: ``neumaier_sum`` is ``math.fsum`` (correctly rounded,
+Shewchuk 1997). ``neumaier_dot`` is plain ``np.dot``, not compensated:
+it is the inner product of every conjugate-gradient iteration, where an
+exact sum of the products would cost more than the solve itself. Both
+are deterministic on a fixed platform.
 
 The distance kernels keep one (S, P) array per coordinate and add the
-coordinates one after another, the compiled kernel's arithmetic and
-order, so indices and nearest points match it bit for bit (up to the
-sign of a zero) and distances within one unit in the last place (square
-root against power). They run over
-blocks of BLOCK query points, which bounds each (S, P) temporary at
-S * BLOCK doubles, and measure each block only against the targets that
-can be nearest to one of its points (exact pruning by bounding boxes,
-see ``_candidates``); the result does not depend on the blocking.
+coordinates one after another, so no (P, S, d) temporary is formed.
+They run over blocks of BLOCK query points, which bounds each (S, P)
+temporary at S * BLOCK doubles, and measure each block only against the
+targets that can be nearest to one of its points (exact pruning by
+bounding boxes, see ``_candidates``); the result does not depend on the
+blocking.
 """
 
 import math
 
 import numpy as np
 
-BACKEND_NAME = "fallback"
+BACKEND = "numpy"
 
-# Query points per block in the distance kernels. Each (S, P) temporary
-# then holds at most S * BLOCK doubles: about 0.8 MB with the 12 singular
-# edges of a polyhedron. A smaller block prunes more targets but pays the
-# per-block cost more often; 8192 was the fastest of 1024-16384 on the
-# distance calls of the hardy_3d benchmark workload.
+# Elements per block in the element kernels, query points per block in
+# the distance kernels. A per-coordinate temporary then holds at most
+# BLOCK doubles (64 kB) in the element kernels and S * BLOCK in the
+# distance kernels: about 0.8 MB with the 12 singular edges of a
+# polyhedron. For the distance kernels a smaller block prunes more
+# targets but pays the per-block cost more often; 8192 was the fastest
+# of 1024-16384 on the distance calls of the hardy_3d benchmark workload.
 BLOCK = 8192
 # Relative slack of the pruning test in _candidates, far above the few
 # units of rounding (about 1e-16) in the distances it compares.
 PRUNE_MARGIN = 1e-12
+
+
+def _einsum_sum(terms):
+    """Sum of two or three (m,) arrays in the order ``numpy.einsum`` sums
+    a contraction of that length: ((0 + x) + z) + y, or (0 + x) + y. The
+    leading 0 only turns an all-negative-zero sum into +0, so it is added
+    last. Accumulates into ``terms[0]``."""
+    acc = terms[0]
+    for term in terms[:0:-1]:
+        acc += term
+    acc += 0.0
+    return acc
+
+
+def _cross(v, w):
+    """v x w of per-coordinate arrays, in ``np.cross``'s arithmetic."""
+    return [v[1] * w[2] - v[2] * w[1],
+            v[2] * w[0] - v[0] * w[2],
+            v[0] * w[1] - v[1] * w[0]]
+
+
+def _geometry(nodes, elements, grads):
+    """Signed volumes (E,) of the elements; their P1 shape-function
+    gradients go into ``grads`` (E, d+1, d) unless it is None, in which
+    case the cofactors only the gradients need are never formed.
+
+    Works one block of BLOCK elements at a time on one (m,) array per
+    coordinate: the corners, the edges from corner 0, the determinant of
+    the edge frame and each gradient component, written out with one
+    transposing copy per block.
+    """
+    dim = nodes.shape[1]
+    if dim not in (2, 3):
+        raise ValueError(f"unsupported dimension {dim}")
+    columns = [np.ascontiguousarray(nodes[:, c]) for c in range(dim)]
+    vol = np.empty(len(elements))
+    for start in range(0, len(elements), BLOCK):
+        block = slice(start, start + BLOCK)
+        corners = [[col[idx] for col in columns]
+                   for idx in elements[block].T.copy()]
+        a = corners[0]
+        edges = [[p[c] - a[c] for c in range(dim)] for p in corners[1:]]
+        if dim == 2:
+            (ux, uy), (vx, vy) = edges
+            det = ux * vy - uy * vx
+            np.multiply(0.5, det, out=vol[block])
+        else:
+            u, v, w = edges
+            c0 = _cross(v, w)
+            det = _einsum_sum([u[c] * c0[c] for c in range(3)])
+            np.divide(det, 6.0, out=vol[block])
+        if grads is None:
+            continue
+        g = np.empty((dim + 1, dim, len(det)))
+        if dim == 2:
+            # grad(lambda_i) = perp(opposite edge) / (2 area), perp (x,y) -> (-y,x)
+            for i, (j, k) in enumerate(((1, 2), (2, 0), (0, 1))):
+                np.divide(-(corners[k][1] - corners[j][1]), det, out=g[i, 0])
+                np.divide(corners[k][0] - corners[j][0], det, out=g[i, 1])
+        else:
+            # Cofactor-based inverse of J = [u v w] (columns); rows of J^-1
+            # are the gradients of lambda_1..3, lambda_0 closes the sum.
+            for i, cofactors in enumerate((c0, _cross(w, u), _cross(u, v)), 1):
+                for c in range(3):
+                    np.divide(cofactors[c], det, out=g[i, c])
+            closing = g[1] + g[2]
+            closing += g[3]
+            np.negative(closing, out=g[0])
+        grads[block] = g.transpose(2, 0, 1)
+    return vol
 
 
 def simplex_geometry(nodes: np.ndarray, elements: np.ndarray):
@@ -47,44 +122,37 @@ def simplex_geometry(nodes: np.ndarray, elements: np.ndarray):
     constant gradient of the barycentric basis function of local node i.
     """
     dim = nodes.shape[1]
-    coords = nodes[elements]  # (E, d+1, d)
-    if dim == 2:
-        a, b, c = coords[:, 0], coords[:, 1], coords[:, 2]
-        ab = b - a
-        ac = c - a
-        det = ab[:, 0] * ac[:, 1] - ab[:, 1] * ac[:, 0]
-        vol = 0.5 * det
-        grads = np.empty((len(elements), 3, 2))
-        # grad(lambda_i) = perp(opposite edge) / (2 area), perp (x,y) -> (-y,x)
-        for i, (j, k) in enumerate(((1, 2), (2, 0), (0, 1))):
-            edge = coords[:, k] - coords[:, j]
-            grads[:, i, 0] = -edge[:, 1] / det
-            grads[:, i, 1] = edge[:, 0] / det
-        return vol, grads
-    if dim == 3:
-        a = coords[:, 0]
-        u = coords[:, 1] - a
-        v = coords[:, 2] - a
-        w = coords[:, 3] - a
-        # Cofactor-based inverse of J = [u v w] (columns); rows of J^-1
-        # are the gradients of lambda_1..3, lambda_0 closes the sum.
-        c0 = np.cross(v, w)
-        c1 = np.cross(w, u)
-        c2 = np.cross(u, v)
-        det = np.einsum("ij,ij->i", u, c0)
-        vol = det / 6.0
-        grads = np.empty((len(elements), 4, 3))
-        grads[:, 1] = c0 / det[:, None]
-        grads[:, 2] = c1 / det[:, None]
-        grads[:, 3] = c2 / det[:, None]
-        grads[:, 0] = -(grads[:, 1] + grads[:, 2] + grads[:, 3])
-        return vol, grads
-    raise ValueError(f"unsupported dimension {dim}")
+    grads = np.empty((len(elements), dim + 1, dim))
+    return _geometry(nodes, elements, grads), grads
+
+
+def simplex_volumes(nodes: np.ndarray, elements: np.ndarray) -> np.ndarray:
+    """Signed element volumes (E,), bit-equal to
+    ``simplex_geometry(nodes, elements)[0]`` without the gradients."""
+    return _geometry(nodes, elements, None)
 
 
 def local_stiffness(vols: np.ndarray, grads: np.ndarray) -> np.ndarray:
-    """Element stiffness matrices vol * G G^T, shape (E, d+1, d+1)."""
-    return vols[:, None, None] * np.einsum("eid,ejd->eij", grads, grads)
+    """Element stiffness matrices vol * G G^T, shape (E, d+1, d+1).
+
+    Entry (i, j) is vols * (grads[:, i] . grads[:, j]), the dot product
+    summed by ``_einsum_sum``; (j, i) is a copy of it. Works one block of
+    BLOCK elements at a time on one (m,) array per gradient component and
+    per entry, written out with one transposing copy per block.
+    """
+    n, k, dim = grads.shape
+    out = np.empty((n, k, k))
+    for start in range(0, n, BLOCK):
+        block = slice(start, start + BLOCK)
+        g = grads[block].transpose(1, 2, 0).copy()  # (k, d, m)
+        entries = np.empty((k, k, g.shape[2]))
+        for i in range(k):
+            for j in range(i, k):
+                dot = _einsum_sum([g[i][c] * g[j][c] for c in range(dim)])
+                np.multiply(dot, vols[block], out=entries[i, j])
+                entries[j, i] = entries[i, j]
+        out[block] = entries.transpose(2, 0, 1)
+    return out
 
 
 def local_weighted_mass(vols, basis, qweights, wvals) -> np.ndarray:
@@ -122,8 +190,7 @@ def _squared_distances(pt, seg_a, seg_d, dd):
     ``seg_d`` (segment starts and directions; ``seg_d`` None for point
     targets) are (d, S, 1) and ``dd`` = |seg_d|^2 is (S, 1). Each
     coordinate gives one (S, P) array, and the coordinates are summed one
-    after another, which is the compiled kernel's arithmetic and order:
-    t = sum_k (p_k - a_k) d_k / |d|^2 clamped to [0, 1], then
+    after another: t = sum_k (p_k - a_k) d_k / |d|^2 clamped to [0, 1], then
     sum_k (p_k - (a_k + t d_k))^2. Rows run over the points, so every
     operation streams over P contiguous values.
     """

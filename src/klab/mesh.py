@@ -105,8 +105,7 @@ class SimplicialMesh:
         return mask
 
     def element_volumes(self) -> np.ndarray:
-        vols, _ = kernels.simplex_geometry(self.nodes, self.elements)
-        return vols
+        return kernels.simplex_volumes(self.nodes, self.elements)
 
     def element_diameters(self) -> np.ndarray:
         el = self.nodes[self.elements]
@@ -149,7 +148,7 @@ class SimplicialMesh:
 def _oriented(dimension: int, nodes: np.ndarray, elements: np.ndarray) -> np.ndarray:
     """Swap the last two nodes of any negatively oriented simplex."""
     elements = np.ascontiguousarray(elements, dtype=np.int64)
-    vols, _ = kernels.simplex_geometry(nodes, elements)
+    vols = kernels.simplex_volumes(nodes, elements)
     bad = vols < 0
     if np.any(bad):
         elements = elements.copy()
@@ -652,63 +651,5 @@ def read_mesh(path) -> SimplicialMesh:
         raise MeshFormatError("expected END line")
 
     mesh = SimplicialMesh(dim, nodes, elements, facets, grading=grading)
-    mesh.validate()
-    return mesh
-
-
-def read_gmsh(path) -> SimplicialMesh:
-    """Minimal Gmsh 2.2 ASCII import (linear triangles and tetrahedra)."""
-    with open(path, "r", encoding="utf-8") as fh:
-        raw = [ln.strip() for ln in fh]
-    try:
-        fmt_at = raw.index("$MeshFormat")
-        version = raw[fmt_at + 1].split()
-        if not version[0].startswith("2"):
-            raise MeshFormatError("only Gmsh format 2 ASCII is supported")
-        if len(version) > 1 and version[1] != "0":
-            raise MeshFormatError("binary Gmsh files are not supported")
-        n_at = raw.index("$Nodes")
-        n_count = int(raw[n_at + 1])
-        id_map: dict = {}
-        coords = []
-        for k in range(n_count):
-            parts = raw[n_at + 2 + k].split()
-            id_map[int(parts[0])] = k
-            coords.append([float(x) for x in parts[1:4]])
-        e_at = raw.index("$Elements")
-        e_count = int(raw[e_at + 1])
-        tris, tets = [], []
-        for k in range(e_count):
-            parts = [int(x) for x in raw[e_at + 2 + k].split()]
-            etype, ntags = parts[1], parts[2]
-            conn = parts[3 + ntags:]
-            if etype == 2:
-                tris.append([id_map[v] for v in conn])
-            elif etype == 4:
-                tets.append([id_map[v] for v in conn])
-            elif etype in (1, 15):
-                continue
-            else:
-                raise MeshFormatError(f"unsupported Gmsh element type {etype}")
-    except (ValueError, IndexError, KeyError) as exc:
-        raise MeshFormatError(f"malformed Gmsh file: {exc}") from exc
-
-    nodes = np.array(coords, dtype=float)
-    if tets:
-        dim, elements = 3, np.array(tets, dtype=np.int64)
-    elif tris:
-        dim, elements = 2, np.array(tris, dtype=np.int64)
-        nodes = nodes[:, :2]
-    else:
-        raise MeshFormatError("no triangles or tetrahedra in Gmsh file")
-    used = np.zeros(len(nodes), dtype=bool)
-    used[elements.ravel()] = True
-    if not used.all():
-        remap = -np.ones(len(nodes), dtype=np.int64)
-        remap[used] = np.arange(int(used.sum()))
-        nodes = nodes[used]
-        elements = remap[elements]
-    elements = _oriented(dim, nodes, elements)
-    mesh = SimplicialMesh(dim, nodes, elements, derive_boundary_facets(elements))
     mesh.validate()
     return mesh

@@ -114,7 +114,7 @@ def k_norm(u: FemField, weight, spec: NormSpec, shift_power: float = 0.0) -> Nor
         if not isinstance(weight, weights.EtaField):
             raise InadmissibleIndexError("shifted fields need the exact distance weight")
     dim = mesh.dimension
-    vols, _ = kernels.simplex_geometry(mesh.nodes, mesh.elements)
+    vols = kernels.simplex_volumes(mesh.nodes, mesh.elements)
     egrads = u.element_gradients()
     hess = femcore.element_hessians(u) if spec.mu >= 2 else None
 
@@ -177,7 +177,7 @@ def k_data_norm(domain: Polyhedron, mesh: SimplicialMesh, fn, a: float,
     spec = NormSpec(mu=0, a=a, degree_base=degree_base,
                     degree_singular=degree_singular)
     eta = weights.eta_field(domain)
-    vols, _ = kernels.simplex_geometry(mesh.nodes, mesh.elements)
+    vols = kernels.simplex_volumes(mesh.nodes, mesh.elements)
     per_element = None
     nodal = None
     if not callable(fn):
@@ -232,7 +232,7 @@ def k_gram(mesh: SimplicialMesh, weight, spec: NormSpec):
         import scipy.sparse as sp
         w2 = weights.power_weight(weight, 2.0 * (2.0 - spec.a))
         rule = femcore.simplex_rule(mesh.dimension, spec.degree_singular)
-        vols, _ = kernels.simplex_geometry(mesh.nodes, mesh.elements)
+        vols = kernels.simplex_volumes(mesh.nodes, mesh.elements)
         pts = femcore.quadrature_points(mesh, rule)
         wvals = np.asarray(w2(pts.reshape(-1, mesh.dimension))
                            ).reshape(mesh.num_elements, -1)

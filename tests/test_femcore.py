@@ -196,15 +196,6 @@ def test_cg_zero_iterations_reports_residual():
     assert err.value.residual == 1.0
 
 
-def test_cgnr_nonsymmetric():
-    rng = np.random.default_rng(11)
-    a = sp.csr_matrix(np.eye(30) + 0.1 * rng.standard_normal((30, 30)))
-    x_true = rng.standard_normal(30)
-    x, info = femcore.cgnr_solve(a, a @ x_true, tol=1e-12)
-    assert np.abs(x - x_true).max() < 1e-8
-    assert info["residual"] < 1e-8
-
-
 def test_generalized_eig_diagonal():
     a = sp.csr_matrix(np.diag([1.0, 2.0, 5.0]))
     b = sp.identity(3, format="csr")
@@ -351,14 +342,3 @@ def test_eigensolve_reports_nonconvergence(lshape):
         femcore.generalized_eig_extreme(m_w, k_ff, which="max", maxiter=1,
                                         hierarchy=hierarchy)
     assert err.value.residual > 1e-8
-
-
-def test_operator_round_trip(tmp_path, square_mesh):
-    k = femcore.assemble_stiffness(square_mesh)
-    path = tmp_path / "op.txt"
-    femcore.dump_operator(path, k)
-    back = femcore.load_operator(path)
-    assert (k != back).nnz == 0
-    path2 = tmp_path / "op2.txt"
-    femcore.dump_operator(path2, back)
-    assert path.read_bytes() == path2.read_bytes()

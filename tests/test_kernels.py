@@ -1,4 +1,5 @@
-"""Backend equivalence and correctness of the numeric kernels."""
+"""Correctness of the numeric kernels, against the array formulations
+they replaced (kept here verbatim as references)."""
 
 import math
 
@@ -8,12 +9,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from klab import kernels
-from klab.kernels import _fallback
-
-try:
-    from klab.kernels import _speedups
-except ImportError:
-    _speedups = None
 
 RNG = np.random.default_rng(42)
 
@@ -22,75 +17,17 @@ def _random_mesh_arrays(dim, n_el=40):
     nodes = RNG.random((n_el * (dim + 1), dim))
     elements = np.arange(n_el * (dim + 1), dtype=np.int64).reshape(n_el, dim + 1)
     # force positive volume by nudging degenerate simplices
-    vols, _ = _fallback.simplex_geometry(nodes, elements)
+    vols = kernels.simplex_volumes(nodes, elements)
     bad = vols < 1e-8
     while bad.any():
         nodes[elements[bad].ravel()] = RNG.random((bad.sum() * (dim + 1), dim))
-        vols, _ = _fallback.simplex_geometry(nodes, elements)
+        vols = kernels.simplex_volumes(nodes, elements)
         bad = vols < 1e-8
     return nodes, elements
 
 
 def test_backend_is_reported():
-    assert kernels.BACKEND in ("compiled", "fallback")
-
-
-@pytest.mark.skipif(_speedups is None, reason="compiled backend not built")
-@pytest.mark.parametrize("dim", [2, 3])
-def test_simplex_geometry_backends_agree(dim):
-    nodes, elements = _random_mesh_arrays(dim)
-    v1, g1 = _fallback.simplex_geometry(nodes, elements)
-    v2, g2 = _speedups.simplex_geometry(nodes, elements)
-    assert np.allclose(v1, v2, rtol=1e-13, atol=1e-15)
-    assert np.allclose(g1, g2, rtol=1e-12, atol=1e-14)
-
-
-@pytest.mark.skipif(_speedups is None, reason="compiled backend not built")
-@pytest.mark.parametrize("dim", [2, 3])
-def test_local_matrices_backends_agree(dim):
-    nodes, elements = _random_mesh_arrays(dim)
-    vols, grads = _fallback.simplex_geometry(nodes, elements)
-    k1 = _fallback.local_stiffness(vols, grads)
-    k2 = _speedups.local_stiffness(vols, grads)
-    assert np.allclose(k1, k2, rtol=1e-12, atol=1e-15)
-
-    nq = 4
-    basis = RNG.random((nq, dim + 1))
-    qw = RNG.random(nq)
-    wv = RNG.random((len(vols), nq))
-    m1 = _fallback.local_weighted_mass(vols, basis, qw, wv)
-    m2 = _speedups.local_weighted_mass(vols, basis, qw, wv)
-    assert np.allclose(m1, m2, rtol=1e-12, atol=1e-15)
-
-
-@pytest.mark.skipif(_speedups is None, reason="compiled backend not built")
-def test_distance_kernels_backends_agree():
-    pts = RNG.random((200, 3))
-    a = RNG.random((15, 3))
-    b = RNG.random((15, 3))
-    d1, n1, i1 = _fallback.nearest_on_segments(pts, a, b)
-    d2, n2, i2 = _speedups.nearest_on_segments(pts, a, b)
-    # Same arithmetic in the same order: nearest points and indices agree
-    # bit for bit; the square root (sqrt against pow) within one ulp.
-    assert np.array_equal(n1, n2)
-    assert np.array_equal(i1, i2)
-    assert np.all(np.abs(d1 - d2) <= np.spacing(d2))
-
-    t = RNG.random((10, 3))
-    d1, i1 = _fallback.nearest_points(pts, t)
-    d2, i2 = _speedups.nearest_points(pts, t)
-    assert np.array_equal(i1, i2)
-    assert np.all(np.abs(d1 - d2) <= np.spacing(d2))
-
-
-@pytest.mark.skipif(_speedups is None, reason="compiled backend not built")
-def test_compensated_sums_backends_agree():
-    x = RNG.random(5000) * 10.0 ** RNG.integers(-8, 8, 5000)
-    y = RNG.random(5000)
-    assert _fallback.neumaier_sum(x) == pytest.approx(
-        _speedups.neumaier_sum(x), rel=1e-15)
-    assert _fallback.neumaier_dot(x, y) == pytest.approx(
-        _speedups.neumaier_dot(x, y), rel=1e-15)
+    assert kernels.BACKEND == "numpy"
 
 
 def test_neumaier_sum_cancellation():
@@ -106,11 +43,11 @@ TERMS = st.lists(st.floats(min_value=-1e300, max_value=1e300), max_size=50)
 
 @settings(deadline=None)
 @given(TERMS, TERMS, st.randoms(use_true_random=False))
-def test_fallback_neumaier_sum_is_fsum(values, cancelled, rnd):
-    """The fallback sum is correctly rounded, with cancelling terms mixed in."""
+def test_neumaier_sum_is_fsum(values, cancelled, rnd):
+    """The sum is correctly rounded, with cancelling terms mixed in."""
     terms = values + cancelled + [-v for v in cancelled]
     rnd.shuffle(terms)
-    assert _fallback.neumaier_sum(np.array(terms)) == math.fsum(terms)
+    assert kernels.neumaier_sum(np.array(terms)) == math.fsum(terms)
 
 
 def test_neumaier_dot_matches_fsum():
@@ -245,9 +182,9 @@ def _distance_case(draw, kind):
 
 def _kernels_at_block(block, pts, a, b):
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(_fallback, "BLOCK", block)
-        return (_fallback.nearest_on_segments(pts, a, b)
-                + _fallback.nearest_points(pts, a))
+        mp.setattr(kernels, "BLOCK", block)
+        return (kernels.nearest_on_segments(pts, a, b)
+                + kernels.nearest_points(pts, a))
 
 
 @settings(deadline=None, max_examples=300)
@@ -310,11 +247,11 @@ def test_compact_block_prunes_segments(monkeypatch):
     pts = np.column_stack([RNG.random(50), 0.05 * RNG.random(50),
                            0.05 * RNG.random(50)])
     sizes = []
-    core = _fallback._squared_distances
+    core = kernels._squared_distances
     monkeypatch.setattr(
-        _fallback, "_squared_distances",
+        kernels, "_squared_distances",
         lambda pt, *args: sizes.append((pt.shape[1], args[0].shape[1])) or core(pt, *args))
-    got = _fallback.nearest_on_segments(pts, a, b)
+    got = kernels.nearest_on_segments(pts, a, b)
     kept = [s for p, s in sizes if p == len(pts)]
     assert len(kept) == 1 and kept[0] < len(a)
     want = _reference_nearest_on_segments(pts, a, b)
@@ -344,13 +281,105 @@ def test_blocked_kernels_bound_temporaries(monkeypatch):
     """Every block holds at most BLOCK points, and the per-coordinate
     (S, P) arrays never span more than one block."""
     blocks, widths = [], []
-    candidates, core = _fallback._candidates, _fallback._squared_distances
-    monkeypatch.setattr(_fallback, "BLOCK", 16)
-    monkeypatch.setattr(_fallback, "_candidates",
+    candidates, core = kernels._candidates, kernels._squared_distances
+    monkeypatch.setattr(kernels, "BLOCK", 16)
+    monkeypatch.setattr(kernels, "_candidates",
                         lambda pt, *args: blocks.append(pt.shape[1]) or candidates(pt, *args))
-    monkeypatch.setattr(_fallback, "_squared_distances",
+    monkeypatch.setattr(kernels, "_squared_distances",
                         lambda pt, *args: widths.append(pt.shape[1]) or core(pt, *args))
     pts = RNG.random((50, 3))
-    _fallback.nearest_on_segments(pts, RNG.random((4, 3)), RNG.random((4, 3)))
+    kernels.nearest_on_segments(pts, RNG.random((4, 3)), RNG.random((4, 3)))
     assert blocks == [16, 16, 16, 2]
     assert max(widths) <= 16
+
+
+def _reference_simplex_geometry(nodes, elements):
+    """The element geometry before per-coordinate blocks, kept verbatim as
+    the reference: (E, d+1, d) arrays, ``np.cross`` and ``einsum``."""
+    dim = nodes.shape[1]
+    coords = nodes[elements]  # (E, d+1, d)
+    if dim == 2:
+        a, b, c = coords[:, 0], coords[:, 1], coords[:, 2]
+        ab = b - a
+        ac = c - a
+        det = ab[:, 0] * ac[:, 1] - ab[:, 1] * ac[:, 0]
+        vol = 0.5 * det
+        grads = np.empty((len(elements), 3, 2))
+        # grad(lambda_i) = perp(opposite edge) / (2 area), perp (x,y) -> (-y,x)
+        for i, (j, k) in enumerate(((1, 2), (2, 0), (0, 1))):
+            edge = coords[:, k] - coords[:, j]
+            grads[:, i, 0] = -edge[:, 1] / det
+            grads[:, i, 1] = edge[:, 0] / det
+        return vol, grads
+    if dim == 3:
+        a = coords[:, 0]
+        u = coords[:, 1] - a
+        v = coords[:, 2] - a
+        w = coords[:, 3] - a
+        # Cofactor-based inverse of J = [u v w] (columns); rows of J^-1
+        # are the gradients of lambda_1..3, lambda_0 closes the sum.
+        c0 = np.cross(v, w)
+        c1 = np.cross(w, u)
+        c2 = np.cross(u, v)
+        det = np.einsum("ij,ij->i", u, c0)
+        vol = det / 6.0
+        grads = np.empty((len(elements), 4, 3))
+        grads[:, 1] = c0 / det[:, None]
+        grads[:, 2] = c1 / det[:, None]
+        grads[:, 3] = c2 / det[:, None]
+        grads[:, 0] = -(grads[:, 1] + grads[:, 2] + grads[:, 3])
+        return vol, grads
+    raise ValueError(f"unsupported dimension {dim}")
+
+
+def _reference_local_stiffness(vols, grads):
+    """The element stiffness before per-coordinate blocks, kept verbatim."""
+    return vols[:, None, None] * np.einsum("eid,ejd->eij", grads, grads)
+
+
+@st.composite
+def _element_case(draw):
+    """Block size, nodes (N, d) and elements (E, d+1): 2D or 3D, grid or
+    arbitrary real coordinates, element counts below, at and across block
+    boundaries (zero included). Elements pick their corners at random
+    among the nodes, so some are inverted and, on the grid, some are
+    degenerate (zero volume, infinite or NaN gradients)."""
+    dim = draw(st.sampled_from([2, 3]))
+    coord = draw(st.sampled_from([GRID, REAL]))
+    n_nodes = draw(st.integers(dim + 1, 12))
+    nodes = np.array(draw(st.lists(coord, min_size=n_nodes * dim,
+                                   max_size=n_nodes * dim)),
+                     dtype=float).reshape(n_nodes, dim)
+    block = draw(st.integers(min_value=1, max_value=9))
+    n_el = draw(st.sampled_from([block - 1, block, block + 1, 2 * block,
+                                 3 * block + 1]) | st.integers(0, 40))
+    corners = st.lists(st.integers(0, n_nodes - 1), min_size=dim + 1,
+                       max_size=dim + 1)
+    elements = np.array(draw(st.lists(corners, min_size=n_el, max_size=n_el)),
+                        dtype=np.int64).reshape(n_el, dim + 1)
+    return block, nodes, elements
+
+
+@settings(deadline=None, max_examples=300)
+@given(_element_case())
+def test_element_kernels_match_reference(case):
+    """Per-coordinate blocks change no bit of the element kernels: volumes
+    (from ``simplex_geometry`` and from ``simplex_volumes``), gradients and
+    stiffness matrices are byte-equal to the array formulation, signs of
+    zeros and infinities of degenerate elements included. Only the sign of
+    a NaN may differ: the reference's ``einsum`` gives the (i, j) and
+    (j, i) stiffness entries of such an element NaNs of opposite signs,
+    while the kernel computes each pair once."""
+    block, nodes, elements = case
+    with pytest.MonkeyPatch.context() as mp, np.errstate(all="ignore"):
+        mp.setattr(kernels, "BLOCK", block)
+        vols, grads = kernels.simplex_geometry(nodes, elements)
+        got = (vols, grads, kernels.local_stiffness(vols, grads),
+               kernels.simplex_volumes(nodes, elements))
+        rvols, rgrads = _reference_simplex_geometry(nodes, elements)
+        want = (rvols, rgrads, _reference_local_stiffness(rvols, rgrads), rvols)
+    for g, w in zip(got, want):
+        assert g.shape == w.shape and g.dtype == w.dtype
+        nan = np.isnan(w)
+        assert np.array_equal(np.isnan(g), nan)
+        assert g[~nan].tobytes() == w[~nan].tobytes()

@@ -335,24 +335,6 @@ def test_mesh_file_errors(tmp_path):
         meshmod.read_mesh(p)
 
 
-def test_gmsh_import(tmp_path, square):
-    m = meshmod.build_mesh(square, 0.5)
-    lines = ["$MeshFormat", "2.2 0 8", "$EndMeshFormat", "$Nodes",
-             str(m.num_nodes)]
-    for i, p in enumerate(m.nodes):
-        lines.append(f"{i + 1} {p[0]} {p[1]} 0.0")
-    lines += ["$EndNodes", "$Elements", str(m.num_elements)]
-    for i, el in enumerate(m.elements):
-        lines.append(f"{i + 1} 2 2 0 1 " + " ".join(str(v + 1) for v in el))
-    lines += ["$EndElements", ""]
-    path = tmp_path / "square.msh"
-    path.write_text("\n".join(lines))
-    g = meshmod.read_gmsh(path)
-    assert g.num_nodes == m.num_nodes
-    assert g.num_elements == m.num_elements
-    assert g.total_volume() == pytest.approx(1.0, rel=1e-12)
-
-
 def test_singular_node_mask(lshape, box):
     m = meshmod.build_mesh(lshape, 0.25)
     mask = meshmod.singular_node_mask(m, lshape)
