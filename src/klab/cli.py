@@ -84,10 +84,11 @@ class RunConfig:
     extras: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        if self.tol <= 0.0 or self.threshold <= 0.0:
-            raise SpecError("tolerances must be positive")
-        if self.h is not None and self.h <= 0.0:
-            raise SpecError("--h must be positive")
+        # Written so that NaN fails every test.
+        if not (0.0 < self.tol < math.inf and 0.0 < self.threshold < math.inf):
+            raise SpecError("tolerances must be positive and finite")
+        if self.h is not None and not 0.0 < self.h < math.inf:
+            raise SpecError("--h must be positive and finite")
         if self.kappa is not None and not 0.0 < self.kappa <= 1.0:
             raise SpecError("--kappa must lie in (0, 1]")
         if self.levels is not None and self.levels < 0:
@@ -232,8 +233,8 @@ def load_problem(path) -> dict:
     mesh_spec = _field(spec, "mesh", dict, "problem", required=True)
     h = _field(mesh_spec, "h", float, "problem.mesh", required=True)
     kappa = _field(mesh_spec, "kappa", float, "problem.mesh", default=1.0)
-    if h <= 0.0:
-        raise SpecError("problem.mesh.h: must be positive")
+    if not 0.0 < h < math.inf:
+        raise SpecError("problem.mesh.h: must be positive and finite")
     if not 0.0 < kappa <= 1.0:
         raise SpecError("problem.mesh.kappa: must lie in (0, 1]")
 

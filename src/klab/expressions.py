@@ -151,7 +151,7 @@ class Expression:
         env = dict(_CONSTANTS)
         for i in range(self.dim):
             env[_AXES[i]] = pts[:, i]
-        if self.polar is not None:
+        if self.polar is not None and self.names & {"r", "theta"}:
             env["r"], env["theta"] = self.polar.evaluate(pts)
         return env
 

@@ -124,10 +124,33 @@ def simplex_rule(dim: int, degree: int) -> QuadratureRule:
     return QuadratureRule(dim, degree, bary, weights)
 
 
+def map_points(bary: np.ndarray, nodes: np.ndarray,
+               elems: np.ndarray) -> np.ndarray:
+    """Physical points (E, Q, d) of the barycentric points ``bary``
+    (Q, k) on the simplices ``elems`` (E, k) of ``nodes`` (N, d).
+
+    Works one block of ``kernels.BLOCK`` simplices and one coordinate at
+    a time and sums over the vertices in order, x_0 b_0 + x_1 b_1 + ...,
+    as ``np.einsum("qi,eid->eqd")`` does, so the points are bit-equal to
+    that form. A node coordinate of -0.0 is read as +0.0, matching
+    einsum's sum, which starts from zero.
+    """
+    out = np.empty((len(elems), len(bary), nodes.shape[1]))
+    columns = [nodes[:, c] + 0.0 for c in range(nodes.shape[1])]
+    for start in range(0, len(elems), kernels.BLOCK):
+        block = slice(start, start + kernels.BLOCK)
+        corners = elems[block].T.copy()
+        for c, col in enumerate(columns):
+            acc = col[corners[0], None] * bary[:, 0]
+            for i in range(1, len(corners)):
+                acc += col[corners[i], None] * bary[:, i]
+            out[block, :, c] = acc
+    return out
+
+
 def quadrature_points(mesh: SimplicialMesh, rule: QuadratureRule) -> np.ndarray:
     """Physical quadrature points, shape (E, Q, d)."""
-    el = mesh.nodes[mesh.elements]
-    return np.einsum("qi,eid->eqd", rule.bary, el)
+    return map_points(rule.bary, mesh.nodes, mesh.elements)
 
 
 # ---------------------------------------------------------------------
@@ -309,7 +332,7 @@ def assemble_weighted_mass(mesh: SimplicialMesh, weight_fn, degree: int = 2,
 
     def local(elems):
         vols = kernels.simplex_volumes(nodes, elems)
-        pts = np.einsum("qi,eid->eqd", rule.bary, nodes[elems])
+        pts = map_points(rule.bary, nodes, elems)
         wvals = np.asarray(weight_fn(pts.reshape(-1, mesh.dimension)),
                            dtype=float).reshape(len(vols), -1)
         return kernels.local_weighted_mass(vols, rule.bary, rule.weights, wvals)
@@ -325,7 +348,7 @@ def assemble_weighted_stiffness(mesh: SimplicialMesh, weight_fn, degree: int = 2
 
     def local(elems):
         vols, grads = kernels.simplex_geometry(nodes, elems)
-        pts = np.einsum("qi,eid->eqd", rule.bary, nodes[elems])
+        pts = map_points(rule.bary, nodes, elems)
         wvals = np.asarray(weight_fn(pts.reshape(-1, mesh.dimension)),
                            dtype=float).reshape(len(vols), -1)
         wavg = wvals @ rule.weights
@@ -342,7 +365,7 @@ def assemble_gradvec(mesh: SimplicialMesh, vector_fn, degree: int = 2,
 
     def local(elems):
         vols, grads = kernels.simplex_geometry(nodes, elems)
-        pts = np.einsum("qi,eid->eqd", rule.bary, nodes[elems])
+        pts = map_points(rule.bary, nodes, elems)
         qvals = np.asarray(vector_fn(pts.reshape(-1, mesh.dimension)),
                            dtype=float).reshape(len(vols), len(rule.weights), -1)
         qdotg = np.einsum("eqd,ejd->eqj", qvals, grads)
@@ -386,7 +409,7 @@ def assemble_boundary_mass(mesh: SimplicialMesh, weight_fn,
         return sp.csr_matrix((n, n))
     rule = boundary_rule(mesh, degree)
     meas = facet_measures(mesh.nodes, facets)
-    pts = np.einsum("qi,bid->bqd", rule.bary, mesh.nodes[facets])
+    pts = map_points(rule.bary, mesh.nodes, facets)
     wvals = np.asarray(weight_fn(pts.reshape(-1, mesh.dimension)),
                        dtype=float).reshape(len(facets), -1)
     local = np.einsum("q,eq,qi,qj,e->eij", rule.weights, wvals,

@@ -3,10 +3,11 @@ point-to-singular-set distances and the scalar reductions of the
 iterative solvers, all in numpy. ``BACKEND`` names this one backend.
 
 The element kernels (``simplex_geometry``, ``simplex_volumes``,
-``local_stiffness``) keep one (m,) array per coordinate over blocks of
-BLOCK elements, so their temporaries stay within about a MB however
-large the mesh. Sums of two or three per-coordinate products (the
-determinant u . (v x w) and each stiffness entry) are taken in the
+``local_stiffness``, ``min_dihedral_angle``) keep one (m,) array per
+coordinate over blocks of BLOCK elements, so their temporaries stay
+within a few MB however large the mesh. Sums of two or three
+per-coordinate products (the determinant u . (v x w), each stiffness
+entry, each dot of face normals) are taken in the
 order ``numpy.einsum`` takes them (``_einsum_sum``), and cross products
 in ``np.cross``'s arithmetic, so the results are bit-equal to the
 ``np.cross``/``einsum`` formulation on whole (E, d+1, d) arrays.
@@ -153,6 +154,45 @@ def local_stiffness(vols: np.ndarray, grads: np.ndarray) -> np.ndarray:
                 entries[j, i] = entries[i, j]
         out[block] = entries.transpose(2, 0, 1)
     return out
+
+
+def min_dihedral_angle(nodes: np.ndarray, elements: np.ndarray) -> float:
+    """Smallest interior dihedral angle of the tetrahedra, radians (pi
+    when there are none).
+
+    The outward unit normal of the face opposite each vertex is formed
+    one block of BLOCK elements at a time on one (m,) array per
+    coordinate: the cross product in ``np.cross``'s arithmetic, the norm
+    summed (x^2 + y^2) + z^2 as ``np.linalg.norm`` sums it, dots by
+    ``_einsum_sum``. Every pair of faces shares one edge, where the
+    interior angle is arccos(-n1 . n2). The result is bit-equal to the
+    ``np.cross``/``einsum`` form on whole (E, 3) arrays.
+    """
+    columns = [np.ascontiguousarray(nodes[:, c]) for c in range(3)]
+    worst = np.pi
+    for start in range(0, len(elements), BLOCK):
+        corners = [[col[idx] for col in columns]
+                   for idx in elements[start:start + BLOCK].T.copy()]
+        normals = []
+        for m in range(4):
+            a, b, c = (corners[k] for k in range(4) if k != m)
+            n = _cross([b[i] - a[i] for i in range(3)],
+                       [c[i] - a[i] for i in range(3)])
+            norm = np.sqrt((n[0] * n[0] + n[1] * n[1]) + n[2] * n[2])
+            n = [component / norm for component in n]
+            toward = _einsum_sum([n[i] * (corners[m][i] - a[i])
+                                  for i in range(3)])
+            flip = toward > 0.0
+            for component in n:
+                component[flip] *= -1.0
+            normals.append(n)
+        for m1 in range(4):
+            for m2 in range(m1 + 1, 4):
+                dot = _einsum_sum([normals[m1][i] * normals[m2][i]
+                                   for i in range(3)])
+                angle = np.arccos(np.clip(-dot, -1.0, 1.0))
+                worst = min(worst, float(angle.min()))
+    return worst
 
 
 def local_weighted_mass(vols, basis, qweights, wvals) -> np.ndarray:

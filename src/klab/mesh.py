@@ -134,9 +134,9 @@ class SimplicialMesh:
             raise MeshFormatError("element arity does not match dimension")
         if self.elements.min(initial=0) < 0 or self.elements.max(initial=-1) >= n:
             raise MeshFormatError("element references a node out of range")
-        for row in self.elements:
-            if len(set(row.tolist())) != len(row):
-                raise MeshFormatError("element with a repeated node")
+        ordered = np.sort(self.elements, axis=1)
+        if (ordered[:, 1:] == ordered[:, :-1]).any():
+            raise MeshFormatError("element with a repeated node")
         if len(self.boundary_facets):
             if self.boundary_facets.min() < 0 or self.boundary_facets.max() >= n:
                 raise MeshFormatError("boundary facet references a node out of range")
@@ -157,15 +157,26 @@ def _oriented(dimension: int, nodes: np.ndarray, elements: np.ndarray) -> np.nda
 
 
 def derive_boundary_facets(elements: np.ndarray) -> np.ndarray:
-    """Facets that belong to exactly one simplex, sorted deterministically."""
+    """Facets that belong to exactly one simplex: rows of ascending node
+    ids, in lexicographic order.
+
+    Each facet is encoded as one int64 key, (a n + b) n + c for its
+    sorted ids a <= b <= c below n; keys order like the rows, so one sort
+    and count finds the facets seen once.
+    """
+    elements = np.asarray(elements, dtype=np.int64)
     k = elements.shape[1]
-    count: dict = {}
-    for row in elements:
-        for drop in range(k):
-            facet = tuple(sorted(v for t, v in enumerate(row) if t != drop))
-            count[facet] = count.get(facet, 0) + 1
-    boundary = sorted(f for f, c in count.items() if c == 1)
-    return np.array(boundary, dtype=np.int64).reshape(-1, k - 1)
+    n = int(elements.max(initial=-1)) + 1
+    if n ** (k - 1) > np.iinfo(np.int64).max:
+        raise MeshSizeError(f"{n} nodes are too many to key the facets")
+    facets = np.sort(np.concatenate([np.delete(elements, drop, axis=1)
+                                     for drop in range(k)]), axis=1)
+    key = facets[:, 0].copy()
+    for column in facets[:, 1:].T:
+        key *= n
+        key += column
+    _, first, count = np.unique(key, return_index=True, return_counts=True)
+    return facets[first[count == 1]]
 
 
 # ---------------------------------------------------------------------
@@ -528,35 +539,17 @@ def minimum_angle(mesh: SimplicialMesh) -> float:
     refinement is nested and the grading map has bounded anisotropy
     (the radial stretch is at most 1 / kappa inside a collar).
     """
+    if mesh.dimension == 3:
+        return kernels.min_dihedral_angle(mesh.nodes, mesh.elements)
     el = mesh.nodes[mesh.elements]
     worst = np.pi
-    if mesh.dimension == 2:
-        for i in range(3):
-            u = el[:, (i + 1) % 3] - el[:, i]
-            v = el[:, (i + 2) % 3] - el[:, i]
-            dot = np.einsum("ed,ed->e", u, v)
-            nrm = np.linalg.norm(u, axis=1) * np.linalg.norm(v, axis=1)
-            ang = np.arccos(np.clip(dot / nrm, -1.0, 1.0))
-            worst = min(worst, float(ang.min()))
-        return worst
-    # Outward unit normal of the face opposite each vertex; every pair
-    # of faces shares one edge, and the interior dihedral angle there
-    # is arccos(-n1 . n2).
-    normals = []
-    for m in range(4):
-        rest = [k for k in range(4) if k != m]
-        u = el[:, rest[1]] - el[:, rest[0]]
-        v = el[:, rest[2]] - el[:, rest[0]]
-        n = np.cross(u, v)
-        n /= np.linalg.norm(n, axis=1)[:, None]
-        toward = np.einsum("ed,ed->e", n, el[:, m] - el[:, rest[0]])
-        n[toward > 0.0] *= -1.0
-        normals.append(n)
-    for m1 in range(4):
-        for m2 in range(m1 + 1, 4):
-            dot = np.einsum("ed,ed->e", normals[m1], normals[m2])
-            ang = np.arccos(np.clip(-dot, -1.0, 1.0))
-            worst = min(worst, float(ang.min()))
+    for i in range(3):
+        u = el[:, (i + 1) % 3] - el[:, i]
+        v = el[:, (i + 2) % 3] - el[:, i]
+        dot = np.einsum("ed,ed->e", u, v)
+        nrm = np.linalg.norm(u, axis=1) * np.linalg.norm(v, axis=1)
+        ang = np.arccos(np.clip(dot / nrm, -1.0, 1.0))
+        worst = min(worst, float(ang.min()))
     return worst
 
 

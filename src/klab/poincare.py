@@ -143,12 +143,36 @@ def cap_constant_from_link(link: sphere.SphericalPolygon,
 # ---------------------------------------------------------------------
 
 
-def _polar(rel, n1, n2):
-    x = rel @ n1
-    y = rel @ n2
+def _project(rel, v):
+    """rel @ v, rounded as one matrix-vector product rounds each row.
+
+    numpy hands a lone row to a dot kernel that can round differently
+    from its matrix-vector kernel, so a lone row is doubled: a point's
+    coordinates, and hence its membership, do not depend on how many
+    points are tested with it.
+    """
+    if len(rel) == 1:
+        return (np.concatenate([rel, rel]) @ v)[:1]
+    return rel @ v
+
+
+def _radius(rel, n1, n2):
+    return np.hypot(_project(rel, n1), _project(rel, n2))
+
+
+def _in_wedge(rel, n1, n2, r_max, theta):
+    """0 < r < r_max and 0 < phi < theta for the polar coordinates (r,
+    phi in [0, 2 pi)) of each row of rel in the frame (n1, n2); r_max is
+    a scalar or one bound per row. The angle is taken only on the rows
+    that pass the radius test."""
+    x = _project(rel, n1)
+    y = _project(rel, n2)
     r = np.hypot(x, y)
-    phi = np.mod(np.arctan2(y, x), 2.0 * np.pi)
-    return r, phi
+    ok = (r > 0.0) & (r < r_max)
+    rows = np.flatnonzero(ok)
+    phi = np.mod(np.arctan2(y[rows], x[rows]), 2.0 * np.pi)
+    ok[rows] = (phi > 0.0) & (phi < theta)
+    return ok
 
 
 @dataclass
@@ -167,9 +191,8 @@ class SectorRegion:
     kind: str = "vertex_sector"
 
     def contains(self, points: np.ndarray) -> np.ndarray:
-        pts = np.atleast_2d(points)
-        r, phi = _polar(pts - self.center, self.n1, self.n2)
-        return (r > 0.0) & (r < self.radius) & (phi > 0.0) & (phi < self.theta)
+        rel = np.atleast_2d(points) - self.center
+        return _in_wedge(rel, self.n1, self.n2, self.radius, self.theta)
 
     def radial_weight(self, points: np.ndarray) -> np.ndarray:
         pts = np.atleast_2d(points)
@@ -211,21 +234,17 @@ class EdgeCylinderRegion:
     def z_extent(self) -> float:
         return self.length - 2.0 * self.eps
 
-    def _coords(self, points):
-        rel = np.atleast_2d(points) - self.origin
-        z = rel @ self.axis
-        r, phi = _polar(rel, self.n1, self.n2)
-        return z, r, phi
-
     def contains(self, points: np.ndarray) -> np.ndarray:
-        z, r, phi = self._coords(points)
-        return ((z > self.eps) & (z < self.length - self.eps)
-                & (r > 0.0) & (r < self.delta)
-                & (phi > 0.0) & (phi < self.theta))
+        rel = np.atleast_2d(points) - self.origin
+        z = _project(rel, self.axis)
+        ok = (z > self.eps) & (z < self.length - self.eps)
+        rows = np.flatnonzero(ok)
+        ok[rows] = _in_wedge(rel[rows], self.n1, self.n2, self.delta,
+                             self.theta)
+        return ok
 
     def radial_weight(self, points: np.ndarray) -> np.ndarray:
-        z, r, _ = self._coords(points)
-        return r
+        return _radius(np.atleast_2d(points) - self.origin, self.n1, self.n2)
 
     def sample(self, n: int, rng: np.random.Generator) -> np.ndarray:
         lo, span = _SAMPLE_INSET, 1.0 - 2.0 * _SAMPLE_INSET
@@ -262,20 +281,17 @@ class VertexConeRegion:
     constant_provenance: str = "analytic"
     kind: str = "vertex_cone"
 
-    def _coords(self, points):
-        rel = np.atleast_2d(points) - self.apex
-        z = rel @ self.axis
-        r, phi = _polar(rel, self.n1, self.n2)
-        return z, r, phi
-
     def contains(self, points: np.ndarray) -> np.ndarray:
-        z, r, phi = self._coords(points)
-        return ((z > 0.0) & (z < self.eps) & (r > 0.0) & (r < self.slope * z)
-                & (phi > 0.0) & (phi < self.theta))
+        rel = np.atleast_2d(points) - self.apex
+        z = _project(rel, self.axis)
+        ok = (z > 0.0) & (z < self.eps)
+        rows = np.flatnonzero(ok)
+        ok[rows] = _in_wedge(rel[rows], self.n1, self.n2,
+                             self.slope * z[rows], self.theta)
+        return ok
 
     def radial_weight(self, points: np.ndarray) -> np.ndarray:
-        z, r, _ = self._coords(points)
-        return r
+        return _radius(np.atleast_2d(points) - self.apex, self.n1, self.n2)
 
     def sample(self, n: int, rng: np.random.Generator) -> np.ndarray:
         lo, span = _SAMPLE_INSET, 1.0 - 2.0 * _SAMPLE_INSET
@@ -323,13 +339,15 @@ class VertexBallRegion:
         rel = pts - self.center
         rho = np.linalg.norm(rel, axis=1)
         ok = (rho > 0.0) & (rho < self.radius)
-        if not ok.any():
-            return ok
-        dirs = np.zeros_like(rel)
-        dirs[ok] = rel[ok] / rho[ok, None]
-        ok &= self.link.contains_directions(dirs)
+        rows = np.flatnonzero(ok)
+        ok[rows] = self.link.contains_directions(rel[rows]
+                                                 / rho[rows, None])
+        # Each excluded region sees only the points still inside.
+        rows = np.flatnonzero(ok)
         for other in self.excluded:
-            ok &= ~other.contains(pts)
+            rows = rows[~other.contains(pts[rows])]
+        ok[:] = False
+        ok[rows] = True
         return ok
 
     def radial_weight(self, points: np.ndarray) -> np.ndarray:

@@ -127,7 +127,7 @@ def k_norm(u: FemField, weight, spec: NormSpec, shift_power: float = 0.0) -> Nor
             continue
         rule = femcore.simplex_rule(dim, degree)
         els = mesh.elements[subset]
-        pts = np.einsum("qi,eid->eqd", rule.bary, mesh.nodes[els])
+        pts = femcore.map_points(rule.bary, mesh.nodes, els)
         flat = pts.reshape(-1, dim)
         wvals = np.asarray(weight(flat), dtype=float).reshape(len(subset), -1)
         if np.any(wvals <= 0.0):
@@ -196,7 +196,7 @@ def k_data_norm(domain: Polyhedron, mesh: SimplicialMesh, fn, a: float,
             continue
         rule = femcore.simplex_rule(mesh.dimension, degree)
         els = mesh.elements[subset]
-        pts = np.einsum("qi,eid->eqd", rule.bary, mesh.nodes[els])
+        pts = femcore.map_points(rule.bary, mesh.nodes, els)
         flat = pts.reshape(-1, mesh.dimension)
         wvals = eta(flat).reshape(len(subset), -1)
         if np.any(wvals <= 0.0):
@@ -324,7 +324,7 @@ def integer_boundary_norm(domain: Polyhedron, mesh: SimplicialMesh, g,
     eta = weights.eta_field(domain)
     rule = femcore.simplex_rule(mesh.dimension - 1, degree)
     meas = femcore.facet_measures(mesh.nodes, facets)
-    pts = np.einsum("qi,bid->bqd", rule.bary, mesh.nodes[facets])
+    pts = femcore.map_points(rule.bary, mesh.nodes, facets)
     evals = eta(pts.reshape(-1, mesh.dimension)).reshape(len(facets), -1)
     if np.any(evals <= 0.0):
         raise NonpositiveWeightError("facet quadrature point on the singular set")

@@ -116,7 +116,7 @@ def conjugate_parts(domain: Polyhedron, mesh: SimplicialMesh,
 
 
 def _check_conjugation(a: float) -> None:
-    if abs(a) > MAX_CONJUGATION:
+    if not abs(a) <= MAX_CONJUGATION:  # NaN fails too
         raise InadmissibleIndexError(
             f"conjugation exponent {a} outside [-{MAX_CONJUGATION}, "
             f"{MAX_CONJUGATION}]")
@@ -339,8 +339,7 @@ def weight_window_probe(domain: Polyhedron, mesh: SimplicialMesh,
     """
     a_values = [float(a) for a in a_values]
     for a in a_values:
-        if abs(a) > MAX_CONJUGATION:
-            raise InadmissibleIndexError(f"probe exponent {a} out of range")
+        _check_conjugation(a)
     eta = weights.eta_field(domain)
     parts = conjugate_parts(domain, mesh)
     k_mat = parts[0]

@@ -277,6 +277,37 @@ def test_invalid_expression_exit_code(tmp_path):
     assert res.returncode == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["mesh", "build", "--domain", "square.json", "--h", "nan"],
+    ["mesh", "build", "--domain", "square.json", "--h", "inf"],
+    ["window-probe", "--domain", "square.json", "--h", "0.5",
+     "--a-grid", "0,nan"],
+    ["window-probe", "--domain", "square.json", "--h", "0.5",
+     "--a-grid", "0,0.5", "--threshold", "nan"],
+    ["solve", "--problem", "manufactured_square.json", "--h", "0.5",
+     "--tol", "nan"],
+], ids=["h-nan", "h-inf", "a-grid-nan", "threshold-nan", "tol-nan"])
+def test_non_finite_input_exit_code(tmp_path, argv):
+    argv = [problem_path(a) if a.endswith(".json") else a for a in argv]
+    res = run_cli(*argv, "--out", tmp_path)
+    assert res.returncode == 2, res.stderr
+    assert "error" in res.stderr and "Traceback" not in res.stderr
+
+
+def test_problem_with_nan_index_exit_code(tmp_path):
+    with open(problem_path("manufactured_square.json")) as fh:
+        spec = json.load(fh)
+    spec["domain"] = problem_path(spec["domain"])
+    spec["a"] = float("nan")
+    spec["mesh"]["h"] = 0.5
+    bad = tmp_path / "nan_a.json"
+    bad.write_text(json.dumps(spec))  # json writes the value as NaN
+    res = run_cli("solve", "--problem", bad, "--out", tmp_path)
+    assert res.returncode == 2, res.stderr
+    assert "conjugation exponent nan" in res.stderr
+    assert "Traceback" not in res.stderr
+
+
 def test_unknown_argument_exit_code(tmp_path):
     res = run_cli("solve", "--problem",
                   problem_path("manufactured_square.json"),

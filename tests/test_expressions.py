@@ -116,3 +116,29 @@ def test_fractional_power_of_negative_base():
 def test_dimension_guard():
     with pytest.raises(ExpressionError):
         expressions.parse_expression("x", dim=1)
+
+
+@pytest.mark.parametrize("text, polar_used", [
+    ("0", False), ("x*y + 1", False), ("r^(2/3)*sin(2*theta/3)", True),
+    ("theta", True)])
+def test_polar_frame_evaluated_only_when_named(monkeypatch, lshape, text,
+                                               polar_used):
+    frame = expressions.polar_frame(lshape, 0)
+    pts = np.random.default_rng(5).uniform(-1.0, 1.0, size=(50, 2))
+    calls = []
+    evaluate = expressions.PolarFrame.evaluate
+
+    def counted(self, points):
+        calls.append(len(points))
+        return evaluate(self, points)
+
+    monkeypatch.setattr(expressions.PolarFrame, "evaluate", counted)
+    got = expressions.parse_expression(text, 2, frame)(pts)
+    assert calls == ([50] if polar_used else [])
+    if not polar_used:
+        want = expressions.parse_expression(text, 2)(pts)
+    else:
+        r, theta = evaluate(frame, pts)
+        want = (r ** (2.0 / 3.0) * np.sin(2.0 * theta / 3.0)
+                if "r" in text else theta)
+    assert np.array_equal(got, want)

@@ -7,8 +7,10 @@ import pytest
 import scipy.linalg
 import scipy.sparse as sp
 import scipy.sparse.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from klab import femcore, mesh as meshmod
+from klab import femcore, geometry, kernels, mesh as meshmod
 from klab.errors import (ConvergenceError, IndefiniteOperatorError,
                          UnsupportedDegreeError)
 
@@ -43,6 +45,42 @@ def test_quadrature_exactness(dim, degree):
         quad = vol * float(rule.weights @ vals)
         assert quad == pytest.approx(_exact_monomial(dim, tuple(alpha)),
                                      rel=1e-12, abs=1e-15)
+
+
+def _bits(a):
+    return np.ascontiguousarray(a).view(np.int64)
+
+
+@settings(deadline=None, max_examples=40)
+@given(st.sampled_from(["square", "lshape", "box", "l_prism"]),
+       st.integers(min_value=1, max_value=5),
+       st.floats(min_value=0.0, max_value=0.3),
+       st.integers(min_value=0, max_value=2 ** 32 - 1),
+       st.sampled_from([1, 2, 3, 7, kernels.BLOCK]))
+def test_map_points_matches_einsum(name, degree, jitter, seed, block):
+    """Bit for bit, signs of zeros included, on elements and on boundary
+    facets of jittered meshes whose zero coordinates carry both signs,
+    whatever the block size."""
+    if name in ("square", "lshape"):
+        dom = geometry.build_polygon(
+            [(0, 0), (1, 0), (1, 1), (0, 1)] if name == "square"
+            else geometry.L_SHAPE_VERTICES)
+    else:
+        dom = geometry.build_polyhedron_3d(name)
+    m = meshmod.build_mesh(dom, 0.25 if dom.dimension == 2 else 0.5)
+    rng = np.random.default_rng(seed)
+    nodes = m.nodes + jitter * 0.1 * rng.uniform(-1.0, 1.0, m.nodes.shape)
+    zero = (nodes == 0.0) & (rng.random(nodes.shape) < 0.5)
+    nodes[zero] = -0.0
+    for cells, dim in ((m.elements, m.dimension),
+                       (m.boundary_facets, m.dimension - 1)):
+        rule = femcore.simplex_rule(dim, degree)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(kernels, "BLOCK", block)
+            got = femcore.map_points(rule.bary, nodes, cells)
+        want = np.einsum("qi,eid->eqd", rule.bary, nodes[cells])
+        assert got.shape == want.shape
+        assert np.array_equal(_bits(got), _bits(want))
 
 
 def test_quadrature_degree_errors():

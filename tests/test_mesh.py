@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from klab import geometry
+from klab import geometry, kernels
 from klab import mesh as meshmod
 from klab.config import MIN_ANGLE_FLOOR
 from klab.errors import GeometryError, MeshFormatError, MeshSizeError
@@ -297,6 +297,99 @@ def test_minimum_angle_floor_on_families(lshape, box):
     assert meshmod.minimum_angle(mb) == pytest.approx(
         math.atan(math.sqrt(2.0)) / 1.0, rel=0.3)  # Kuhn family angle scale
     assert meshmod.minimum_angle(mb) > MIN_ANGLE_FLOOR
+
+
+def _minimum_dihedral_reference(mesh):
+    """The np.cross/einsum form on whole (E, 3) arrays."""
+    el = mesh.nodes[mesh.elements]
+    worst = np.pi
+    normals = []
+    for m in range(4):
+        rest = [k for k in range(4) if k != m]
+        n = np.cross(el[:, rest[1]] - el[:, rest[0]],
+                     el[:, rest[2]] - el[:, rest[0]])
+        n /= np.linalg.norm(n, axis=1)[:, None]
+        toward = np.einsum("ed,ed->e", n, el[:, m] - el[:, rest[0]])
+        n[toward > 0.0] *= -1.0
+        normals.append(n)
+    for m1 in range(4):
+        for m2 in range(m1 + 1, 4):
+            dot = np.einsum("ed,ed->e", normals[m1], normals[m2])
+            ang = np.arccos(np.clip(-dot, -1.0, 1.0))
+            worst = min(worst, float(ang.min()))
+    return worst
+
+
+@settings(deadline=None, max_examples=20)
+@given(st.sampled_from(["box", "l_prism", "fichera"]), st.booleans(),
+       st.floats(min_value=0.0, max_value=0.3),
+       st.integers(min_value=0, max_value=2 ** 32 - 1),
+       st.sampled_from([1, 5, 16, kernels.BLOCK]))
+def test_minimum_dihedral_angle_matches_cross_form(name, graded, jitter, seed,
+                                                   block):
+    m = _small_mesh(name, graded)
+    rng = np.random.default_rng(seed)
+    nodes = m.nodes + jitter * 0.25 * rng.uniform(-1.0, 1.0, m.nodes.shape)
+    jittered = meshmod.SimplicialMesh(3, nodes, m.elements, m.boundary_facets)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(kernels, "BLOCK", block)
+        got = meshmod.minimum_angle(jittered)
+    assert got == _minimum_dihedral_reference(jittered)
+
+
+def _boundary_facets_reference(elements):
+    """Facets seen once, by a dict count over every element."""
+    k = elements.shape[1]
+    count = {}
+    for row in elements:
+        for drop in range(k):
+            facet = tuple(sorted(v for t, v in enumerate(row) if t != drop))
+            count[facet] = count.get(facet, 0) + 1
+    boundary = sorted(f for f, c in count.items() if c == 1)
+    return np.array(boundary, dtype=np.int64).reshape(-1, k - 1)
+
+
+@settings(deadline=None, max_examples=30)
+@given(st.sampled_from(["square", "lshape", "box", "l_prism", "fichera"]),
+       st.booleans(), st.integers(min_value=0, max_value=1),
+       st.integers(min_value=0, max_value=2 ** 32 - 1))
+def test_derive_boundary_facets_matches_dict_count(name, graded, levels, seed):
+    """Sorted int64 rows equal to the dict count's, whatever the element
+    order and the vertex order within each element."""
+    m = meshmod.refine(_small_mesh(name, graded), levels) if levels \
+        else _small_mesh(name, graded)
+    rng = np.random.default_rng(seed)
+    k = m.elements.shape[1]
+    elements = m.elements[rng.permutation(m.num_elements)]
+    elements = np.array([rng.permutation(row) for row in elements])
+    for els in (m.elements, elements):
+        got = meshmod.derive_boundary_facets(els)
+        want = _boundary_facets_reference(els)
+        assert got.dtype == want.dtype == np.int64
+        assert got.shape == want.shape == (len(m.boundary_facets), k - 1)
+        assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_validate_rejects_repeated_node(square, box, dim):
+    m = meshmod.build_mesh(square if dim == 2 else box, 0.5)
+    for i in range(dim + 1):
+        for j in range(i + 1, dim + 1):
+            elements = m.elements.copy()
+            elements[-1, j] = elements[-1, i]
+            bad = meshmod.SimplicialMesh(dim, m.nodes, elements,
+                                         m.boundary_facets)
+            with pytest.raises(MeshFormatError, match="repeated node"):
+                bad.validate()
+    m.validate()
+
+
+def test_read_mesh_rejects_repeated_node(tmp_path):
+    p = tmp_path / "repeated.txt"
+    p.write_text("KLABMESH 1\nDIM 2\nNODES 3\n1 0.0 0.0\n2 1.0 0.0\n"
+                 "3 0.0 1.0\nELEMENTS 1\n1 1 2 2\nBOUNDARY 0\nEND\n")
+    with pytest.raises(MeshFormatError, match="repeated node"):
+        meshmod.read_mesh(p)
 
 
 def test_node_cap(square):

@@ -1,11 +1,16 @@
 """Regional Hardy constants, decompositions and the two kappas."""
 
+import dataclasses
+import functools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from klab import femcore, mesh as meshmod, poincare, sobolev, sphere, weights
+from klab import (femcore, geometry, mesh as meshmod, poincare, sobolev,
+                  sphere, weights)
 from klab.errors import DecompositionError
 from klab.sobolev import NormSpec
 
@@ -90,6 +95,146 @@ def test_build_decomposition_box(box):
         assert r.cap.dofs > 0
     d = dec.as_dict()
     assert len(d["regions"]) == 44
+
+
+def _polar_reference(rel, n1, n2):
+    x = rel @ n1
+    y = rel @ n2
+    return np.hypot(x, y), np.mod(np.arctan2(y, x), 2.0 * np.pi)
+
+
+def _contains_reference(region, pts):
+    """Every coordinate and every test on the whole point array."""
+    if region.kind == "vertex_sector":
+        r, phi = _polar_reference(pts - region.center, region.n1, region.n2)
+        return ((r > 0.0) & (r < region.radius)
+                & (phi > 0.0) & (phi < region.theta))
+    if region.kind == "edge_cylinder":
+        rel = pts - region.origin
+        z = rel @ region.axis
+        r, phi = _polar_reference(rel, region.n1, region.n2)
+        return ((z > region.eps) & (z < region.length - region.eps)
+                & (r > 0.0) & (r < region.delta)
+                & (phi > 0.0) & (phi < region.theta))
+    if region.kind == "vertex_cone":
+        rel = pts - region.apex
+        z = rel @ region.axis
+        r, phi = _polar_reference(rel, region.n1, region.n2)
+        return ((z > 0.0) & (z < region.eps) & (r > 0.0)
+                & (r < region.slope * z)
+                & (phi > 0.0) & (phi < region.theta))
+    rel = pts - region.center
+    rho = np.linalg.norm(rel, axis=1)
+    ok = (rho > 0.0) & (rho < region.radius)
+    dirs = np.zeros_like(rel)
+    dirs[ok] = rel[ok] / rho[ok, None]
+    ok &= region.link.contains_directions(dirs)
+    for other in region.excluded:
+        ok &= ~_contains_reference(other, pts)
+    return ok
+
+
+@functools.lru_cache(maxsize=None)
+def _regions(name):
+    if name == "lshape":
+        dom = geometry.build_polygon(geometry.L_SHAPE_VERTICES)
+    else:
+        dom = geometry.build_polyhedron_3d(name)
+    eps = dom.min_edge_length() / 4.0
+    if dom.dimension == 2:
+        return dom, poincare._build_regions_2d(dom, eps)
+    return dom, poincare._build_regions_3d(dom, eps, eps / 2.0)
+
+
+def _rotated(regions, rot):
+    """The wedge regions turned by the orthogonal matrix rot, so their
+    frames are no longer axis-aligned and every projection rounds. Balls
+    are dropped: their link test needs axis-aligned octants."""
+    out = []
+    for region in regions:
+        if region.kind == "vertex_ball":
+            continue
+        moved = {key: rot @ getattr(region, key)
+                 for key in ("center", "origin", "apex", "axis", "n1", "n2")
+                 if hasattr(region, key)}
+        out.append(dataclasses.replace(region, **moved))
+    return out
+
+
+def _wedge_points(base, axis, n1, n2, z, r, phi):
+    pts = base + r[:, None] * (np.cos(phi)[:, None] * n1
+                               + np.sin(phi)[:, None] * n2)
+    if axis is not None:
+        pts = pts + z[:, None] * axis
+    return pts
+
+
+def _boundary_points(region, n, rng):
+    """Points on the region's bounding surfaces, where membership hangs
+    on the last bit of each coordinate."""
+    u = rng.random(n)
+    if region.kind == "vertex_ball":
+        dirs = region.link.sample_directions(n, rng)
+        return region.center + region.radius * dirs
+    if region.kind == "vertex_sector":
+        base, axis, rmax = region.center, None, region.radius
+        z = np.zeros(n)
+    elif region.kind == "edge_cylinder":
+        base, axis, rmax = region.origin, region.axis, region.delta
+        z = region.eps + region.z_extent * u
+    else:
+        base, axis = region.apex, region.axis
+        z = region.eps * u
+        rmax = region.slope * z
+    r = rmax * rng.random(n)
+    phi = region.theta * rng.random(n)
+    out = [_wedge_points(base, axis, region.n1, region.n2, z,
+                         np.broadcast_to(rmax, (n,)), phi),  # r = r_max
+           _wedge_points(base, axis, region.n1, region.n2, z, r, 0.0 * phi),
+           _wedge_points(base, axis, region.n1, region.n2, z, r,
+                         region.theta + 0.0 * phi)]
+    if axis is not None:
+        # z = eps: the cylinder's near end, the cone's base
+        z_end = np.full(n, region.eps)
+        r_end = r if region.kind == "edge_cylinder" \
+            else region.slope * region.eps * rng.random(n)
+        out.append(_wedge_points(base, axis, region.n1, region.n2, z_end,
+                                 r_end, phi))
+    return np.concatenate(out)
+
+
+@settings(deadline=None, max_examples=20)
+@given(st.sampled_from(["lshape", "box", "l_prism", "fichera"]),
+       st.booleans(), st.integers(min_value=0, max_value=2 ** 32 - 1))
+def test_region_membership_matches_full_array_formula(name, rotate, seed):
+    """contains and radial_weight equal the whole-array formulas bit for
+    bit, on random points, region samples and points placed on the
+    z = eps, r = delta (cone: r = slope z) and phi = 0, theta surfaces;
+    a point tested alone gets the answer it gets in the batch."""
+    dom, regions = _regions(name)
+    rng = np.random.default_rng(seed)
+    lo, hi = dom.vertices.min(axis=0), dom.vertices.max(axis=0)
+    pts = lo + (hi - lo) * rng.uniform(-0.05, 1.05, (400, dom.dimension))
+    if rotate:
+        rot, _ = np.linalg.qr(rng.standard_normal((dom.dimension,) * 2))
+        regions = _rotated(regions, rot)
+        pts = pts @ rot.T
+    edges = np.concatenate([_boundary_points(r, 8, rng) for r in regions])
+    pts = np.concatenate([pts, edges]
+                         + [r.sample(8, rng) for r in regions
+                            if r.kind != "vertex_ball" or not rotate])
+    alone = 400 + rng.choice(len(edges), size=30, replace=False)
+    for region in regions:
+        got = region.contains(pts)
+        assert np.array_equal(got, _contains_reference(region, pts)), \
+            region.label
+        for i in alone:
+            assert region.contains(pts[i:i + 1])[0] == got[i], region.label
+        if region.kind in ("edge_cylinder", "vertex_cone"):
+            rel = pts - (region.origin if region.kind == "edge_cylinder"
+                         else region.apex)
+            want, _ = _polar_reference(rel, region.n1, region.n2)
+            assert np.array_equal(region.radial_weight(pts), want)
 
 
 def test_region_inequality_random_fields(lshape, lshape_mesh):
