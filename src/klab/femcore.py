@@ -10,9 +10,11 @@ cg_solve is conjugate gradients preconditioned by that V-cycle (Jacobi
 without a hierarchy), and generalized_eig_extreme is LOBPCG
 (Knyazev 2001) preconditioned by it (by one SuperLU factor or Jacobi
 without a hierarchy). Both solvers report iterations and residuals.
-Assembly walks elements in mesh order so matrices are reproducible;
-optional worker threads split the element range but merge their
-blocks in task order.
+Assembly sums the element blocks into the mesh's CSR pattern, built
+once per mesh (SimplicialMesh.pattern): each entry adds its element
+contributions in mesh order, so matrices are reproducible and do not
+depend on scipy's sorting. Optional worker threads split the element
+range but merge their blocks in task order.
 """
 
 from __future__ import annotations
@@ -174,9 +176,6 @@ class FemField:
         nodal = self.values[self.mesh.elements]
         return np.einsum("ei,eid->ed", nodal, grads)
 
-    def __call__(self, points: np.ndarray) -> np.ndarray:
-        return evaluate_field(self, points)
-
 
 def interpolate(mesh: SimplicialMesh, fun) -> FemField:
     """Nodal interpolant of a function of an (N, d) coordinate array."""
@@ -184,26 +183,6 @@ def interpolate(mesh: SimplicialMesh, fun) -> FemField:
     if vals.shape != (mesh.num_nodes,):
         raise ValueError("interpolated function must return one value per node")
     return FemField(mesh, vals)
-
-
-def evaluate_field(field: FemField, points: np.ndarray) -> np.ndarray:
-    """Pointwise evaluation by brute-force element location."""
-    mesh = field.mesh
-    points = np.atleast_2d(np.asarray(points, dtype=float))
-    vols, grads = kernels.simplex_geometry(mesh.nodes, mesh.elements)
-    out = np.full(len(points), np.nan)
-    anchors = mesh.nodes[mesh.elements[:, 0]]
-    for p_idx, p in enumerate(points):
-        lam_rest = np.einsum("eid,d->ei", grads[:, 1:, :], p) - \
-            np.einsum("eid,ed->ei", grads[:, 1:, :], anchors)
-        lam0 = 1.0 - lam_rest.sum(axis=1)
-        lam = np.column_stack([lam0, lam_rest])
-        ok = np.all(lam >= -1e-10, axis=1)
-        if not ok.any():
-            continue
-        e = int(np.argmax(ok))
-        out[p_idx] = lam[e] @ field.values[mesh.elements[e]]
-    return out
 
 
 def recover_gradient(field: FemField) -> np.ndarray:
@@ -247,15 +226,10 @@ def recovery_operator(mesh: SimplicialMesh) -> list:
         np.add.at(wsum, mesh.elements[:, i], vols)
     out = []
     for c in range(mesh.dimension):
-        rows, cols, vals = [], [], []
-        for i in range(k):
-            rows.append(np.repeat(mesh.elements[:, i], k))
-            cols.append(mesh.elements.ravel())
-            vals.append((vols[:, None] * grads[:, :, c]).ravel())
-        mat = sp.coo_matrix((np.concatenate(vals),
-                             (np.concatenate(rows), np.concatenate(cols))),
-                            shape=(n, n)).tocsr()
-        out.append(sp.diags(1.0 / wsum) @ mat)
+        # Row i of an element's block is the same for every i.
+        local = np.broadcast_to((vols[:, None] * grads[:, :, c])[:, None, :],
+                                (len(vols), k, k))
+        out.append(sp.diags(1.0 / wsum) @ mesh.pattern.matrix(local))
     return out
 
 
@@ -284,19 +258,21 @@ def _element_ranges(n_elements: int, workers: int):
 
 
 def _assemble_local(mesh: SimplicialMesh, local_fn, element_ids=None) -> sp.csr_matrix:
-    """Scatter per-element dense blocks into a CSR matrix.
+    """Sum per-element dense blocks into the mesh's CSR pattern.
 
     local_fn(elems) maps a (m, k) element-node chunk to the (m, k, k)
-    block stack. element_ids restricts assembly to a subset. Worker
-    results are concatenated in task order, so the COO stream does not
-    depend on scheduling.
+    block stack. element_ids restricts assembly to a subset, whose
+    matrix keeps only the entries its elements reach. Worker results
+    are concatenated in task order, and each entry sums its
+    contributions in that order, so the matrix does not depend on
+    scheduling.
     """
-    n = mesh.num_nodes
+    pattern = mesh.pattern
     if element_ids is None:
         elements = mesh.elements
     else:
-        elements = mesh.elements[np.asarray(element_ids, dtype=np.int64)]
-    k = mesh.elements.shape[1]
+        element_ids = np.asarray(element_ids, dtype=np.int64)
+        elements = mesh.elements[element_ids]
     workers = min(worker_count(), max(1, len(elements)))
     ranges = _element_ranges(len(elements), workers)
     if workers == 1 or len(ranges) <= 1:
@@ -305,12 +281,9 @@ def _assemble_local(mesh: SimplicialMesh, local_fn, element_ids=None) -> sp.csr_
         with concurrent.futures.ThreadPoolExecutor(max_workers=workers) as pool:
             blocks = list(pool.map(lambda r: local_fn(elements[r[0]:r[1]]), ranges))
     if not blocks:
-        return sp.csr_matrix((n, n))
-    local = np.concatenate(blocks, axis=0)
-    rows = np.repeat(elements, k, axis=1).ravel()
-    cols = np.tile(elements, (1, k)).ravel()
-    mat = sp.coo_matrix((local.ravel(), (rows, cols)), shape=(n, n))
-    return mat.tocsr()
+        return sp.csr_matrix(pattern.shape)
+    local = blocks[0] if len(blocks) == 1 else np.concatenate(blocks, axis=0)
+    return pattern.matrix(local, element_ids)
 
 
 def assemble_stiffness(mesh: SimplicialMesh, element_ids=None) -> sp.csr_matrix:

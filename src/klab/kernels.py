@@ -3,14 +3,15 @@ point-to-singular-set distances and the scalar reductions of the
 iterative solvers, all in numpy. ``BACKEND`` names this one backend.
 
 The element kernels (``simplex_geometry``, ``simplex_volumes``,
-``local_stiffness``, ``min_dihedral_angle``) keep one (m,) array per
-coordinate over blocks of BLOCK elements, so their temporaries stay
-within a few MB however large the mesh. Sums of two or three
-per-coordinate products (the determinant u . (v x w), each stiffness
-entry, each dot of face normals) are taken in the
-order ``numpy.einsum`` takes them (``_einsum_sum``), and cross products
-in ``np.cross``'s arithmetic, so the results are bit-equal to the
-``np.cross``/``einsum`` formulation on whole (E, d+1, d) arrays.
+``simplex_diameters``, ``local_stiffness``, ``min_dihedral_angle``) keep
+one (m,) array per coordinate over blocks of BLOCK elements, so their
+temporaries stay within a few MB however large the mesh. Sums of two or
+three per-coordinate products (the determinant u . (v x w), each
+stiffness entry, each squared edge length, each dot of face normals) are
+taken in the order ``numpy.einsum`` takes them (``_einsum_sum``), and
+cross products in ``np.cross``'s arithmetic, so the results are
+bit-equal to the ``np.cross``/``einsum`` formulation on whole
+(E, d+1, d) arrays.
 
 The reductions: ``neumaier_sum`` is ``math.fsum`` (correctly rounded,
 Shewchuk 1997). ``neumaier_dot`` is plain ``np.dot``, not compensated:
@@ -131,6 +132,31 @@ def simplex_volumes(nodes: np.ndarray, elements: np.ndarray) -> np.ndarray:
     """Signed element volumes (E,), bit-equal to
     ``simplex_geometry(nodes, elements)[0]`` without the gradients."""
     return _geometry(nodes, elements, None)
+
+
+def simplex_diameters(nodes: np.ndarray, elements: np.ndarray) -> np.ndarray:
+    """Longest edge length of each element, (E,).
+
+    Works one block of BLOCK elements at a time on one (m,) array per
+    coordinate; each squared edge length is summed by ``_einsum_sum``,
+    so the result is bit-equal to the square root of the largest
+    ``einsum("ed,ed->e", diff, diff)`` over the element's edges.
+    """
+    dim = nodes.shape[1]
+    columns = [np.ascontiguousarray(nodes[:, c]) for c in range(dim)]
+    out = np.empty(len(elements))
+    for start in range(0, len(elements), BLOCK):
+        block = slice(start, start + BLOCK)
+        corners = [[col[idx] for col in columns]
+                   for idx in elements[block].T.copy()]
+        longest = np.zeros(len(corners[0][0]))
+        for i, p in enumerate(corners):
+            for q in corners[i + 1:]:
+                diff = [p[c] - q[c] for c in range(dim)]
+                np.maximum(longest, _einsum_sum([d * d for d in diff]),
+                           out=longest)
+        np.sqrt(longest, out=out[block])
+    return out
 
 
 def local_stiffness(vols: np.ndarray, grads: np.ndarray) -> np.ndarray:

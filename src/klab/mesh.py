@@ -3,7 +3,9 @@
 Meshes are plain node/element arrays with explicit boundary facets.
 Construction is deterministic: the same domain and parameters always
 produce the same arrays, so reports built on top of them are
-reproducible byte for byte.
+reproducible byte for byte. Each mesh builds the CSR sparsity pattern of
+its P1 matrices once, on first use (SimplicialMesh.pattern), and every
+assembly on it sums its element blocks into that pattern.
 
 Refinement is nested (edge-midpoint subdivision: quadrisection of
 triangles, octasection of tetrahedra), and a refined mesh carries the
@@ -16,8 +18,10 @@ underlying ungraded mesh, and reapply it.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 import numpy as np
 import scipy.sparse as sp
@@ -26,10 +30,14 @@ from . import kernels
 from .config import (DEFAULT_NODE_CAP, GEOM_TOL, MIN_ANGLE_FLOOR,
                      SINGULAR_NODE_TOL)
 from .errors import GeometryError, MeshFormatError, MeshSizeError
-from .geometry import Polyhedron
+
+if TYPE_CHECKING:  # geometry imports sphere, which imports this module
+    from .geometry import Polyhedron
 
 MESH_MAGIC = "KLABMESH"
 MESH_VERSION = 1
+# Largest pattern an int32 slot map and int32 CSR indices can address.
+PATTERN_NNZ_MAX = np.iinfo(np.int32).max
 
 
 @dataclass(frozen=True)
@@ -108,14 +116,18 @@ class SimplicialMesh:
         return kernels.simplex_volumes(self.nodes, self.elements)
 
     def element_diameters(self) -> np.ndarray:
-        el = self.nodes[self.elements]
-        k = el.shape[1]
-        d2 = np.zeros(len(el))
-        for i in range(k):
-            for j in range(i + 1, k):
-                diff = el[:, i, :] - el[:, j, :]
-                d2 = np.maximum(d2, np.einsum("ed,ed->e", diff, diff))
-        return np.sqrt(d2)
+        return kernels.simplex_diameters(self.nodes, self.elements)
+
+    @functools.cached_property
+    def pattern(self) -> ElementPattern:
+        """CSR pattern of the P1 matrices on this mesh, built on first use.
+
+        It holds an int32 slot per element-matrix entry (16 per
+        tetrahedron), so a caller that has assembled everything it needs
+        before a memory peak frees it with ``del mesh.pattern``; a later
+        assembly builds it again.
+        """
+        return element_pattern(self.elements, self.num_nodes)
 
     def h_max(self) -> float:
         return float(self.element_diameters().max())
@@ -143,6 +155,101 @@ class SimplicialMesh:
         vols = self.element_volumes()
         if vols.min(initial=np.inf) <= 0.0:
             raise GeometryError("mesh contains a degenerate or inverted element")
+
+
+@dataclass(frozen=True)
+class ElementPattern:
+    """CSR sparsity pattern of the (k, k) element blocks on k-node simplices.
+
+    Entry (i, j) of element e lies in row elements[e, i] and column
+    elements[e, j]; slot[e, i, j] is its position in indices. indptr and
+    indices are those of ``coo_matrix(...).tocsr()`` for the same
+    entries: sorted columns, no duplicates.
+    """
+
+    shape: tuple
+    indptr: np.ndarray
+    indices: np.ndarray
+    slot: np.ndarray
+
+    def matrix(self, local: np.ndarray, element_ids=None) -> sp.csr_matrix:
+        """Sum the (m, k, k) element blocks ``local`` into a CSR matrix.
+
+        The blocks belong to all elements, or to the elements element_ids
+        in that order; then the matrix keeps only the entries they reach.
+        np.add.at adds each entry's contributions in element order,
+        starting from zero, and reads the int32 slots without the int64
+        copy np.bincount would make.
+        """
+        slot = self.slot if element_ids is None else self.slot[element_ids]
+        data = np.zeros(len(self.indices))
+        np.add.at(data, slot.ravel(), local.ravel())
+        if element_ids is None:
+            # Copies: an in-place scipy operation on the matrix must not
+            # reach the cached pattern.
+            return sp.csr_matrix((data, self.indices.copy(), self.indptr.copy()),
+                                 shape=self.shape)
+        reached = np.zeros(len(self.indices), dtype=bool)
+        reached[slot.ravel()] = True
+        kept = np.zeros(len(reached) + 1, dtype=self.indptr.dtype)
+        np.cumsum(reached, out=kept[1:])
+        return sp.csr_matrix((data[reached], self.indices[reached],
+                              kept[self.indptr]), shape=self.shape)
+
+
+def element_pattern(elements: np.ndarray, num_nodes: int) -> ElementPattern:
+    """The ElementPattern of the simplices ``elements`` on num_nodes nodes.
+
+    Built from the distinct element edges, found by one np.unique: row r
+    holds, in increasing column order, the lower ends of the edges whose
+    upper end is r, then r itself, then the upper ends of the edges whose
+    lower end is r. Raises MeshSizeError when the pattern has more
+    entries than int32 positions can address.
+    """
+    elements = np.asarray(elements, dtype=np.int64)
+    n, k = num_nodes, elements.shape[1]
+    first, second = np.triu_indices(k, 1)
+    a, b = elements[:, first], elements[:, second]
+    forward = a < b
+    keys = np.minimum(a, b)
+    keys *= n
+    keys += np.maximum(a, b)
+    del a, b  # not held through np.unique, the peak of this function
+    edges, edge_of = np.unique(keys.ravel(), return_inverse=True)
+    edge_of = edge_of.reshape(keys.shape)
+    low_end, high_end = np.divmod(edges, n)
+    below = np.bincount(high_end, minlength=n)
+    above = np.bincount(low_end, minlength=n)
+    used = np.zeros(n, dtype=bool)
+    used[elements.ravel()] = True
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(below + used + above, out=indptr[1:])
+    nnz = int(indptr[-1])
+    if nnz > PATTERN_NNZ_MAX:
+        raise MeshSizeError(f"a pattern of {nnz} entries does not fit int32 "
+                            "positions")
+    diagonal = indptr[:-1] + below
+    # edges is sorted by (lower, upper) end, so the edges of one lower
+    # end are contiguous and in column order; a stable sort by the upper
+    # end does the same for the other side.
+    edge_ids = np.arange(len(edges))
+    upper = diagonal[low_end] + 1 + edge_ids - (np.cumsum(above) - above)[low_end]
+    by_high = np.argsort(high_end, kind="stable")
+    lower = np.empty(len(edges), dtype=np.int64)
+    lower[by_high] = (indptr[high_end[by_high]] + edge_ids
+                      - (np.cumsum(below) - below)[high_end[by_high]])
+    indices = np.empty(nnz, dtype=np.int32)
+    indices[diagonal[used]] = np.flatnonzero(used)
+    indices[upper] = high_end
+    indices[lower] = low_end
+    slot = np.empty((len(elements), k, k), dtype=np.int32)
+    for i in range(k):
+        slot[:, i, i] = diagonal[elements[:, i]]
+    for m, (i, j) in enumerate(zip(first, second)):
+        up, down = upper[edge_of[:, m]], lower[edge_of[:, m]]
+        slot[:, i, j] = np.where(forward[:, m], up, down)
+        slot[:, j, i] = np.where(forward[:, m], down, up)
+    return ElementPattern((n, n), indptr.astype(np.int32), indices, slot)
 
 
 def _oriented(dimension: int, nodes: np.ndarray, elements: np.ndarray) -> np.ndarray:

@@ -14,11 +14,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 
 from . import kernels
 from .config import GEOM_TOL
 from .errors import DegenerateLinkError
+from .mesh import element_pattern
 
 _ROUND = 12  # coordinate rounding for node dedup on the unit sphere
 
@@ -298,11 +298,5 @@ def surface_p1_matrices(nodes: np.ndarray, elements: np.ndarray):
     mass_ref = (np.ones((3, 3)) + np.eye(3)) / 12.0
     m_loc = vols[:, None, None] * mass_ref[None, :, :]
 
-    rows = np.repeat(elements, 3, axis=1).ravel()
-    cols = np.tile(elements, (1, 3)).ravel()
-    n = len(nodes)
-    k_mat = sp.coo_matrix((k_loc.ravel(), (rows, cols)), shape=(n, n)).tocsr()
-    m_mat = sp.coo_matrix((m_loc.ravel(), (rows, cols)), shape=(n, n)).tocsr()
-    k_mat.sum_duplicates()
-    m_mat.sum_duplicates()
-    return k_mat, m_mat
+    pattern = element_pattern(elements, len(nodes))
+    return pattern.matrix(k_loc), pattern.matrix(m_loc)

@@ -199,7 +199,9 @@ def solve_dirichlet(problem: BvpProblem) -> SolveReport:
         # Freed here so they do not add to the peak of the solve and of
         # the norm quadrature below.
         del form
-    del k_mat
+    # Every matrix of this solve is assembled, so the mesh's cached
+    # pattern goes too.
+    del k_mat, mesh.pattern
 
     constrained = mesh.boundary_node_mask()
     free = np.where(~constrained)[0]

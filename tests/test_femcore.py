@@ -1,5 +1,7 @@
 """Quadrature exactness, assembly identities and linear algebra."""
 
+import dataclasses
+import functools
 import math
 
 import numpy as np
@@ -10,9 +12,9 @@ import scipy.sparse.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from klab import femcore, geometry, kernels, mesh as meshmod
+from klab import femcore, geometry, kernels, mesh as meshmod, poincare
 from klab.errors import (ConvergenceError, IndefiniteOperatorError,
-                         UnsupportedDegreeError)
+                         MeshSizeError, UnsupportedDegreeError)
 
 
 def _reference_simplex(dim):
@@ -95,9 +97,9 @@ def test_quadrature_degree_errors():
 def test_interpolate_affine_exact(square_mesh):
     f = lambda p: 2.0 * p[:, 0] - 3.0 * p[:, 1] + 0.5
     field = femcore.interpolate(square_mesh, f)
-    rng = np.random.default_rng(3)
-    probes = 0.05 + 0.9 * rng.random((40, 2))
-    assert np.allclose(field(probes), f(probes), atol=1e-12)
+    rule = femcore.simplex_rule(2, 5)
+    probes = femcore.quadrature_points(square_mesh, rule).reshape(-1, 2)
+    assert np.allclose(field.at_quadrature(rule).ravel(), f(probes), atol=1e-12)
     grads = field.element_gradients()
     assert np.allclose(grads, [2.0, -3.0])
 
@@ -166,14 +168,151 @@ def test_gradvec_against_quadrature(square_mesh):
     assert u @ (g.T @ u) == pytest.approx(0.5, rel=1e-12)
 
 
-def test_element_ids_partition(square_mesh):
-    ids = np.arange(square_mesh.num_elements)
-    part_a = ids[ids % 3 == 0]
-    part_b = ids[ids % 3 != 0]
-    full = femcore.assemble_stiffness(square_mesh)
-    ka = femcore.assemble_stiffness(square_mesh, element_ids=part_a)
-    kb = femcore.assemble_stiffness(square_mesh, element_ids=part_b)
-    assert np.abs((ka + kb - full).toarray()).max() < 1e-13
+def test_element_ids_partition(square_mesh, box_mesh):
+    for mesh in (square_mesh, box_mesh):
+        ids = np.arange(mesh.num_elements)
+        part_a = ids[ids % 3 == 0]
+        part_b = ids[ids % 3 != 0]
+        full = femcore.assemble_stiffness(mesh)
+        ka = femcore.assemble_stiffness(mesh, element_ids=part_a)
+        kb = femcore.assemble_stiffness(mesh, element_ids=part_b)
+        assert np.abs((ka + kb - full).toarray()).max() < 1e-13
+
+
+@functools.lru_cache(maxsize=None)
+def _pattern_mesh(name, graded, levels):
+    if name == "lshape":
+        dom = geometry.build_polygon(geometry.L_SHAPE_VERTICES)
+    else:
+        dom = geometry.build_polyhedron_3d(name)
+    h = 0.25 if dom.dimension == 2 else 0.5
+    grading = meshmod.default_grading(dom, 0.5) if graded else None
+    m = meshmod.build_mesh(dom, h, grading=grading)
+    return meshmod.refine(m, levels) if levels else m
+
+
+def _mass_weight(p):
+    return 1.0 + p[:, 0] ** 2 + np.sin(3.0 * p[:, -1])
+
+
+def _reference_blocks(mesh, form, elements):
+    """The element blocks of one assembly, from the kernels directly."""
+    if form == "stiffness":
+        return kernels.local_stiffness(
+            *kernels.simplex_geometry(mesh.nodes, elements))
+    rule = femcore.simplex_rule(mesh.dimension, 2)
+    pts = femcore.map_points(rule.bary, mesh.nodes, elements)
+    wvals = _mass_weight(pts.reshape(-1, mesh.dimension)).reshape(
+        len(elements), len(rule.weights))
+    return kernels.local_weighted_mass(
+        kernels.simplex_volumes(mesh.nodes, elements), rule.bary,
+        rule.weights, wvals)
+
+
+@settings(deadline=None, max_examples=40)
+@given(st.sampled_from(["lshape", "box", "l_prism"]), st.booleans(),
+       st.integers(min_value=0, max_value=1),
+       st.sampled_from(["stiffness", "mass"]),
+       st.sampled_from([None, 0.0, 0.3, 0.8]),
+       st.sampled_from([1, 2]), st.integers(min_value=0, max_value=2 ** 32 - 1))
+def test_assembly_scatters_into_the_coo_pattern(name, graded, levels, form,
+                                               fraction, workers, seed):
+    """The pattern is coo_matrix(...).tocsr()'s, for the whole mesh and for
+    element subsets, with 1 or 2 workers. Each entry is bit-equal to
+    np.add.at of its element contributions in mesh order, on positions
+    looked up in a dict, and within a few ulp of the tocsr sum."""
+    mesh = _pattern_mesh(name, graded, levels)
+    k = mesh.elements.shape[1]
+    if fraction is None:
+        ids, elements = None, mesh.elements
+    else:
+        rng = np.random.default_rng(seed)
+        ids = np.flatnonzero(rng.random(mesh.num_elements) < fraction)
+        elements = mesh.elements[ids]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setenv("KLAB_THREADS", str(workers))
+        if form == "stiffness":
+            got = femcore.assemble_stiffness(mesh, element_ids=ids)
+        else:
+            got = femcore.assemble_weighted_mass(mesh, _mass_weight,
+                                                 element_ids=ids)
+    local = _reference_blocks(mesh, form, elements).ravel()
+    rows = np.repeat(elements, k, axis=1).ravel()
+    cols = np.tile(elements, (1, k)).ravel()
+    want = sp.coo_matrix((local, (rows, cols)), shape=got.shape).tocsr()
+    assert got.indptr.dtype == want.indptr.dtype
+    assert got.indices.dtype == want.indices.dtype
+    assert np.array_equal(got.indptr, want.indptr)
+    assert np.array_equal(got.indices, want.indices)
+
+    position = {}
+    for r in range(got.shape[0]):
+        for p in range(want.indptr[r], want.indptr[r + 1]):
+            position[(r, int(want.indices[p]))] = p
+    slot = np.array([position[(r, c)] for r, c in zip(rows.tolist(),
+                                                      cols.tolist())],
+                    dtype=np.int64)
+    ordered = np.zeros(want.nnz)
+    np.add.at(ordered, slot, local)
+    assert got.data.tobytes() == ordered.tobytes()
+    scale = np.zeros(want.nnz)
+    np.add.at(scale, slot, np.abs(local))
+    assert np.all(np.abs(got.data - want.data)
+                  <= 4 * np.finfo(float).eps * scale)
+
+
+def test_constructive_kappa_builds_the_pattern_once(lshape, lshape_mesh,
+                                                   monkeypatch):
+    """Every assembly of one certificate shares one pattern, and none
+    converts a COO stream to CSR."""
+    mesh = dataclasses.replace(lshape_mesh)
+    builds, conversions = [], []
+    inside = [False]
+    build = meshmod.element_pattern
+    monkeypatch.setattr(meshmod, "element_pattern",
+                        lambda *a: builds.append(1) or build(*a))
+    assemble = femcore._assemble_local
+
+    def traced(*args, **kwargs):
+        inside[0] = True
+        try:
+            return assemble(*args, **kwargs)
+        finally:
+            inside[0] = False
+
+    monkeypatch.setattr(femcore, "_assemble_local", traced)
+    for cls in (sp.coo_matrix, sp.csr_matrix):
+        convert = cls.tocsr
+
+        def counted(self, *a, convert=convert, **kw):
+            if inside[0]:
+                conversions.append(type(self).__name__)
+            return convert(self, *a, **kw)
+
+        monkeypatch.setattr(cls, "tocsr", counted)
+    init = sp.coo_matrix.__init__
+
+    def coo_init(self, *a, **kw):
+        if inside[0]:
+            conversions.append("coo_matrix")
+        init(self, *a, **kw)
+
+    monkeypatch.setattr(sp.coo_matrix, "__init__", coo_init)
+    cert = poincare.constructive_kappa(lshape, mesh, samples=300)
+    assert cert.passed
+    assert builds == [1]
+    assert conversions == []
+
+
+def test_pattern_guards_int32_positions(square_mesh, monkeypatch):
+    monkeypatch.setattr(meshmod, "PATTERN_NNZ_MAX", 100)
+    with pytest.raises(MeshSizeError, match="int32"):
+        meshmod.element_pattern(square_mesh.elements, square_mesh.num_nodes)
+    monkeypatch.setattr(meshmod, "PATTERN_NNZ_MAX",
+                        len(square_mesh.pattern.indices))
+    pattern = meshmod.element_pattern(square_mesh.elements,
+                                      square_mesh.num_nodes)
+    assert np.array_equal(pattern.slot, square_mesh.pattern.slot)
 
 
 def test_load_vector(square_mesh):

@@ -337,6 +337,36 @@ def test_minimum_dihedral_angle_matches_cross_form(name, graded, jitter, seed,
     assert got == _minimum_dihedral_reference(jittered)
 
 
+def _element_diameters_reference(mesh):
+    """Longest edges by six einsum dots on the gathered (E, k, d) array."""
+    el = mesh.nodes[mesh.elements]
+    k = el.shape[1]
+    d2 = np.zeros(len(el))
+    for i in range(k):
+        for j in range(i + 1, k):
+            diff = el[:, i, :] - el[:, j, :]
+            d2 = np.maximum(d2, np.einsum("ed,ed->e", diff, diff))
+    return np.sqrt(d2)
+
+
+@settings(deadline=None, max_examples=30)
+@given(st.sampled_from(["square", "lshape", "box", "l_prism", "fichera"]),
+       st.booleans(), st.floats(min_value=0.0, max_value=0.3),
+       st.integers(min_value=0, max_value=2 ** 32 - 1),
+       st.sampled_from([1, 5, 16, kernels.BLOCK]))
+def test_element_diameters_match_einsum_form(name, graded, jitter, seed,
+                                             block):
+    m = _small_mesh(name, graded)
+    rng = np.random.default_rng(seed)
+    nodes = m.nodes + jitter * 0.25 * rng.uniform(-1.0, 1.0, m.nodes.shape)
+    jittered = meshmod.SimplicialMesh(m.dimension, nodes, m.elements,
+                                      m.boundary_facets)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(kernels, "BLOCK", block)
+        got = jittered.element_diameters()
+    assert got.tobytes() == _element_diameters_reference(jittered).tobytes()
+
+
 def _boundary_facets_reference(elements):
     """Facets seen once, by a dict count over every element."""
     k = elements.shape[1]
