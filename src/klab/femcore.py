@@ -10,16 +10,21 @@ cg_solve is conjugate gradients preconditioned by that V-cycle (Jacobi
 without a hierarchy), and generalized_eig_extreme is LOBPCG
 (Knyazev 2001) preconditioned by it (by one SuperLU factor or Jacobi
 without a hierarchy). Both solvers report iterations and residuals.
-Assembly sums the element blocks into the mesh's CSR pattern, built
-once per mesh (SimplicialMesh.pattern): each entry adds its element
-contributions in mesh order, so matrices are reproducible and do not
-depend on scipy's sorting. Optional worker threads split the element
-range but merge their blocks in task order.
+Assembly and every whole-mesh quadrature run one block of
+kernels.BLOCK elements at a time (element_blocks), so their quadrature
+points, weight values and element matrices never span the whole mesh.
+Assembly scatters each block into the mesh's CSR pattern, built once
+per mesh (SimplicialMesh.pattern), before computing the next: each
+entry adds its element contributions in mesh order, so matrices are
+reproducible, do not depend on scipy's sorting, and are the same bits
+for any block size. Optional worker threads compute one window of
+blocks at a time, one block each, and scatter them in order.
 """
 
 from __future__ import annotations
 
 import concurrent.futures
+import contextlib
 import math
 from dataclasses import dataclass
 
@@ -150,6 +155,20 @@ def map_points(bary: np.ndarray, nodes: np.ndarray,
     return out
 
 
+def nodal_at(nodal: np.ndarray, bary: np.ndarray) -> np.ndarray:
+    """Values (m, Q) at the barycentric points ``bary`` (Q, k) of the
+    P1 functions with nodal values ``nodal`` (m, k): nodal @ bary.T,
+    rounded as one matrix product rounds each row.
+
+    numpy hands a lone row to a matrix-vector kernel that can round
+    differently from its matrix-matrix kernel, so a lone row is doubled:
+    an element's values do not depend on the block it is computed in.
+    """
+    if len(nodal) == 1:
+        return (np.concatenate([nodal, nodal]) @ bary.T)[:1]
+    return nodal @ bary.T
+
+
 def quadrature_points(mesh: SimplicialMesh, rule: QuadratureRule) -> np.ndarray:
     """Physical quadrature points, shape (E, Q, d)."""
     return map_points(rule.bary, mesh.nodes, mesh.elements)
@@ -168,8 +187,7 @@ class FemField:
     values: np.ndarray
 
     def at_quadrature(self, rule: QuadratureRule) -> np.ndarray:
-        nodal = self.values[self.mesh.elements]
-        return nodal @ rule.bary.T
+        return nodal_at(self.values[self.mesh.elements], rule.bary)
 
     def element_gradients(self) -> np.ndarray:
         _, grads = kernels.simplex_geometry(self.mesh.nodes, self.mesh.elements)
@@ -229,7 +247,7 @@ def recovery_operator(mesh: SimplicialMesh) -> list:
         # Row i of an element's block is the same for every i.
         local = np.broadcast_to((vols[:, None] * grads[:, :, c])[:, None, :],
                                 (len(vols), k, k))
-        out.append(sp.diags(1.0 / wsum) @ mesh.pattern.matrix(local))
+        out.append(sp.diags(1.0 / wsum) @ mesh.pattern.matrix([local]))
     return out
 
 
@@ -251,39 +269,49 @@ def element_hessians(field: FemField) -> np.ndarray:
 # ---------------------------------------------------------------------
 
 
-def _element_ranges(n_elements: int, workers: int):
-    chunk = (n_elements + workers - 1) // workers
-    return [(s, min(s + chunk, n_elements))
-            for s in range(0, n_elements, chunk)] if n_elements else []
+def element_blocks(n_elements: int) -> list:
+    """Slices of the consecutive runs of kernels.BLOCK elements that
+    cover range(n_elements), in order."""
+    return [slice(s, min(s + kernels.BLOCK, n_elements))
+            for s in range(0, n_elements, kernels.BLOCK)]
+
+
+def _local_blocks(elements: np.ndarray, local_fn):
+    """local_fn of each block of kernels.BLOCK elements, in mesh order.
+
+    With worker threads a window of one block per worker is computed at
+    a time and yielded in order, so at most that many blocks are held.
+    """
+    blocks = element_blocks(len(elements))
+    workers = max(1, min(worker_count(), len(blocks)))
+
+    def compute(block):
+        return local_fn(elements[block])
+
+    with (concurrent.futures.ThreadPoolExecutor(max_workers=workers)
+          if workers > 1 else contextlib.nullcontext()) as pool:
+        mapper = map if pool is None else pool.map
+        for start in range(0, len(blocks), workers):
+            yield from mapper(compute, blocks[start:start + workers])
 
 
 def _assemble_local(mesh: SimplicialMesh, local_fn, element_ids=None) -> sp.csr_matrix:
     """Sum per-element dense blocks into the mesh's CSR pattern.
 
-    local_fn(elems) maps a (m, k) element-node chunk to the (m, k, k)
-    block stack. element_ids restricts assembly to a subset, whose
-    matrix keeps only the entries its elements reach. Worker results
-    are concatenated in task order, and each entry sums its
-    contributions in that order, so the matrix does not depend on
-    scheduling.
+    local_fn(elems) maps a (m, k) element-node block to the (m, k, k)
+    block stack; it is called on one block of kernels.BLOCK elements at
+    a time, and each block is scattered before the next is computed.
+    element_ids restricts assembly to a subset, whose matrix keeps only
+    the entries its elements reach. Each entry sums its contributions in
+    element order, so the matrix does not depend on the block size or
+    the number of workers.
     """
-    pattern = mesh.pattern
     if element_ids is None:
         elements = mesh.elements
     else:
         element_ids = np.asarray(element_ids, dtype=np.int64)
         elements = mesh.elements[element_ids]
-    workers = min(worker_count(), max(1, len(elements)))
-    ranges = _element_ranges(len(elements), workers)
-    if workers == 1 or len(ranges) <= 1:
-        blocks = [local_fn(elements[s:e]) for s, e in ranges]
-    else:
-        with concurrent.futures.ThreadPoolExecutor(max_workers=workers) as pool:
-            blocks = list(pool.map(lambda r: local_fn(elements[r[0]:r[1]]), ranges))
-    if not blocks:
-        return sp.csr_matrix(pattern.shape)
-    local = blocks[0] if len(blocks) == 1 else np.concatenate(blocks, axis=0)
-    return pattern.matrix(local, element_ids)
+    return mesh.pattern.matrix(_local_blocks(elements, local_fn), element_ids)
 
 
 def assemble_stiffness(mesh: SimplicialMesh, element_ids=None) -> sp.csr_matrix:
@@ -324,7 +352,7 @@ def assemble_weighted_stiffness(mesh: SimplicialMesh, weight_fn, degree: int = 2
         pts = map_points(rule.bary, nodes, elems)
         wvals = np.asarray(weight_fn(pts.reshape(-1, mesh.dimension)),
                            dtype=float).reshape(len(vols), -1)
-        wavg = wvals @ rule.weights
+        wavg = np.einsum("q,eq->e", rule.weights, wvals)
         return kernels.local_stiffness(vols * wavg, grads)
 
     return _assemble_local(mesh, local, element_ids)
@@ -348,15 +376,19 @@ def assemble_gradvec(mesh: SimplicialMesh, vector_fn, degree: int = 2,
 
 
 def assemble_load(mesh: SimplicialMesh, fun, degree: int = 2) -> np.ndarray:
-    """Vector of integral of f v."""
+    """Vector of integral of f v, one block of kernels.BLOCK elements at
+    a time; each entry adds its element contributions in mesh order."""
     rule = simplex_rule(mesh.dimension, degree)
-    vols = kernels.simplex_volumes(mesh.nodes, mesh.elements)
-    pts = quadrature_points(mesh, rule)
-    fvals = np.asarray(fun(pts.reshape(-1, mesh.dimension)),
-                       dtype=float).reshape(mesh.num_elements, -1)
-    contrib = np.einsum("e,q,eq,qi->ei", vols, rule.weights, fvals, rule.bary)
     out = np.zeros(mesh.num_nodes)
-    np.add.at(out, mesh.elements.ravel(), contrib.ravel())
+    for block in element_blocks(mesh.num_elements):
+        elems = mesh.elements[block]
+        vols = kernels.simplex_volumes(mesh.nodes, elems)
+        pts = map_points(rule.bary, mesh.nodes, elems)
+        fvals = np.asarray(fun(pts.reshape(-1, mesh.dimension)),
+                           dtype=float).reshape(len(elems), -1)
+        contrib = np.einsum("e,q,eq,qi->ei", vols, rule.weights, fvals,
+                            rule.bary)
+        np.add.at(out, elems.ravel(), contrib.ravel())
     return out
 
 

@@ -704,11 +704,6 @@ def corner_frame(poly: Polyhedron, vertex_idx: int):
     return v, n1, n2, interior_angle(poly, vertex_idx)
 
 
-def vertex_edges(poly: Polyhedron, vertex_idx: int) -> list:
-    """Indices of the singular edges having the vertex as an endpoint."""
-    return [i for i, e in enumerate(poly.edges) if vertex_idx in e]
-
-
 def vertex_link(poly: Polyhedron, vertex_idx: int) -> sphere.SphericalPolygon:
     """Spherical polygon cut by the domain on a small sphere at a corner."""
     if poly.dimension != 3:

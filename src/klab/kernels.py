@@ -34,13 +34,14 @@ import numpy as np
 
 BACKEND = "numpy"
 
-# Elements per block in the element kernels, query points per block in
-# the distance kernels. A per-coordinate temporary then holds at most
-# BLOCK doubles (64 kB) in the element kernels and S * BLOCK in the
-# distance kernels: about 0.8 MB with the 12 singular edges of a
-# polyhedron. For the distance kernels a smaller block prunes more
-# targets but pays the per-block cost more often; 8192 was the fastest
-# of 1024-16384 on the distance calls of the hardy_3d benchmark workload.
+# Elements per block in the element kernels and in femcore's assembly
+# and quadrature loops, query points per block in the distance kernels.
+# A per-coordinate temporary then holds at most BLOCK doubles (64 kB) in
+# the element kernels and S * BLOCK in the distance kernels: about
+# 0.8 MB with the 12 singular edges of a polyhedron. For the distance
+# kernels a smaller block prunes more targets but pays the per-block
+# cost more often; 8192 was the fastest of 1024-16384 on the distance
+# calls of the hardy_3d benchmark workload.
 BLOCK = 8192
 # Relative slack of the pruning test in _candidates, far above the few
 # units of rounding (about 1e-16) in the distances it compares.

@@ -172,25 +172,34 @@ class ElementPattern:
     indices: np.ndarray
     slot: np.ndarray
 
-    def matrix(self, local: np.ndarray, element_ids=None) -> sp.csr_matrix:
-        """Sum the (m, k, k) element blocks ``local`` into a CSR matrix.
+    def matrix(self, blocks, element_ids=None) -> sp.csr_matrix:
+        """Sum element blocks into a CSR matrix.
 
-        The blocks belong to all elements, or to the elements element_ids
-        in that order; then the matrix keeps only the entries they reach.
+        ``blocks`` yields (m, k, k) arrays for consecutive runs of the
+        elements: all of them, or the elements element_ids in that
+        order, whose matrix then keeps only the entries they reach. Each
+        block is scattered as it arrives, so only one is held at a time.
         np.add.at adds each entry's contributions in element order,
-        starting from zero, and reads the int32 slots without the int64
-        copy np.bincount would make.
+        starting from zero, whatever the block sizes, and reads the int32
+        slots without the int64 copy np.bincount would make.
         """
-        slot = self.slot if element_ids is None else self.slot[element_ids]
         data = np.zeros(len(self.indices))
-        np.add.at(data, slot.ravel(), local.ravel())
+        reached = None if element_ids is None else np.zeros(len(data), dtype=bool)
+        start = 0
+        for local in blocks:
+            stop = start + len(local)
+            if element_ids is None:
+                slot = self.slot[start:stop].ravel()
+            else:
+                slot = self.slot[element_ids[start:stop]].ravel()
+                reached[slot] = True
+            np.add.at(data, slot, local.ravel())
+            start = stop
         if element_ids is None:
             # Copies: an in-place scipy operation on the matrix must not
             # reach the cached pattern.
             return sp.csr_matrix((data, self.indices.copy(), self.indptr.copy()),
                                  shape=self.shape)
-        reached = np.zeros(len(self.indices), dtype=bool)
-        reached[slot.ravel()] = True
         kept = np.zeros(len(reached) + 1, dtype=self.indptr.dtype)
         np.cumsum(reached, out=kept[1:])
         return sp.csr_matrix((data[reached], self.indices[reached],

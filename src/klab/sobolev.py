@@ -105,6 +105,11 @@ def k_norm(u: FemField, weight, spec: NormSpec, shift_power: float = 0.0) -> Nor
     regularized equivalent). shift_power s measures w^s * u instead of
     u, with the product rule applied exactly at quadrature points;
     this needs the weight gradient and order mu <= 1.
+
+    Each element class is integrated one block of kernels.BLOCK elements
+    at a time into per-element values, and every term reduces those
+    once over the class: the weighted gradient and Hessian terms by
+    neumaier_dot, the order-0 and shifted terms by neumaier_sum.
     """
     mesh = u.mesh
     domain = weight.domain
@@ -114,8 +119,6 @@ def k_norm(u: FemField, weight, spec: NormSpec, shift_power: float = 0.0) -> Nor
         if not isinstance(weight, weights.EtaField):
             raise InadmissibleIndexError("shifted fields need the exact distance weight")
     dim = mesh.dimension
-    vols = kernels.simplex_volumes(mesh.nodes, mesh.elements)
-    egrads = u.element_gradients()
     hess = femcore.element_hessians(u) if spec.mu >= 2 else None
 
     terms = {lab: 0.0 for order in range(spec.mu + 1)
@@ -126,43 +129,61 @@ def k_norm(u: FemField, weight, spec: NormSpec, shift_power: float = 0.0) -> Nor
         if not len(subset):
             continue
         rule = femcore.simplex_rule(dim, degree)
-        els = mesh.elements[subset]
-        pts = femcore.map_points(rule.bary, mesh.nodes, els)
-        flat = pts.reshape(-1, dim)
-        wvals = np.asarray(weight(flat), dtype=float).reshape(len(subset), -1)
-        if np.any(wvals <= 0.0):
-            raise NonpositiveWeightError("weight vanishes at a quadrature point")
-        u_q = u.values[els] @ rule.bary.T
-        sub_vols = vols[subset]
-        if shift_power != 0.0:
-            q_over = weight.grad_over_value(flat).reshape(
-                len(subset), len(rule.weights), dim)
-        # order 0; the w^shift factor on the field folds into the exponent
-        wpow = wvals ** (2.0 * (shift_power - spec.a))
-        terms["u"] += float(np.einsum("e,q,eq,eq->", sub_vols, rule.weights,
-                                      wpow, u_q * u_q))
-        if spec.mu >= 1:
-            wpow1 = wvals ** (2.0 * (shift_power + 1.0 - spec.a))
-            for i in range(dim):
-                gi = egrads[subset, i]
+        order0 = np.empty(len(subset))
+        egrads = np.empty((len(subset), dim))
+        # per element: vol * sum_q w_q wpow1 (unshifted), or the shifted
+        # gradient integrals, one column per axis
+        order1 = np.empty(len(subset) if shift_power == 0.0
+                          else (len(subset), dim))
+        order2 = np.empty(len(subset))
+        for block in femcore.element_blocks(len(subset)):
+            els = mesh.elements[subset[block]]
+            vols, grads = kernels.simplex_geometry(mesh.nodes, els)
+            pts = femcore.map_points(rule.bary, mesh.nodes, els)
+            flat = pts.reshape(-1, dim)
+            wvals = np.asarray(weight(flat), dtype=float).reshape(len(els), -1)
+            if np.any(wvals <= 0.0):
+                raise NonpositiveWeightError("weight vanishes at a quadrature point")
+            nodal = u.values[els]
+            u_q = femcore.nodal_at(nodal, rule.bary)
+            egrads[block] = np.einsum("ei,eid->ed", nodal, grads)
+            # order 0; the w^shift factor on the field folds into the exponent
+            wpow = wvals ** (2.0 * (shift_power - spec.a))
+            order0[block] = np.einsum("e,q,eq,eq->e", vols, rule.weights,
+                                      wpow, u_q * u_q)
+            if spec.mu >= 1:
+                wpow1 = wvals ** (2.0 * (shift_power + 1.0 - spec.a))
                 if shift_power == 0.0:
-                    wsum = np.einsum("q,eq->e", rule.weights, wpow1)
-                    terms[_AXES[i]] += float(
-                        kernels.neumaier_dot(gi * gi, wsum * sub_vols))
+                    order1[block] = np.einsum("q,eq->e", rule.weights,
+                                              wpow1) * vols
                 else:
-                    integrand = gi[:, None] + shift_power * u_q * q_over[:, :, i]
-                    # the w^shift factor is folded into the exponent above
-                    terms[_AXES[i]] += float(np.einsum(
-                        "e,q,eq,eq->", sub_vols, rule.weights, wpow1,
-                        integrand * integrand))
+                    q_over = weight.grad_over_value(flat).reshape(
+                        len(els), len(rule.weights), dim)
+                    for i in range(dim):
+                        integrand = (egrads[block, i][:, None]
+                                     + shift_power * u_q * q_over[:, :, i])
+                        # the w^shift factor is folded into the exponent above
+                        order1[block, i] = np.einsum(
+                            "e,q,eq,eq->e", vols, rule.weights, wpow1,
+                            integrand * integrand)
+            if spec.mu >= 2:
+                wpow2 = wvals ** (2.0 * (2.0 - spec.a))
+                order2[block] = np.einsum("q,eq->e", rule.weights,
+                                          wpow2) * vols
+        terms["u"] += kernels.neumaier_sum(order0)
+        if spec.mu >= 1:
+            for i in range(dim):
+                gi = egrads[:, i]
+                if shift_power == 0.0:
+                    terms[_AXES[i]] += float(kernels.neumaier_dot(gi * gi, order1))
+                else:
+                    terms[_AXES[i]] += kernels.neumaier_sum(order1[:, i])
         if spec.mu >= 2:
-            wpow2 = wvals ** (2.0 * (2.0 - spec.a))
-            wsum2 = np.einsum("q,eq->e", rule.weights, wpow2) * sub_vols
             for i in range(dim):
                 for j in range(i, dim):
                     hij = hess[subset, i, j]
                     terms[_AXES[i] + _AXES[j]] += float(
-                        kernels.neumaier_dot(hij * hij, wsum2))
+                        kernels.neumaier_dot(hij * hij, order2))
     return _finalize(terms, spec.mu, spec.a)
 
 
@@ -172,12 +193,13 @@ def k_data_norm(domain: Polyhedron, mesh: SimplicialMesh, fn, a: float,
 
     Computes the K(0, a) norm (integral of w^(-2 a) |f|^2) for a
     callable f, a nodal array, or a per-element constant array, with
-    the same split quadrature degrees k_norm uses.
+    the same split quadrature degrees k_norm uses, one block of
+    kernels.BLOCK elements at a time; the per-element integrals of each
+    element class reduce once by neumaier_sum.
     """
     spec = NormSpec(mu=0, a=a, degree_base=degree_base,
                     degree_singular=degree_singular)
     eta = weights.eta_field(domain)
-    vols = kernels.simplex_volumes(mesh.nodes, mesh.elements)
     per_element = None
     nodal = None
     if not callable(fn):
@@ -195,21 +217,26 @@ def k_data_norm(domain: Polyhedron, mesh: SimplicialMesh, fn, a: float,
         if not len(subset):
             continue
         rule = femcore.simplex_rule(mesh.dimension, degree)
-        els = mesh.elements[subset]
-        pts = femcore.map_points(rule.bary, mesh.nodes, els)
-        flat = pts.reshape(-1, mesh.dimension)
-        wvals = eta(flat).reshape(len(subset), -1)
-        if np.any(wvals <= 0.0):
-            raise NonpositiveWeightError("weight vanishes at a quadrature point")
-        if per_element is not None:
-            fq = np.repeat(per_element[subset, None], len(rule.weights), axis=1)
-        elif nodal is not None:
-            fq = nodal[els] @ rule.bary.T
-        else:
-            fq = np.asarray(fn(flat), dtype=float).reshape(len(subset), -1)
-        wpow = wvals ** (-2.0 * spec.a)
-        terms["u"] += float(np.einsum("e,q,eq,eq->", vols[subset],
-                                      rule.weights, wpow, fq * fq))
+        order0 = np.empty(len(subset))
+        for block in femcore.element_blocks(len(subset)):
+            ids = subset[block]
+            els = mesh.elements[ids]
+            pts = femcore.map_points(rule.bary, mesh.nodes, els)
+            flat = pts.reshape(-1, mesh.dimension)
+            wvals = eta(flat).reshape(len(els), -1)
+            if np.any(wvals <= 0.0):
+                raise NonpositiveWeightError("weight vanishes at a quadrature point")
+            if per_element is not None:
+                fq = np.repeat(per_element[ids, None], len(rule.weights), axis=1)
+            elif nodal is not None:
+                fq = femcore.nodal_at(nodal[els], rule.bary)
+            else:
+                fq = np.asarray(fn(flat), dtype=float).reshape(len(els), -1)
+            wpow = wvals ** (-2.0 * spec.a)
+            order0[block] = np.einsum(
+                "e,q,eq,eq->e", kernels.simplex_volumes(mesh.nodes, els),
+                rule.weights, wpow, fq * fq)
+        terms["u"] += kernels.neumaier_sum(order0)
     return _finalize(terms, 0, spec.a)
 
 
@@ -232,11 +259,15 @@ def k_gram(mesh: SimplicialMesh, weight, spec: NormSpec):
         import scipy.sparse as sp
         w2 = weights.power_weight(weight, 2.0 * (2.0 - spec.a))
         rule = femcore.simplex_rule(mesh.dimension, spec.degree_singular)
-        vols = kernels.simplex_volumes(mesh.nodes, mesh.elements)
-        pts = femcore.quadrature_points(mesh, rule)
-        wvals = np.asarray(w2(pts.reshape(-1, mesh.dimension))
-                           ).reshape(mesh.num_elements, -1)
-        diag = sp.diags(vols * (wvals @ rule.weights))
+        wint = np.empty(mesh.num_elements)
+        for block in femcore.element_blocks(mesh.num_elements):
+            els = mesh.elements[block]
+            pts = femcore.map_points(rule.bary, mesh.nodes, els)
+            wvals = np.asarray(w2(pts.reshape(-1, mesh.dimension))
+                               ).reshape(len(els), -1)
+            wint[block] = (kernels.simplex_volumes(mesh.nodes, els)
+                           * np.einsum("q,eq->e", rule.weights, wvals))
+        diag = sp.diags(wint)
         d_ops = femcore.element_gradient_operator(mesh)
         r_ops = femcore.recovery_operator(mesh)
         for i in range(mesh.dimension):

@@ -299,4 +299,4 @@ def surface_p1_matrices(nodes: np.ndarray, elements: np.ndarray):
     m_loc = vols[:, None, None] * mass_ref[None, :, :]
 
     pattern = element_pattern(elements, len(nodes))
-    return pattern.matrix(k_loc), pattern.matrix(m_loc)
+    return pattern.matrix([k_loc]), pattern.matrix([m_loc])

@@ -342,11 +342,8 @@ def weight_window_probe(domain: Polyhedron, mesh: SimplicialMesh,
     a_values = [float(a) for a in a_values]
     for a in a_values:
         _check_conjugation(a)
-    eta = weights.eta_field(domain)
     parts = conjugate_parts(domain, mesh)
-    k_mat = parts[0]
-    m_mat = femcore.assemble_weighted_mass(
-        mesh, weights.power_weight(eta, -2.0), degree=5)
+    k_mat, _, m_mat = parts
     free = np.where(~mesh.boundary_node_mask())[0]
     k_ff = k_mat[free][:, free].tocsr()
     m_ff = m_mat[free][:, free].tocsr()

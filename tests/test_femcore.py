@@ -3,6 +3,7 @@
 import dataclasses
 import functools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -195,15 +196,39 @@ def _mass_weight(p):
     return 1.0 + p[:, 0] ** 2 + np.sin(3.0 * p[:, -1])
 
 
+def _vector_field(p):
+    return np.column_stack([np.cos(2.0 * p[:, i]) + i for i in range(p.shape[1])])
+
+
+_ASSEMBLE = {
+    "stiffness": femcore.assemble_stiffness,
+    "mass": functools.partial(femcore.assemble_weighted_mass,
+                              weight_fn=_mass_weight),
+    "weighted_stiffness": functools.partial(
+        femcore.assemble_weighted_stiffness, weight_fn=_mass_weight),
+    "gradvec": functools.partial(femcore.assemble_gradvec,
+                                 vector_fn=_vector_field),
+}
+
+
 def _reference_blocks(mesh, form, elements):
-    """The element blocks of one assembly, from the kernels directly."""
+    """The element blocks of one assembly on all the elements at once,
+    from the kernels directly."""
+    vols, grads = kernels.simplex_geometry(mesh.nodes, elements)
     if form == "stiffness":
-        return kernels.local_stiffness(
-            *kernels.simplex_geometry(mesh.nodes, elements))
+        return kernels.local_stiffness(vols, grads)
     rule = femcore.simplex_rule(mesh.dimension, 2)
     pts = femcore.map_points(rule.bary, mesh.nodes, elements)
-    wvals = _mass_weight(pts.reshape(-1, mesh.dimension)).reshape(
-        len(elements), len(rule.weights))
+    flat = pts.reshape(-1, mesh.dimension)
+    if form == "gradvec":
+        qvals = _vector_field(flat).reshape(len(elements), len(rule.weights),
+                                            mesh.dimension)
+        qdotg = np.einsum("eqd,ejd->eqj", qvals, grads)
+        return np.einsum("q,qi,eqj,e->eij", rule.weights, rule.bary, qdotg, vols)
+    wvals = _mass_weight(flat).reshape(len(elements), len(rule.weights))
+    if form == "weighted_stiffness":
+        return kernels.local_stiffness(
+            vols * np.einsum("q,eq->e", rule.weights, wvals), grads)
     return kernels.local_weighted_mass(
         kernels.simplex_volumes(mesh.nodes, elements), rule.bary,
         rule.weights, wvals)
@@ -212,15 +237,17 @@ def _reference_blocks(mesh, form, elements):
 @settings(deadline=None, max_examples=40)
 @given(st.sampled_from(["lshape", "box", "l_prism"]), st.booleans(),
        st.integers(min_value=0, max_value=1),
-       st.sampled_from(["stiffness", "mass"]),
+       st.sampled_from(sorted(_ASSEMBLE)),
        st.sampled_from([None, 0.0, 0.3, 0.8]),
-       st.sampled_from([1, 2]), st.integers(min_value=0, max_value=2 ** 32 - 1))
+       st.sampled_from([1, 2]), st.sampled_from([1, 2, 3, 7, kernels.BLOCK]),
+       st.integers(min_value=0, max_value=2 ** 32 - 1))
 def test_assembly_scatters_into_the_coo_pattern(name, graded, levels, form,
-                                               fraction, workers, seed):
+                                               fraction, workers, block, seed):
     """The pattern is coo_matrix(...).tocsr()'s, for the whole mesh and for
-    element subsets, with 1 or 2 workers. Each entry is bit-equal to
-    np.add.at of its element contributions in mesh order, on positions
-    looked up in a dict, and within a few ulp of the tocsr sum."""
+    element subsets, for every assembly routine, with 1 or 2 workers and
+    any element block size. Each entry is bit-equal to np.add.at of its
+    element contributions in mesh order, on positions looked up in a dict,
+    and within a few ulp of the tocsr sum."""
     mesh = _pattern_mesh(name, graded, levels)
     k = mesh.elements.shape[1]
     if fraction is None:
@@ -231,11 +258,8 @@ def test_assembly_scatters_into_the_coo_pattern(name, graded, levels, form,
         elements = mesh.elements[ids]
     with pytest.MonkeyPatch.context() as mp:
         mp.setenv("KLAB_THREADS", str(workers))
-        if form == "stiffness":
-            got = femcore.assemble_stiffness(mesh, element_ids=ids)
-        else:
-            got = femcore.assemble_weighted_mass(mesh, _mass_weight,
-                                                 element_ids=ids)
+        mp.setattr(kernels, "BLOCK", block)
+        got = _ASSEMBLE[form](mesh, element_ids=ids)
     local = _reference_blocks(mesh, form, elements).ravel()
     rows = np.repeat(elements, k, axis=1).ravel()
     cols = np.tile(elements, (1, k)).ravel()
@@ -259,6 +283,28 @@ def test_assembly_scatters_into_the_coo_pattern(name, graded, levels, form,
     np.add.at(scale, slot, np.abs(local))
     assert np.all(np.abs(got.data - want.data)
                   <= 4 * np.finfo(float).eps * scale)
+
+
+def test_weighted_mass_holds_one_block_at_a_time(box, monkeypatch):
+    """assemble_weighted_mass computes and scatters one block of elements
+    at a time: its traced peak, less the matrix it returns, stays within
+    a few blocks' quadrature points, however many elements the mesh has."""
+    block = 32
+    mesh = meshmod.refine(meshmod.build_mesh(box, 0.5), 2)
+    assert mesh.num_elements >= 8 * block
+    rule = femcore.simplex_rule(3, 5)
+    one_block = block * len(rule.weights) * 3 * 8  # (BLOCK, Q, 3) doubles
+    monkeypatch.setattr(kernels, "BLOCK", block)
+    monkeypatch.setenv("KLAB_THREADS", "1")
+    mesh.pattern  # built once per mesh, before the assembly
+    tracemalloc.start()
+    try:
+        got = femcore.assemble_weighted_mass(mesh, _mass_weight, degree=5)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    held = got.data.nbytes + got.indices.nbytes + got.indptr.nbytes
+    assert peak - held < 8 * one_block
 
 
 def test_constructive_kappa_builds_the_pattern_once(lshape, lshape_mesh,

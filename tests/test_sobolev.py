@@ -1,11 +1,14 @@
 """Weighted norms: analytic oracles, identities and boundary norms."""
 
+import functools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from klab import femcore, kernels, mesh as meshmod, sobolev, weights
+from klab import cli, femcore, geometry, kernels, mesh as meshmod, sobolev, weights
 from klab.errors import InadmissibleIndexError, NonpositiveWeightError
 from klab.sobolev import NormSpec
 
@@ -354,3 +357,57 @@ def test_dual_norm_frozen_regression(lshape, lshape_mesh):
     rep = sobolev.k_dual_norm(lambda p: np.ones(len(p)), lshape_mesh, eta,
                               mu=1, a=1.0)
     assert rep.value == pytest.approx(0.3768080108288812, rel=1e-9)
+
+
+@functools.lru_cache(maxsize=None)
+def _block_case(name):
+    if name == "lshape":
+        domain = geometry.build_polygon(geometry.L_SHAPE_VERTICES)
+        return domain, meshmod.build_mesh(domain, 0.25)
+    domain = geometry.build_polyhedron_3d(name)
+    return domain, meshmod.build_mesh(domain, 0.5)
+
+
+def _wavy(p):
+    return np.sin(3.0 * p[:, 0]) * (1.0 + p[:, -1] ** 2) + 0.25
+
+
+def _wavy_grad(p):
+    g = np.zeros_like(p)
+    g[:, 0] = 3.0 * np.cos(3.0 * p[:, 0]) * (1.0 + p[:, -1] ** 2)
+    g[:, -1] += np.sin(3.0 * p[:, 0]) * 2.0 * p[:, -1]
+    return g
+
+
+def _whole_mesh_quadratures(domain, mesh, mu, a, shift):
+    """The bits of every blocked whole-mesh quadrature on one mesh."""
+    eta = weights.eta_field(domain)
+    u = femcore.FemField(mesh, _wavy(mesh.nodes) * eta(mesh.nodes))
+    mass = sobolev.k11_mass(domain, mesh)
+    norm = sobolev.k_norm(u, eta, NormSpec(mu=mu, a=a), shift_power=shift)
+    data = sobolev.k_data_norm(domain, mesh, _wavy, a)
+    errors = cli._solution_errors(mesh, u, _wavy, _wavy_grad)
+    return (femcore.assemble_load(mesh, _wavy, degree=4).tobytes(),
+            mass.indptr.tobytes(), mass.indices.tobytes(), mass.data.tobytes(),
+            {k: v.hex() for k, v in norm.terms.items()},
+            data.terms["u"].hex(),
+            {k: v.hex() for k, v in errors.items()})
+
+
+@settings(deadline=None, max_examples=10)
+@given(st.sampled_from(["lshape", "box", "l_prism"]),
+       st.sampled_from([(0, 0.0), (1, 0.0), (1, 0.5), (2, 0.0)]),
+       st.sampled_from([0.0, 0.5, 1.0]),
+       st.sampled_from([1, 2, 3, 7, 64]))
+def test_whole_mesh_quadratures_do_not_depend_on_the_block(name, order, a,
+                                                          block):
+    """assemble_load, k11_mass, k_norm (plain and shifted), k_data_norm
+    and the CLI's error quadrature give the same bits for any element
+    block size."""
+    domain, mesh = _block_case(name)
+    mu, shift = order
+    want = _whole_mesh_quadratures(domain, mesh, mu, a, shift)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(kernels, "BLOCK", block)
+        got = _whole_mesh_quadratures(domain, mesh, mu, a, shift)
+    assert got == want
