@@ -32,7 +32,7 @@ import math
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -81,7 +81,6 @@ class RunConfig:
     polar_vertex: int | None = None
     a_grid: tuple = ()
     f_expr: str | None = None
-    extras: dict = field(default_factory=dict)
 
     def __post_init__(self):
         # Written so that NaN fails every test.
@@ -101,18 +100,11 @@ class RunConfig:
 
 
 def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    known = {f for f in RunConfig.__dataclass_fields__}
-    payload = {}
-    extras = {}
-    for key, value in vars(args).items():
-        if key in ("func", "action"):
-            continue
-        if key in known:
-            payload[key] = value
-        else:
-            extras[key] = value
-    payload["extras"] = extras
-    return RunConfig(**payload)
+    """RunConfig of the parsed arguments; argparse's own keys (command,
+    action, func) are dropped."""
+    known = RunConfig.__dataclass_fields__
+    return RunConfig(**{key: value for key, value in vars(args).items()
+                        if key in known})
 
 
 # ---------------------------------------------------------------------
@@ -140,9 +132,13 @@ def _make_mesh(domain: Polyhedron, h: float, kappa: float | None,
 
 
 def _mesh_for(cfg: RunConfig, domain: Polyhedron) -> meshmod.SimplicialMesh:
-    if cfg.mesh_path is not None:
-        return meshmod.read_mesh(cfg.mesh_path)
-    return _make_mesh(domain, cfg.h, cfg.kappa, cfg.levels)
+    if cfg.mesh_path is None:
+        return _make_mesh(domain, cfg.h, cfg.kappa, cfg.levels)
+    m = meshmod.read_mesh(cfg.mesh_path)
+    if m.dimension != domain.dimension:
+        raise SpecError(f"--mesh is {m.dimension}D but the domain is "
+                        f"{domain.dimension}D")
+    return m
 
 
 def _mesh_summary(m: meshmod.SimplicialMesh) -> dict:

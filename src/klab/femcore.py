@@ -17,14 +17,11 @@ Assembly scatters each block into the mesh's CSR pattern, built once
 per mesh (SimplicialMesh.pattern), before computing the next: each
 entry adds its element contributions in mesh order, so matrices are
 reproducible, do not depend on scipy's sorting, and are the same bits
-for any block size. Optional worker threads compute one window of
-blocks at a time, one block each, and scatter them in order.
+for any block size.
 """
 
 from __future__ import annotations
 
-import concurrent.futures
-import contextlib
 import math
 from dataclasses import dataclass
 
@@ -33,7 +30,6 @@ import scipy.sparse as sp
 import scipy.sparse.linalg
 
 from . import kernels
-from .config import worker_count
 from .errors import (ConvergenceError, IndefiniteOperatorError,
                      UnsupportedDegreeError)
 from .mesh import SimplicialMesh
@@ -189,8 +185,12 @@ class FemField:
     def at_quadrature(self, rule: QuadratureRule) -> np.ndarray:
         return nodal_at(self.values[self.mesh.elements], rule.bary)
 
-    def element_gradients(self) -> np.ndarray:
-        _, grads = kernels.simplex_geometry(self.mesh.nodes, self.mesh.elements)
+    def element_gradients(self, grads=None) -> np.ndarray:
+        """Constant gradient of each element, (E, d); grads are the mesh's
+        shape-function gradients, computed here when not given."""
+        if grads is None:
+            _, grads = kernels.simplex_geometry(self.mesh.nodes,
+                                                self.mesh.elements)
         nodal = self.values[self.mesh.elements]
         return np.einsum("ei,eid->ed", nodal, grads)
 
@@ -203,11 +203,17 @@ def interpolate(mesh: SimplicialMesh, fun) -> FemField:
     return FemField(mesh, vals)
 
 
-def recover_gradient(field: FemField) -> np.ndarray:
-    """Volume-weighted nodal average of the element gradients, (N, d)."""
+def recover_gradient(field: FemField, geometry=None) -> np.ndarray:
+    """Volume-weighted nodal average of the element gradients, (N, d).
+
+    geometry is the mesh's (volumes, gradients) from
+    kernels.simplex_geometry, computed here when not given.
+    """
     mesh = field.mesh
-    vols = mesh.element_volumes()
-    egrad = field.element_gradients()
+    if geometry is None:
+        geometry = kernels.simplex_geometry(mesh.nodes, mesh.elements)
+    vols, grads = geometry
+    egrad = field.element_gradients(grads)
     acc = np.zeros((mesh.num_nodes, mesh.dimension))
     wsum = np.zeros(mesh.num_nodes)
     for i in range(mesh.elements.shape[1]):
@@ -236,8 +242,7 @@ def recovery_operator(mesh: SimplicialMesh) -> list:
     One (N, N) matrix per coordinate direction; rows are the
     volume-weighted averages used by recover_gradient.
     """
-    vols = mesh.element_volumes()
-    _, grads = kernels.simplex_geometry(mesh.nodes, mesh.elements)
+    vols, grads = kernels.simplex_geometry(mesh.nodes, mesh.elements)
     n, k = mesh.num_nodes, mesh.elements.shape[1]
     wsum = np.zeros(n)
     for i in range(k):
@@ -258,8 +263,8 @@ def element_hessians(field: FemField) -> np.ndarray:
     component and symmetrizes; shape (E, d, d).
     """
     mesh = field.mesh
-    gnodes = recover_gradient(field)
-    _, grads = kernels.simplex_geometry(mesh.nodes, mesh.elements)
+    vols, grads = kernels.simplex_geometry(mesh.nodes, mesh.elements)
+    gnodes = recover_gradient(field, (vols, grads))
     h = np.einsum("eic,eid->ecd", gnodes[mesh.elements], grads)
     return 0.5 * (h + np.transpose(h, (0, 2, 1)))
 
@@ -276,25 +281,6 @@ def element_blocks(n_elements: int) -> list:
             for s in range(0, n_elements, kernels.BLOCK)]
 
 
-def _local_blocks(elements: np.ndarray, local_fn):
-    """local_fn of each block of kernels.BLOCK elements, in mesh order.
-
-    With worker threads a window of one block per worker is computed at
-    a time and yielded in order, so at most that many blocks are held.
-    """
-    blocks = element_blocks(len(elements))
-    workers = max(1, min(worker_count(), len(blocks)))
-
-    def compute(block):
-        return local_fn(elements[block])
-
-    with (concurrent.futures.ThreadPoolExecutor(max_workers=workers)
-          if workers > 1 else contextlib.nullcontext()) as pool:
-        mapper = map if pool is None else pool.map
-        for start in range(0, len(blocks), workers):
-            yield from mapper(compute, blocks[start:start + workers])
-
-
 def _assemble_local(mesh: SimplicialMesh, local_fn, element_ids=None) -> sp.csr_matrix:
     """Sum per-element dense blocks into the mesh's CSR pattern.
 
@@ -303,15 +289,15 @@ def _assemble_local(mesh: SimplicialMesh, local_fn, element_ids=None) -> sp.csr_
     a time, and each block is scattered before the next is computed.
     element_ids restricts assembly to a subset, whose matrix keeps only
     the entries its elements reach. Each entry sums its contributions in
-    element order, so the matrix does not depend on the block size or
-    the number of workers.
+    element order, so the matrix does not depend on the block size.
     """
     if element_ids is None:
         elements = mesh.elements
     else:
         element_ids = np.asarray(element_ids, dtype=np.int64)
         elements = mesh.elements[element_ids]
-    return mesh.pattern.matrix(_local_blocks(elements, local_fn), element_ids)
+    blocks = (local_fn(elements[b]) for b in element_blocks(len(elements)))
+    return mesh.pattern.matrix(blocks, element_ids)
 
 
 def assemble_stiffness(mesh: SimplicialMesh, element_ids=None) -> sp.csr_matrix:

@@ -196,16 +196,6 @@ class Polyhedron:
 
     # -- boundary faces -----------------------------------------------
 
-    def face_area(self, face_idx: int) -> float:
-        f = self.boundary_faces[face_idx]
-        cyc = self.vertices[list(f.vertex_ids)]
-        if self.dimension == 2:
-            return float(np.linalg.norm(cyc[1] - cyc[0]))
-        _, frame, origin = _face_frame(cyc)
-        uv = (cyc - origin) @ frame.T
-        x, y = uv[:, 0], uv[:, 1]
-        return float(abs(np.dot(x, np.roll(y, -1)) - np.dot(y, np.roll(x, -1))) / 2.0)
-
     def sample_on_face(self, face_idx: int, n: int, rng: np.random.Generator) -> np.ndarray:
         f = self.boundary_faces[face_idx]
         cyc = self.vertices[list(f.vertex_ids)]

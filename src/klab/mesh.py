@@ -696,7 +696,21 @@ def write_mesh(path, mesh: SimplicialMesh) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
+def _number(text: str, kind):
+    """text read as a finite int or float; MeshFormatError otherwise."""
+    try:
+        value = kind(text)
+    except ValueError:
+        raise MeshFormatError(f"{text!r} is not a valid {kind.__name__}") from None
+    if not math.isfinite(value):
+        raise MeshFormatError(f"non-finite value {text!r}")
+    return value
+
+
 def read_mesh(path) -> SimplicialMesh:
+    """Mesh from a write_mesh file. Raises MeshFormatError on malformed
+    or non-finite numbers and when the BOUNDARY facets are not the
+    facets owned by one element (derive_boundary_facets)."""
     with open(path, "r", encoding="utf-8") as fh:
         raw = [ln.strip() for ln in fh if ln.strip()]
     cursor = 0
@@ -712,12 +726,12 @@ def read_mesh(path) -> SimplicialMesh:
     head = take().split()
     if len(head) != 2 or head[0] != MESH_MAGIC:
         raise MeshFormatError("not a mesh file (bad magic line)")
-    if int(head[1]) != MESH_VERSION:
+    if _number(head[1], int) != MESH_VERSION:
         raise MeshFormatError(f"unsupported mesh format version {head[1]}")
     dim_line = take().split()
     if dim_line[0] != "DIM" or len(dim_line) != 2:
         raise MeshFormatError("expected DIM line")
-    dim = int(dim_line[1])
+    dim = _number(dim_line[1], int)
     if dim not in (2, 3):
         raise MeshFormatError("DIM must be 2 or 3")
 
@@ -725,19 +739,19 @@ def read_mesh(path) -> SimplicialMesh:
         header = take().split()
         if header[0] != name or len(header) != 2:
             raise MeshFormatError(f"expected {name} section")
-        count = int(header[1])
+        count = _number(header[1], int)
         if count < 0:
             raise MeshFormatError(f"negative {name} count")
         rows = []
         for k in range(count):
             parts = take().split()
             if with_id:
-                if int(parts[0]) != k + 1:
+                if _number(parts[0], int) != k + 1:
                     raise MeshFormatError(f"{name} ids must be sequential from 1")
                 parts = parts[1:]
             if len(parts) != width:
                 raise MeshFormatError(f"{name} row with {len(parts)} fields, expected {width}")
-            rows.append([dtype(x) for x in parts])
+            rows.append([_number(x, dtype) for x in parts])
         return rows
 
     nodes = np.array(section("NODES", dim, float, True), dtype=float).reshape(-1, dim)
@@ -749,8 +763,12 @@ def read_mesh(path) -> SimplicialMesh:
     grading = None
     tail = take().split()
     if tail[0] == "GRADING":
-        kappa, radius, ncenters = float(tail[1]), float(tail[2]), int(tail[3])
-        centers = tuple(tuple(float(x) for x in take().split()) for _ in range(ncenters))
+        if len(tail) != 4:
+            raise MeshFormatError("GRADING line needs kappa, radius and a count")
+        kappa, radius = _number(tail[1], float), _number(tail[2], float)
+        ncenters = _number(tail[3], int)
+        centers = tuple(tuple(_number(x, float) for x in take().split())
+                        for _ in range(ncenters))
         for c in centers:
             if len(c) != dim:
                 raise MeshFormatError("grading center with wrong dimension")
@@ -761,4 +779,8 @@ def read_mesh(path) -> SimplicialMesh:
 
     mesh = SimplicialMesh(dim, nodes, elements, facets, grading=grading)
     mesh.validate()
+    if not np.array_equal(np.unique(np.sort(facets, axis=1), axis=0),
+                          derive_boundary_facets(elements)):
+        raise MeshFormatError("BOUNDARY facets are not the facets that "
+                              "belong to exactly one element")
     return mesh

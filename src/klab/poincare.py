@@ -112,15 +112,9 @@ class CapConstant:
                 "provenance": "eigensolve"}
 
 
-def cap_constant(domain: Polyhedron, vertex_idx: int,
-                 levels: int = 4) -> CapConstant:
-    """Hardy constant 1 / lambda_1 of the vertex link by surface FEM."""
-    link = geometry.vertex_link(domain, vertex_idx)
-    return cap_constant_from_link(link, levels=levels)
-
-
 def cap_constant_from_link(link: sphere.SphericalPolygon,
                            levels: int = 4) -> CapConstant:
+    """Hardy constant 1 / lambda_1 of a vertex link by surface FEM."""
     nodes, elements, boundary = sphere.refine_triangulation(link.triangles,
                                                             levels)
     if not boundary.any():
@@ -566,8 +560,8 @@ def build_decomposition(domain: Polyhedron, samples: int = 1000,
 
 def gradient_energy(u: FemField) -> float:
     """Integral of |grad u|^2, exact for piecewise-linear fields."""
-    vols = u.mesh.element_volumes()
-    egrads = u.element_gradients()
+    vols, grads = kernels.simplex_geometry(u.mesh.nodes, u.mesh.elements)
+    egrads = u.element_gradients(grads)
     return float(kernels.neumaier_sum(vols * np.einsum("ed,ed->e", egrads,
                                                        egrads)))
 

@@ -18,7 +18,8 @@ import numpy as np
 from . import kernels
 from .config import GEOM_TOL
 from .errors import DegenerateLinkError
-from .mesh import element_pattern
+from .mesh import (_NodePool, _refine_once, derive_boundary_facets,
+                   element_pattern)
 
 _ROUND = 12  # coordinate rounding for node dedup on the unit sphere
 
@@ -226,50 +227,22 @@ def refine_triangulation(triangles: np.ndarray, levels: int):
     """Geodesic midpoint refinement of a spherical triangulation.
 
     Returns (nodes (N, 3), elements (T, 3), boundary (N,) bool). Nodes
-    are deduplicated across triangles; boundary nodes are those lying on
-    arcs owned by a single triangle at the finest level.
+    are deduplicated across triangles; each level is mesh._refine_once
+    with its midpoints pushed onto the sphere, and boundary nodes are
+    those of the finest level's boundary arcs.
     """
-    node_index: dict = {}
-    nodes: list = []
-
-    def add(v):
-        k = tuple(np.round(v, _ROUND))
-        if k not in node_index:
-            node_index[k] = len(nodes)
-            nodes.append(np.asarray(v, dtype=float))
-        return node_index[k]
-
-    elements = []
-    for t in triangles:
-        elements.append([add(t[0]), add(t[1]), add(t[2])])
-    elements = np.array(elements, dtype=np.int64)
-
+    pool = _NodePool()
+    elements = np.array([[pool.add(v) for v in t] for t in triangles],
+                        dtype=np.int64)
+    nodes = pool.array()
+    facets = derive_boundary_facets(elements)
     for _ in range(levels):
-        mid_cache: dict = {}
-
-        def midpoint(i, j):
-            k = (min(i, j), max(i, j))
-            if k not in mid_cache:
-                mid_cache[k] = add(_unit(0.5 * (nodes[i] + nodes[j])))
-            return mid_cache[k]
-
-        new_elems = []
-        for a, b, c in elements:
-            ab, bc, ca = midpoint(a, b), midpoint(b, c), midpoint(c, a)
-            new_elems.extend([(a, ab, ca), (ab, b, bc), (ca, bc, c), (ab, bc, ca)])
-        elements = np.array(new_elems, dtype=np.int64)
-
-    nodes = np.array(nodes)
-    edge_count: dict = {}
-    for a, b, c in elements:
-        for e in ((a, b), (b, c), (c, a)):
-            k = (min(e), max(e))
-            edge_count[k] = edge_count.get(k, 0) + 1
+        n = len(nodes)
+        nodes, elements, facets, _ = _refine_once(2, nodes, elements, facets)
+        # One row at a time: a vectorized norm can round differently.
+        nodes[n:] = [_unit(v) for v in nodes[n:]]
     boundary = np.zeros(len(nodes), dtype=bool)
-    for (a, b), cnt in edge_count.items():
-        if cnt == 1:
-            boundary[a] = True
-            boundary[b] = True
+    boundary[facets.ravel()] = True
     return nodes, elements, boundary
 
 

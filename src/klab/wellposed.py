@@ -85,14 +85,6 @@ class SolveReport:
                 "sign_note": self.sign_note}
 
 
-def lift_boundary_data(domain: Polyhedron, mesh: SimplicialMesh,
-                       g) -> FemField:
-    """Lift of the boundary data: the K(1, 1)-minimal extension."""
-    if g is None:
-        return FemField(mesh, np.zeros(mesh.num_nodes))
-    return sobolev.minimal_extension(domain, mesh, g)
-
-
 def conjugate_parts(domain: Polyhedron, mesh: SimplicialMesh,
                     weight=None, degree: int = 5):
     """Component matrices (K, skew, M) of the conjugated family.
@@ -129,19 +121,6 @@ def combine_conjugate(parts, a: float):
     if a == 0.0:
         return k_mat
     return (k_mat + a * skew - (a * a) * m_mat).tocsr()
-
-
-def conjugate_operator(domain: Polyhedron, mesh: SimplicialMesh, a: float,
-                       weight=None, degree: int = 5):
-    """Stiffness matrix of the conjugated form B_a.
-
-    At a = 0 this is exactly assemble_stiffness; otherwise the product
-    rule expansion assembled at quadrature points.
-    """
-    _check_conjugation(a)
-    if a == 0.0:
-        return femcore.assemble_stiffness(mesh)
-    return combine_conjugate(conjugate_parts(domain, mesh, weight, degree), a)
 
 
 def _load_vector(problem: BvpProblem) -> np.ndarray:
@@ -255,26 +234,6 @@ def solve_dirichlet(problem: BvpProblem) -> SolveReport:
     return SolveReport(solution=u, a=problem.a, residual=residual,
                        iterations=iterations, method=method, norms=norms,
                        stability_ratio=ratio, sign_note=note)
-
-
-def regularity_ratio(domain: Polyhedron, mesh: SimplicialMesh, u: FemField,
-                     f=None, g=None) -> float | None:
-    """Shift-theorem quotient norm(u, K21) over the data norms.
-
-    Returns None when both data and solution vanish (the quotient is
-    undefined), mirroring the zero-solution guard in solve reports.
-    """
-    eta = weights.eta_field(domain)
-    u_high = sobolev.k_norm(u, eta, NormSpec(mu=2, a=1.0)).value
-    u_base = sobolev.k_norm(u, eta, NormSpec(mu=0, a=1.0)).value
-    f_norm = 0.0 if f is None else sobolev.k_data_norm(domain, mesh, f,
-                                                       a=-1.0).value
-    g_surr = 0.0 if g is None else sobolev.trace_norm_surrogate(
-        domain, mesh, g).value
-    denom = f_norm + g_surr + u_base
-    if denom == 0.0:
-        return None
-    return u_high / denom
 
 
 # ---------------------------------------------------------------------

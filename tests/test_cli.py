@@ -308,6 +308,54 @@ def test_problem_with_nan_index_exit_code(tmp_path):
     assert "Traceback" not in res.stderr
 
 
+ONE_TRIANGLE = ("KLABMESH 1\nDIM 2\nNODES 3\n1 0.0 0.0\n2 1.0 0.0\n"
+                "3 0.0 1.0\nELEMENTS 1\n1 1 2 3\nBOUNDARY 3\n1 2\n2 3\n"
+                "1 3\nEND\n")
+
+
+@pytest.mark.parametrize("old, new", [
+    ("NODES 3", "NODES x"),
+    ("\n2 1.0 0.0", "\nx 1.0 0.0"),
+    ("3 0.0 1.0", "3 zz 1.0"),
+    ("3 0.0 1.0", "3 nan 1.0"),
+    ("\nEND", "\nGRADING a b c\nEND"),
+    ("BOUNDARY 3\n1 2\n2 3\n1 3", "BOUNDARY 0"),
+    ("BOUNDARY 3\n1 2\n2 3\n1 3", "BOUNDARY 2\n1 2\n2 3"),
+], ids=["count", "id", "coordinate", "nan-coordinate", "grading",
+        "no-boundary", "missing-facet"])
+def test_malformed_mesh_file_exit_code(tmp_path, old, new):
+    """A mesh file with an unparsable or non-finite number, or whose
+    BOUNDARY is not the boundary of its elements, is invalid input."""
+    assert old in ONE_TRIANGLE
+    bad = tmp_path / "bad.txt"
+    bad.write_text(ONE_TRIANGLE.replace(old, new, 1))
+    res = run_cli("mesh", "refine", "--mesh", bad, "--out", tmp_path)
+    assert res.returncode == 2, res.stderr
+    assert "error" in res.stderr and "Traceback" not in res.stderr
+
+
+@pytest.mark.parametrize("argv, mesh_domain", [
+    (["poincare", "--domain", "l_shape.json"], "box.json"),
+    (["window-probe", "--domain", "l_shape.json", "--a-grid", "0,0.5"],
+     "box.json"),
+    (["weights", "dump", "--domain", "l_shape.json"], "box.json"),
+    (["weights", "certify", "--domain", "box.json"], "square.json"),
+    (["norm", "--domain", "box.json", "--expr", "x"], "square.json"),
+], ids=["poincare", "window-probe", "weights-dump", "weights-certify",
+        "norm"])
+def test_mesh_of_wrong_dimension_exit_code(tmp_path, argv, mesh_domain):
+    """A --mesh file whose dimension is not the domain's is invalid input."""
+    from klab import geometry
+
+    domain = geometry.load_domain(problem_path(mesh_domain))
+    meshmod.write_mesh(tmp_path / "mesh.txt",
+                       meshmod.build_mesh(domain, 0.5))
+    argv = [problem_path(a) if a.endswith(".json") else a for a in argv]
+    res = run_cli(*argv, "--mesh", tmp_path / "mesh.txt", "--out", tmp_path)
+    assert res.returncode == 2, res.stderr
+    assert "--mesh is" in res.stderr and "Traceback" not in res.stderr
+
+
 def test_unknown_argument_exit_code(tmp_path):
     res = run_cli("solve", "--problem",
                   problem_path("manufactured_square.json"),

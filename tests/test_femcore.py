@@ -239,13 +239,13 @@ def _reference_blocks(mesh, form, elements):
        st.integers(min_value=0, max_value=1),
        st.sampled_from(sorted(_ASSEMBLE)),
        st.sampled_from([None, 0.0, 0.3, 0.8]),
-       st.sampled_from([1, 2]), st.sampled_from([1, 2, 3, 7, kernels.BLOCK]),
+       st.sampled_from([1, 2, 3, 7, kernels.BLOCK]),
        st.integers(min_value=0, max_value=2 ** 32 - 1))
 def test_assembly_scatters_into_the_coo_pattern(name, graded, levels, form,
-                                               fraction, workers, block, seed):
+                                               fraction, block, seed):
     """The pattern is coo_matrix(...).tocsr()'s, for the whole mesh and for
-    element subsets, for every assembly routine, with 1 or 2 workers and
-    any element block size. Each entry is bit-equal to np.add.at of its
+    element subsets, for every assembly routine and any element block
+    size. Each entry is bit-equal to np.add.at of its
     element contributions in mesh order, on positions looked up in a dict,
     and within a few ulp of the tocsr sum."""
     mesh = _pattern_mesh(name, graded, levels)
@@ -257,7 +257,6 @@ def test_assembly_scatters_into_the_coo_pattern(name, graded, levels, form,
         ids = np.flatnonzero(rng.random(mesh.num_elements) < fraction)
         elements = mesh.elements[ids]
     with pytest.MonkeyPatch.context() as mp:
-        mp.setenv("KLAB_THREADS", str(workers))
         mp.setattr(kernels, "BLOCK", block)
         got = _ASSEMBLE[form](mesh, element_ids=ids)
     local = _reference_blocks(mesh, form, elements).ravel()
@@ -295,7 +294,6 @@ def test_weighted_mass_holds_one_block_at_a_time(box, monkeypatch):
     rule = femcore.simplex_rule(3, 5)
     one_block = block * len(rule.weights) * 3 * 8  # (BLOCK, Q, 3) doubles
     monkeypatch.setattr(kernels, "BLOCK", block)
-    monkeypatch.setenv("KLAB_THREADS", "1")
     mesh.pattern  # built once per mesh, before the assembly
     tracemalloc.start()
     try:

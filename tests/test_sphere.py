@@ -5,10 +5,78 @@ import math
 import numpy as np
 import pytest
 
-from klab import sphere
+from klab import geometry, sphere
 from klab.errors import DegenerateLinkError
 
 RNG = np.random.default_rng(3)
+
+
+def _dict_loop_refinement(triangles, levels):
+    """The dict-and-loop geodesic refinement that refine_triangulation
+    replaced, kept as the reference it must match bit for bit."""
+    node_index: dict = {}
+    nodes: list = []
+
+    def add(v):
+        k = tuple(np.round(v, sphere._ROUND))
+        if k not in node_index:
+            node_index[k] = len(nodes)
+            nodes.append(np.asarray(v, dtype=float))
+        return node_index[k]
+
+    elements = []
+    for t in triangles:
+        elements.append([add(t[0]), add(t[1]), add(t[2])])
+    elements = np.array(elements, dtype=np.int64)
+
+    for _ in range(levels):
+        mid_cache: dict = {}
+
+        def midpoint(i, j):
+            k = (min(i, j), max(i, j))
+            if k not in mid_cache:
+                mid_cache[k] = add(sphere._unit(0.5 * (nodes[i] + nodes[j])))
+            return mid_cache[k]
+
+        new_elems = []
+        for a, b, c in elements:
+            ab, bc, ca = midpoint(a, b), midpoint(b, c), midpoint(c, a)
+            new_elems.extend([(a, ab, ca), (ab, b, bc), (ca, bc, c), (ab, bc, ca)])
+        elements = np.array(new_elems, dtype=np.int64)
+
+    nodes = np.array(nodes)
+    edge_count: dict = {}
+    for a, b, c in elements:
+        for e in ((a, b), (b, c), (c, a)):
+            k = (min(e), max(e))
+            edge_count[k] = edge_count.get(k, 0) + 1
+    boundary = np.zeros(len(nodes), dtype=bool)
+    for (a, b), cnt in edge_count.items():
+        if cnt == 1:
+            boundary[a] = True
+            boundary[b] = True
+    return nodes, elements, boundary
+
+
+def _links(source):
+    if source == "octant":
+        return [sphere.octant()]
+    if source == "hemisphere":
+        return [sphere.hemisphere()]
+    poly = geometry.build_polyhedron_3d(source)
+    return [geometry.vertex_link(poly, i) for i in range(len(poly.vertices))]
+
+
+@pytest.mark.parametrize("source", ["octant", "hemisphere", "box",
+                                    "l_prism", "fichera"])
+def test_refine_triangulation_matches_dict_loop(source):
+    for link in _links(source):
+        for levels in range(5):
+            got = sphere.refine_triangulation(link.triangles, levels)
+            want = _dict_loop_refinement(link.triangles, levels)
+            for g, w in zip(got, want):
+                assert g.dtype == w.dtype
+                assert np.array_equal(g, w)
 
 
 def test_octant_geometry():

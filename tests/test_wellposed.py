@@ -105,14 +105,14 @@ def test_zero_trace_solution_satisfies_kappa_bound(lshape, lshape_mesh):
     assert lhs <= var.kappa * poincare.gradient_energy(u) * (1.0 + 1e-10)
 
 
-def test_conjugate_operator_at_zero_is_stiffness(lshape, lshape_mesh):
-    k = femcore.assemble_stiffness(lshape_mesh)
-    b0 = wellposed.conjugate_operator(lshape, lshape_mesh, 0.0)
-    assert (b0 != k).nnz == 0
-    b_half = wellposed.conjugate_operator(lshape, lshape_mesh, 0.5)
+def test_combine_conjugate_at_zero_is_stiffness(lshape, lshape_mesh):
+    parts = wellposed.conjugate_parts(lshape, lshape_mesh)
+    k = parts[0]
+    assert wellposed.combine_conjugate(parts, 0.0) is k
+    b_half = wellposed.combine_conjugate(parts, 0.5)
     assert np.abs((b_half - k).toarray()).max() > 1e-3
     with pytest.raises(InadmissibleIndexError):
-        wellposed.conjugate_operator(lshape, lshape_mesh, 2.5)
+        wellposed.combine_conjugate(parts, 2.5)
 
 
 def test_conjugate_parts_structure(lshape, lshape_mesh):
@@ -135,14 +135,14 @@ def test_conjugated_solve_small_exponent(lshape, lshape_mesh):
     assert np.isfinite(rep.solution.values).all()
 
 
-def test_regularity_ratio_paths(square, square_mesh):
+def test_stability_ratio_paths(square, square_mesh):
     rep = wellposed.solve_dirichlet(BvpProblem(
         square, square_mesh, f=lambda p: np.ones(len(p))))
-    r = wellposed.regularity_ratio(square, square_mesh, rep.solution,
-                                   f=lambda p: np.ones(len(p)))
-    assert r is not None and 0.0 < r < math.inf
-    zero = femcore.FemField(square_mesh, np.zeros(square_mesh.num_nodes))
-    assert wellposed.regularity_ratio(square, square_mesh, zero) is None
+    assert 0.0 < rep.stability_ratio < math.inf
+    zero = wellposed.solve_dirichlet(BvpProblem(square, square_mesh))
+    assert np.all(zero.solution.values == 0.0)
+    assert zero.stability_ratio is None
+    assert "undefined" in zero.sign_note
 
 
 def test_predicted_window_edge(square, lshape, box):
@@ -235,11 +235,6 @@ def test_conjugation_lipschitz_regression(lshape, lshape_mesh):
     assert rep["lipschitz"] == pytest.approx(16.33915227900553, rel=1e-10)
     with pytest.raises(ValueError):
         wellposed.conjugation_lipschitz(lshape, lshape_mesh, (0.5,))
-
-
-def test_lift_boundary_data_none(square, square_mesh):
-    lift = wellposed.lift_boundary_data(square, square_mesh, None)
-    assert np.all(lift.values == 0.0)
 
 
 def _count_calls(monkeypatch, module, name):
