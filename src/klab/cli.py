@@ -395,11 +395,11 @@ def _cmd_mesh_refine(cfg: RunConfig) -> int:
     if cfg.mesh_path is None:
         raise SpecError("mesh refine needs --mesh")
     m = meshmod.read_mesh(cfg.mesh_path)
-    m = meshmod.refine(m, cfg.levels or 1)
+    m = meshmod.refine(m, cfg.levels)
     mesh_path = _out_path(cfg, "mesh_refined.txt")
     meshmod.write_mesh(mesh_path, m)
     payload = {"mesh_file": os.path.basename(mesh_path),
-               "levels": cfg.levels or 1, "summary": _mesh_summary(m)}
+               "levels": cfg.levels, "summary": _mesh_summary(m)}
     path = report.write_json(_out_path(cfg, "mesh_refine.json"), payload)
     print(f"refined mesh: {m.num_nodes} nodes, {m.num_elements} elements")
     print(f"files: {mesh_path}, {path}")
@@ -594,8 +594,10 @@ def _add_mesh_args(p, with_mesh_file: bool = True):
     p.add_argument("--kappa", type=float, default=None,
                    help="grading exponent in (0, 1]; 1 or omitted = uniform")
     p.add_argument("--levels", type=int, default=None,
-                   help="number of nested mesh levels in the study "
-                        "(base mesh plus levels-1 refinements)")
+                   help="refinements of the base mesh; for solve and "
+                        "regularity-study, the number of nested mesh "
+                        "levels in the study (base mesh plus levels-1 "
+                        "refinements)")
     if with_mesh_file:
         p.add_argument("--mesh", dest="mesh_path", default=None,
                        help="use an existing mesh file instead of --h")
@@ -623,7 +625,8 @@ def build_parser() -> argparse.ArgumentParser:
     b.set_defaults(func=_cmd_mesh_build, subcommand="mesh build")
     r = msub.add_parser("refine", help="refine a mesh file")
     r.add_argument("--mesh", dest="mesh_path", required=True)
-    r.add_argument("--levels", type=int, default=1)
+    r.add_argument("--levels", type=int, default=1,
+                   help="refinements to apply (at least 1)")
     _add_out(r)
     r.set_defaults(func=_cmd_mesh_refine, subcommand="mesh refine")
 

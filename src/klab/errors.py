@@ -26,7 +26,8 @@ class MeshFormatError(ValidationError):
 
 
 class MeshSizeError(ValidationError):
-    """Requested resolution exceeds the configured node cap."""
+    """Requested resolution is unusable: the mesh would exceed a size
+    cap, or it is too coarse to have interior nodes."""
 
 
 class UnsupportedDegreeError(ValidationError):

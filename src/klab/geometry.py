@@ -1,15 +1,16 @@
-"""Straight polygonal and polyhedral domains with explicit face lattices.
+"""Straight polygonal and polyhedral domains.
 
 Domains are flat-faced and bounded. In 2D any simple polygon is
 accepted; in 3D the supported shapes are generated from axis-aligned
 grid cells (boxes, L-prisms, corner-notched cubes), which keeps every
-face, edge and vertex figure exactly representable. The singular set of
-a domain collects its faces of codimension two and higher: the corners
-of a polygon, the edges and corners of a polyhedron. All weighted-norm
+face, edge and vertex figure exactly representable. A boundary face is
+the tuple of its vertex ids. The singular set of a domain is the corners
+of a polygon, the edges and corners of a polyhedron; all weighted-norm
 machinery downstream measures distance to that set.
 
 Exact geometric quantities (interior angles, dihedral angles, vertex
-links) are computed from the face data, never from meshes.
+links) are computed from the boundary faces and grid cells, never from
+meshes.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import sphere
+from . import kernels, sphere
 from .config import GEOM_TOL, SCHEMA_VERSION
 from .errors import GeometryError
 
@@ -31,33 +32,14 @@ L_SHAPE_VERTICES = (
 )
 
 
-@dataclass(frozen=True)
-class Face:
-    """A face of the boundary complex, vertices in cycle order for dim 2."""
-
-    dim: int
-    index: int
-    vertex_ids: tuple[int, ...]
-
-
-@dataclass
-class FaceLattice:
-    """Faces by dimension plus upward incidence.
-
-    ``upward[(k, i)]`` lists the indices of the (k+1)-faces bounded by
-    the i-th k-face.
-    """
-
-    faces: dict[int, list[Face]]
-    upward: dict[tuple[int, int], tuple[int, ...]]
-
-    def count(self, dim: int) -> int:
-        return len(self.faces.get(dim, ()))
-
-
 @dataclass
 class Polyhedron:
-    """Bounded straight domain with its boundary face lattice.
+    """Bounded straight domain with its boundary faces.
+
+    boundary_faces  vertex ids of each boundary face: the two ends of a
+                    polygon side, the vertex cycle of a polyhedron face
+    edge_faces      the indices of the two boundary faces at each 3D
+                    edge ([] in 2D)
 
     Immutable after construction; all operations treat it as read-only,
     so instances can be shared freely across threads.
@@ -66,9 +48,8 @@ class Polyhedron:
     dimension: int
     vertices: np.ndarray
     edges: np.ndarray
-    boundary_faces: list[Face]
-    face_lattice: FaceLattice
-    singular_faces: list[Face]
+    boundary_faces: list[tuple[int, ...]]
+    edge_faces: list[tuple[int, int]]
     generator: str
     parameters: dict
     cells: np.ndarray | None = None
@@ -79,7 +60,7 @@ class Polyhedron:
     def contains(self, points: np.ndarray, tol: float = GEOM_TOL) -> np.ndarray:
         """Closed membership test (True on the boundary up to tol)."""
         points = np.atleast_2d(np.asarray(points, dtype=float))
-        if self.dimension == 3 or self.cells is not None:
+        if self.cells is not None:
             inside = np.zeros(len(points), dtype=bool)
             for lo, hi in self.cells:
                 ok = np.ones(len(points), dtype=bool)
@@ -87,22 +68,7 @@ class Polyhedron:
                     ok &= (points[:, d] >= lo[d] - tol) & (points[:, d] <= hi[d] + tol)
                 inside |= ok
             return inside
-        return self._polygon_contains(points, tol)
-
-    def _polygon_contains(self, points, tol):
-        verts = self.vertices
-        n = len(verts)
-        on_boundary = self.boundary_distance(points) <= tol
-        x, y = points[:, 0], points[:, 1]
-        inside = np.zeros(len(points), dtype=bool)
-        for i in range(n):
-            x1, y1 = verts[i]
-            x2, y2 = verts[(i + 1) % n]
-            crosses = (y1 > y) != (y2 > y)
-            with np.errstate(divide="ignore", invalid="ignore"):
-                xint = x1 + (y - y1) * (x2 - x1) / (y2 - y1)
-            inside ^= crosses & (x < np.where(crosses, xint, np.inf))
-        return inside | on_boundary
+        return _points_in_polygon(points, self.vertices, tol)
 
     def boundary_distance(self, points: np.ndarray) -> np.ndarray:
         points = np.atleast_2d(np.asarray(points, dtype=float))
@@ -111,10 +77,9 @@ class Polyhedron:
             out = np.minimum(out, self._face_distance(points, f))
         return out
 
-    def _face_distance(self, points, face: Face) -> np.ndarray:
-        cyc = self.vertices[list(face.vertex_ids)]
+    def _face_distance(self, points, face: tuple[int, ...]) -> np.ndarray:
+        cyc = self.vertices[list(face)]
         if self.dimension == 2:
-            from . import kernels
             d, _, _ = kernels.nearest_on_segments(points, cyc[:1], cyc[1:2])
             return d
         normal, frame, origin = _face_frame(cyc)
@@ -124,16 +89,12 @@ class Polyhedron:
         poly2d = (cyc - origin) @ frame.T
         inside = _points_in_polygon(uv, poly2d)
         d_plane = np.abs(off)
-        from . import kernels
         segs_a = cyc
         segs_b = np.roll(cyc, -1, axis=0)
         d_seg, _, _ = kernels.nearest_on_segments(points, segs_a, segs_b)
         return np.where(inside, d_plane, d_seg)
 
     # -- singular set -------------------------------------------------
-
-    def singular_vertex_array(self) -> np.ndarray:
-        return self.vertices
 
     def singular_segments(self) -> np.ndarray:
         """Closed singular 1-faces as (S, 2, n) endpoint pairs (3D)."""
@@ -152,7 +113,6 @@ class Polyhedron:
         """Smallest positive distance between non-incident singular faces."""
         if self.dimension == 2:
             return self.min_vertex_separation()
-        from . import kernels
         best = self.min_vertex_separation()
         segs = self.singular_segments()
         for vi, v in enumerate(self.vertices):
@@ -180,7 +140,7 @@ class Polyhedron:
         best = np.inf
         for vi, v in enumerate(self.vertices):
             for f in self.boundary_faces:
-                if vi in f.vertex_ids:
+                if vi in f:
                     continue
                 d = self._face_distance(v[None, :], f)[0]
                 best = min(best, float(d))
@@ -197,8 +157,7 @@ class Polyhedron:
     # -- boundary faces -----------------------------------------------
 
     def sample_on_face(self, face_idx: int, n: int, rng: np.random.Generator) -> np.ndarray:
-        f = self.boundary_faces[face_idx]
-        cyc = self.vertices[list(f.vertex_ids)]
+        cyc = self.vertices[list(self.boundary_faces[face_idx])]
         if self.dimension == 2:
             t = rng.random(n)
             return cyc[0] + t[:, None] * (cyc[1] - cyc[0])
@@ -217,9 +176,8 @@ class Polyhedron:
         """Index of a boundary face containing the point; -1 if none."""
         point = np.asarray(point, dtype=float)
         for idx, f in enumerate(self.boundary_faces):
-            cyc = self.vertices[list(f.vertex_ids)]
+            cyc = self.vertices[list(f)]
             if self.dimension == 2:
-                from . import kernels
                 d, _, _ = kernels.nearest_on_segments(point[None, :], cyc[:1], cyc[1:2])
                 if d[0] <= tol:
                     return idx
@@ -246,9 +204,10 @@ def build_polygon(vertices) -> Polyhedron:
     zero-area cycles, straight (angle pi) corners and self-intersecting
     cycles.
     """
-    verts = np.asarray(vertices, dtype=float)
-    if verts.ndim != 2 or verts.shape[1] != 2:
-        raise GeometryError("polygon vertices must be an (n, 2) array")
+    verts = _finite_array(vertices)
+    if verts is None or verts.ndim != 2 or verts.shape[1] != 2:
+        raise GeometryError("polygon vertices must be an (n, 2) array of "
+                            "finite numbers")
     n = len(verts)
     if n < 3:
         raise GeometryError("polygon needs at least 3 vertices")
@@ -284,24 +243,16 @@ def build_polygon(vertices) -> Polyhedron:
             if _segments_intersect(a1, a2, b1, b2):
                 raise GeometryError(f"polygon edges {i} and {j} intersect")
 
-    vertex_faces = [Face(0, i, (i,)) for i in range(n)]
-    edge_faces = [Face(1, i, (i, (i + 1) % n)) for i in range(n)]
-    upward = {(0, i): tuple(sorted(((i - 1) % n, i))) for i in range(n)}
-    lattice = FaceLattice({0: vertex_faces, 1: edge_faces}, upward)
-
-    cells = _rectilinear_cells(verts)
-    poly = Polyhedron(
+    return Polyhedron(
         dimension=2,
         vertices=verts,
         edges=np.empty((0, 2), dtype=np.int64),
-        boundary_faces=edge_faces,
-        face_lattice=lattice,
-        singular_faces=vertex_faces,
+        boundary_faces=[(i, (i + 1) % n) for i in range(n)],
+        edge_faces=[],
         generator="polygon",
         parameters={"vertices": verts.tolist()},
-        cells=cells,
+        cells=_rectilinear_cells(verts),
     )
-    return poly
 
 
 def _rectilinear_cells(verts) -> np.ndarray | None:
@@ -314,23 +265,15 @@ def _rectilinear_cells(verts) -> np.ndarray | None:
     xs = np.unique(np.round(verts[:, 0], 12))
     ys = np.unique(np.round(verts[:, 1], 12))
     cells = []
-    tmp = _polygon_stub(verts)
     for i in range(len(xs) - 1):
         for j in range(len(ys) - 1):
             center = np.array([(xs[i] + xs[i + 1]) / 2, (ys[j] + ys[j + 1]) / 2])
-            if tmp._polygon_contains(center[None, :], GEOM_TOL)[0]:
+            if _points_in_polygon(center[None, :], verts)[0]:
                 cells.append(((xs[i], ys[j]), (xs[i + 1], ys[j + 1])))
     return np.array(cells)
 
 
-def _polygon_stub(verts) -> Polyhedron:
-    n = len(verts)
-    edge_faces = [Face(1, i, (i, (i + 1) % n)) for i in range(n)]
-    return Polyhedron(2, verts, np.empty((0, 2), dtype=np.int64), edge_faces,
-                      FaceLattice({}, {}), [], "stub", {})
-
-
-def build_polyhedron_3d(kind: str, **params) -> Polyhedron:
+def build_polyhedron_3d(kind: str, /, **params) -> Polyhedron:
     """Canonical 3D domains from axis-aligned grid cells.
 
     kind = "box"      rectangular box, parameters lengths=(a, b, c)
@@ -338,16 +281,14 @@ def build_polyhedron_3d(kind: str, **params) -> Polyhedron:
     kind = "fichera"  cube [-1,1]^3 with the closed octant [0,1]^3 removed
     """
     if kind == "box":
-        lengths = np.asarray(params.get("lengths", (1.0, 1.0, 1.0)), dtype=float)
-        if np.any(lengths <= 0):
-            raise GeometryError("box lengths must be positive")
+        lengths = _positive(params.get("lengths", (1.0, 1.0, 1.0)), (3,),
+                            "box lengths must be 3 positive finite numbers")
         grids = [np.array([0.0, l]) for l in lengths]
         inside = np.ones((1, 1, 1), dtype=bool)
         return _from_grid(grids, inside, "box", {"lengths": lengths.tolist()})
     if kind == "l_prism":
-        height = float(params.get("height", 1.0))
-        if height <= 0:
-            raise GeometryError("prism height must be positive")
+        height = float(_positive(params.get("height", 1.0), (),
+                                 "prism height must be a positive finite number"))
         xs = np.array([-1.0, 0.0, 1.0])
         ys = np.array([-1.0, 0.0, 1.0])
         zs = np.array([0.0, height])
@@ -360,6 +301,24 @@ def build_polyhedron_3d(kind: str, **params) -> Polyhedron:
         inside[1, 1, 1] = False  # remove the (+, +, +) octant
         return _from_grid([g, g, g], inside, "fichera", {})
     raise GeometryError(f"unknown 3D generator '{kind}'")
+
+
+def _finite_array(value) -> np.ndarray | None:
+    """value as a float array, None unless every entry is a finite number."""
+    try:
+        arr = np.asarray(value, dtype=float)
+    except (TypeError, ValueError, OverflowError):
+        return None
+    return arr if np.isfinite(arr).all() else None
+
+
+def _positive(value, shape: tuple, message: str) -> np.ndarray:
+    """value as a float array of the given shape with positive finite
+    entries; GeometryError(message) otherwise."""
+    arr = _finite_array(value)
+    if arr is None or arr.shape != shape or not np.all(arr > 0):
+        raise GeometryError(message)
+    return arr
 
 
 def _from_grid(grids, inside, generator, parameters) -> Polyhedron:
@@ -427,32 +386,17 @@ def _from_grid(grids, inside, generator, parameters) -> Polyhedron:
     face_vertex_ids = [tuple(vid(p) for p in cyc) for cyc in face_cycles]
     vertices = np.array(verts)
 
-    edge_index: dict = {}
-    edge_faces_map: dict = {}
+    # Edges in order of first appearance, each with the indices of the
+    # faces that meet at it, in increasing order.
+    edge_faces: dict = {}
     for fi, ids in enumerate(face_vertex_ids):
         m = len(ids)
         for t in range(m):
             e = tuple(sorted((ids[t], ids[(t + 1) % m])))
-            if e not in edge_index:
-                edge_index[e] = len(edge_index)
-            edge_faces_map.setdefault(e, []).append(fi)
-    for e, fs in edge_faces_map.items():
+            edge_faces.setdefault(e, []).append(fi)
+    for e, fs in edge_faces.items():
         if len(fs) != 2:
             raise GeometryError(f"edge {e} bounds {len(fs)} faces; boundary not watertight")
-    edges = np.array(sorted(edge_index, key=lambda e: edge_index[e]), dtype=np.int64)
-
-    vertex_faces = [Face(0, i, (i,)) for i in range(len(vertices))]
-    edge_face_objs = [Face(1, i, tuple(e)) for i, e in enumerate(edges)]
-    face_objs = [Face(2, i, ids) for i, ids in enumerate(face_vertex_ids)]
-
-    upward: dict = {}
-    for i, e in enumerate(edges):
-        upward.setdefault((0, e[0]), set()).add(i)
-        upward.setdefault((0, e[1]), set()).add(i)
-    for e, fs in edge_faces_map.items():
-        upward[(1, edge_index[e])] = set(fs)
-    upward = {k: tuple(sorted(v)) for k, v in upward.items()}
-    lattice = FaceLattice({0: vertex_faces, 1: edge_face_objs, 2: face_objs}, upward)
 
     # occupied cells as boxes, plus per-vertex incidence for vertex links
     cell_boxes = []
@@ -476,10 +420,9 @@ def _from_grid(grids, inside, generator, parameters) -> Polyhedron:
     return Polyhedron(
         dimension=3,
         vertices=vertices,
-        edges=edges,
-        boundary_faces=face_objs,
-        face_lattice=lattice,
-        singular_faces=vertex_faces + edge_face_objs,
+        edges=np.array(list(edge_faces), dtype=np.int64),
+        boundary_faces=face_vertex_ids,
+        edge_faces=[tuple(fs) for fs in edge_faces.values()],
         generator=generator,
         parameters=parameters,
         cells=cell_boxes,
@@ -566,7 +509,6 @@ def _face_frame(cyc: np.ndarray):
 
 def _points_in_polygon(pts, poly, tol: float = GEOM_TOL):
     """Even-odd membership in a simple 2D polygon, closed up to tol."""
-    from . import kernels
     segs_a = poly
     segs_b = np.roll(poly, -1, axis=0)
     d, _, _ = kernels.nearest_on_segments(np.atleast_2d(pts), segs_a, segs_b)
@@ -608,7 +550,6 @@ def _segments_intersect(a1, a2, b1, b2) -> bool:
 
 
 def _segment_segment_distance(s1, s2) -> float:
-    from . import kernels
     t = np.linspace(0.0, 1.0, 33)
     pts1 = s1[0] + t[:, None] * (s1[1] - s1[0])
     d1, _, _ = kernels.nearest_on_segments(pts1, s2[None, 0], s2[None, 1])
@@ -649,17 +590,14 @@ def edge_frame(poly: Polyhedron, edge_idx: int):
     if poly.dimension != 3:
         raise GeometryError("edge frames apply to polyhedra")
     e = poly.edges[edge_idx]
-    incident = poly.face_lattice.upward[(1, edge_idx)]
-    if len(incident) != 2:
-        raise GeometryError(f"edge {edge_idx} has {len(incident)} incident faces")
     a, b = poly.vertices[e[0]], poly.vertices[e[1]]
     axis = (b - a) / np.linalg.norm(b - a)
     mid = 0.5 * (a + b)
     probe = 1e-6 * np.linalg.norm(b - a)
 
     tangents = []
-    for fi in incident:
-        cyc = poly.vertices[list(poly.boundary_faces[fi].vertex_ids)]
+    for fi in poly.edge_faces[edge_idx]:
+        cyc = poly.vertices[list(poly.boundary_faces[fi])]
         normal, _, origin = _face_frame(cyc)
         t = np.cross(normal, axis)
         t = t / np.linalg.norm(t)
@@ -735,6 +673,8 @@ def domain_from_dict(spec: dict) -> Polyhedron:
     dim = spec.get("dimension")
     gen = spec.get("generator", "polygon" if "vertices" in spec else None)
     params = spec.get("parameters", {})
+    if not isinstance(params, dict):
+        raise GeometryError("domain parameters must be a JSON object")
     if dim == 2:
         if gen == "polygon":
             if "vertices" not in spec:
@@ -743,7 +683,8 @@ def domain_from_dict(spec: dict) -> Polyhedron:
         if gen == "l_shape":
             return build_polygon(L_SHAPE_VERTICES)
         if gen == "rectangle":
-            a, b = params.get("lengths", (1.0, 1.0))
+            a, b = _positive(params.get("lengths", (1.0, 1.0)), (2,),
+                             "rectangle lengths must be 2 positive finite numbers")
             return build_polygon([(0, 0), (a, 0), (a, b), (0, b)])
         raise GeometryError(f"unknown 2D generator '{gen}'")
     if dim == 3:

@@ -625,15 +625,11 @@ def singular_node_mask(mesh: SimplicialMesh, domain: Polyhedron,
                        tol: float = SINGULAR_NODE_TOL) -> np.ndarray:
     """Nodes lying on the singular set (corners; edges and corners in 3D)."""
     pts = mesh.nodes
-    d = np.full(len(pts), np.inf)
     if domain.dimension == 2:
-        verts = domain.singular_vertex_array()
-        dd, _ = kernels.nearest_points(pts, verts)
-        d = np.minimum(d, dd)
+        d, _ = kernels.nearest_points(pts, domain.vertices)
     else:
         segs = domain.singular_segments()
-        dd, _, _ = kernels.nearest_on_segments(pts, segs[:, 0], segs[:, 1])
-        d = np.minimum(d, dd)
+        d, _, _ = kernels.nearest_on_segments(pts, segs[:, 0], segs[:, 1])
     return d <= tol
 
 

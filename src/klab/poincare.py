@@ -29,7 +29,7 @@ import scipy.linalg
 import scipy.sparse as sp
 
 from . import femcore, geometry, kernels, sobolev, sphere, weights
-from .errors import DecompositionError, DegenerateLinkError
+from .errors import DecompositionError, DegenerateLinkError, MeshSizeError
 from .femcore import FemField
 from .geometry import Polyhedron
 from .mesh import SimplicialMesh, free_prolongations
@@ -648,7 +648,7 @@ class KappaCertificate:
 def _free_nodes(mesh: SimplicialMesh) -> np.ndarray:
     free = np.where(~mesh.boundary_node_mask())[0]
     if not len(free):
-        raise DecompositionError("mesh has no interior nodes")
+        raise MeshSizeError("mesh has no interior nodes")
     return free
 
 
@@ -715,7 +715,6 @@ def constructive_kappa(domain: Polyhedron, mesh: SimplicialMesh,
         region_terms.append(entry)
         total += term
 
-    rng = np.random.default_rng(seed + 1)
     interior = weights.sample_interior(domain, samples)
     outside = np.ones(len(interior), dtype=bool)
     for region in decomp.regions:

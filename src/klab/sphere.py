@@ -3,10 +3,10 @@
 A corner of a polyhedron cuts the unit sphere around it in a spherical
 polygon (the vertex link). For the lattice-generated domains built in
 :mod:`klab.geometry` every corner is a corner of one or more grid cells,
-so its link is a union of coordinate octant triangles. That structure
-gives an exact coarse triangulation, an exact Girard area, and an exact
-membership test, and it seeds the geodesic refinement used by the
-spherical-cap eigenvalue solver.
+so its link is a union of coordinate octant triangles, and a link is
+kept as just those triangles. They give an exact Girard area and an
+exact membership test, and they seed the geodesic refinement used by
+the spherical-cap eigenvalue solver.
 """
 
 from __future__ import annotations
@@ -20,8 +20,6 @@ from .config import GEOM_TOL
 from .errors import DegenerateLinkError
 from .mesh import (_NodePool, _refine_once, derive_boundary_facets,
                    element_pattern)
-
-_ROUND = 12  # coordinate rounding for node dedup on the unit sphere
 
 
 def _unit(v):
@@ -49,18 +47,14 @@ def triangle_angles(a, b, c) -> np.ndarray:
 
 @dataclass
 class SphericalPolygon:
-    """Spherical polygon given as a cycle of great-circle arcs.
+    """Spherical polygon given by the spherical triangles that tile it.
 
-    vertices   (m, 3) unit directions, region to the left of the cycle
-    angles     (m,) interior angles
     area       surface area (Girard sum over the coarse triangles)
-    triangles  (T, 3, 3) coarse spherical triangles covering the region
+    triangles  (T, 3, 3) right-handed coarse spherical triangles
     octant_signs  sign triples of the coordinate octants making up the
                region, when the region is an exact union of octants
     """
 
-    vertices: np.ndarray
-    angles: np.ndarray
     area: float
     triangles: np.ndarray
     octant_signs: tuple[tuple[int, int, int], ...] | None = None
@@ -88,124 +82,23 @@ class SphericalPolygon:
 
 def polygon_from_triangles(triangles: np.ndarray,
                            octant_signs=None) -> SphericalPolygon:
-    """Assemble a SphericalPolygon from right-handed spherical triangles.
+    """Assemble a SphericalPolygon from spherical triangles that tile it.
 
-    The triangles must tile the region: shared arcs cancel in opposite
-    directions, the remaining directed arcs must chain into one cycle.
+    Every triangle is made right-handed, which also fixes the node order
+    of its refinements; raises DegenerateLinkError on no triangles or a
+    zero total area.
     """
     triangles = np.asarray(triangles, dtype=float)
     if len(triangles) == 0:
         raise DegenerateLinkError("empty link")
-
-    def key(v):
-        return tuple(np.round(v, _ROUND))
-
-    # Orient every triangle right-handed so boundary arcs keep the
-    # region on their left.
-    tris = []
-    for t in triangles:
-        if np.linalg.det(t) < 0:
-            t = t[[0, 2, 1]]
-        tris.append(t)
-    tris = np.array(tris)
-
-    _validate_connected(tris, key)
-
-    directed = {}
-    for t in tris:
-        for i in range(3):
-            a, b = key(t[i]), key(t[(i + 1) % 3])
-            if (b, a) in directed:
-                del directed[(b, a)]
-            else:
-                directed[(a, b)] = (t[i], t[(i + 1) % 3])
-    if not directed:
-        raise DegenerateLinkError("link has no boundary (full sphere)")
-
-    succ = {}
-    for (a, b), arc in directed.items():
-        if a in succ:
-            raise DegenerateLinkError("link boundary is not a simple cycle")
-        succ[a] = (b, arc)
-
-    start = min(succ)
-    cycle = [succ[start][1][0]]
-    cur = start
-    while True:
-        nxt, arc = succ.pop(cur)
-        if nxt == start:
-            break
-        cycle.append(succ[nxt][1][0])
-        cur = nxt
-    if succ:
-        raise DegenerateLinkError("link boundary splits into several loops")
-
-    cycle = _merge_collinear(cycle)
-    m = len(cycle)
-    angles = np.empty(m)
-    for i in range(m):
-        u = cycle[i]
-        t_in = _tangent(u, cycle[(i - 1) % m])
-        t_out = _tangent(u, cycle[(i + 1) % m])
-        ang = np.arctan2(np.dot(np.cross(t_out, t_in), u), np.dot(t_out, t_in))
-        angles[i] = ang % (2.0 * np.pi)
-
+    tris = np.array([t[[0, 2, 1]] if np.linalg.det(t) < 0 else t
+                     for t in triangles])
     area = 0.0
     for t in tris:
         area += triangle_angles(*t).sum() - np.pi
     if area < GEOM_TOL:
         raise DegenerateLinkError("link has zero area")
-
-    return SphericalPolygon(np.array(cycle), angles, float(area), tris,
-                            octant_signs)
-
-
-def _merge_collinear(cycle):
-    """Drop cycle vertices whose two arcs lie on one great circle.
-
-    A merge is skipped when it would create an arc of length >= pi,
-    which the vertex-cycle representation cannot express.
-    """
-    changed = True
-    while changed and len(cycle) > 3:
-        changed = False
-        for i in range(len(cycle)):
-            p = cycle[(i - 1) % len(cycle)]
-            u = cycle[i]
-            q = cycle[(i + 1) % len(cycle)]
-            n1 = np.cross(p, u)
-            n2 = np.cross(u, q)
-            same_circle = np.linalg.norm(np.cross(n1, n2)) < GEOM_TOL and np.dot(n1, n2) > 0
-            merged_len = (np.arccos(np.clip(np.dot(p, u), -1, 1))
-                          + np.arccos(np.clip(np.dot(u, q), -1, 1)))
-            if same_circle and merged_len < np.pi - 1e-9:
-                cycle.pop(i)
-                changed = True
-                break
-    return cycle
-
-
-def _validate_connected(tris, key):
-    by_edge: dict = {}
-    for idx, t in enumerate(tris):
-        for i in range(3):
-            e = tuple(sorted((key(t[i]), key(t[(i + 1) % 3]))))
-            by_edge.setdefault(e, []).append(idx)
-    adj = {i: set() for i in range(len(tris))}
-    for members in by_edge.values():
-        for a in members:
-            for b in members:
-                if a != b:
-                    adj[a].add(b)
-    seen = {0}
-    stack = [0]
-    while stack:
-        for nb in adj[stack.pop()]:
-            if nb not in seen:
-                seen.add(nb)
-                stack.append(nb)
-    if len(seen) != len(tris):
-        raise DegenerateLinkError("link is not connected")
+    return SphericalPolygon(float(area), tris, octant_signs)
 
 
 def octant() -> SphericalPolygon:

@@ -27,7 +27,7 @@ import numpy as np
 import scipy.sparse.linalg
 
 from . import femcore, geometry, kernels, sobolev, weights
-from .errors import InadmissibleIndexError
+from .errors import InadmissibleIndexError, MeshSizeError
 from .femcore import FemField
 from .geometry import Polyhedron
 from .mesh import SimplicialMesh, free_prolongations
@@ -185,7 +185,7 @@ def solve_dirichlet(problem: BvpProblem) -> SolveReport:
     constrained = mesh.boundary_node_mask()
     free = np.where(~constrained)[0]
     if not len(free):
-        raise ValueError("mesh has no interior nodes")
+        raise MeshSizeError("mesh has no interior nodes")
     rhs_full = f_vec - b_mat @ lift
     rhs = rhs_full[free]
     b_ff = b_mat[free][:, free].tocsr()
@@ -304,6 +304,8 @@ def weight_window_probe(domain: Polyhedron, mesh: SimplicialMesh,
     parts = conjugate_parts(domain, mesh)
     k_mat, _, m_mat = parts
     free = np.where(~mesh.boundary_node_mask())[0]
+    if not len(free):
+        raise MeshSizeError("mesh has no interior nodes")
     k_ff = k_mat[free][:, free].tocsr()
     m_ff = m_mat[free][:, free].tocsr()
 

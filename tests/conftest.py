@@ -6,6 +6,12 @@ from klab import geometry
 from klab import mesh as meshmod
 
 PROBLEM_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "problems")
+SRC_DIR = os.path.abspath(os.path.join(os.path.dirname(__file__), os.pardir,
+                                       "src"))
+# The CLI tests run `python -m klab.cli` in subprocesses; they find the
+# package the way this process does, also without an install.
+os.environ["PYTHONPATH"] = os.pathsep.join(
+    p for p in (SRC_DIR, os.environ.get("PYTHONPATH")) if p)
 
 # one line per acceptance criterion, echoed after the test summary
 ACCEPTANCE_LINES = []

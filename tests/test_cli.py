@@ -356,6 +356,79 @@ def test_mesh_of_wrong_dimension_exit_code(tmp_path, argv, mesh_domain):
     assert "--mesh is" in res.stderr and "Traceback" not in res.stderr
 
 
+BAD_DOMAINS = {
+    "box-lengths-string": '{"generator": "box", "parameters": {"lengths": "x"}}',
+    "box-lengths-short": '{"generator": "box", "parameters": {"lengths": [1, 1]}}',
+    "box-lengths-inf": ('{"generator": "box", '
+                        '"parameters": {"lengths": [1, Infinity, 1]}}'),
+    "box-lengths-huge-int": ('{"generator": "box", '
+                             '"parameters": {"lengths": [1, 1, 1%s]}}'
+                             % ("0" * 400)),
+    "rectangle-lengths-short": ('{"generator": "rectangle", '
+                                '"parameters": {"lengths": [1]}}'),
+    "rectangle-lengths-nan": ('{"generator": "rectangle", '
+                              '"parameters": {"lengths": [1, NaN]}}'),
+    "vertices-string": '{"vertices": "abc"}',
+    "vertices-nan": '{"vertices": [[0, 0], [1, 0], [NaN, 1]]}',
+    "height-string": '{"generator": "l_prism", "parameters": {"height": "tall"}}',
+    "parameters-list": '{"generator": "rectangle", "parameters": [1, 2]}',
+}
+
+
+@pytest.mark.parametrize("name", list(BAD_DOMAINS))
+def test_malformed_domain_file_exit_code(tmp_path, name):
+    """A domain file with ill-typed, misshapen or non-finite parameters is
+    invalid input."""
+    spec = json.loads(BAD_DOMAINS[name])
+    spec.update(schema_version=1,
+                dimension=3 if spec.get("generator") in ("box", "l_prism")
+                else 2)
+    bad = tmp_path / "domain.json"
+    bad.write_text(json.dumps(spec))
+    res = run_cli("domain", "validate", "--domain", bad, "--out", tmp_path)
+    assert res.returncode == 2, res.stderr
+    assert res.stderr.startswith("error:") and "Traceback" not in res.stderr
+
+
+def test_malformed_inline_domain_exit_code(tmp_path):
+    with open(problem_path("manufactured_square.json")) as fh:
+        spec = json.load(fh)
+    spec["domain"] = {"dimension": 2, "generator": "rectangle",
+                      "parameters": {"lengths": [1, float("nan")]}}
+    bad = tmp_path / "problem.json"
+    bad.write_text(json.dumps(spec))
+    res = run_cli("solve", "--problem", bad, "--out", tmp_path)
+    assert res.returncode == 2, res.stderr
+    assert res.stderr.startswith("error:") and "Traceback" not in res.stderr
+
+
+@pytest.mark.parametrize("argv", [
+    ["solve", "--problem", "manufactured_square.json", "--h", "1"],
+    ["regularity-study", "--problem", "manufactured_square.json",
+     "--h", "1"],
+    ["window-probe", "--domain", "square.json", "--h", "1",
+     "--a-grid", "0,0.5"],
+    ["mesh", "refine", "--levels", "0"],
+], ids=["solve", "regularity-study", "window-probe", "refine-levels-0"])
+def test_too_coarse_mesh_exit_code(tmp_path, argv):
+    """A mesh with no interior nodes, and zero refinements, are unusable
+    resolutions: exit 2 with a message, never a traceback."""
+    if argv[:2] == ["mesh", "refine"]:
+        from klab import geometry
+
+        domain = geometry.load_domain(problem_path("square.json"))
+        meshmod.write_mesh(tmp_path / "mesh.txt",
+                           meshmod.build_mesh(domain, 0.5))
+        argv = argv + ["--mesh", tmp_path / "mesh.txt"]
+    argv = [problem_path(a) if str(a).endswith(".json") else a for a in argv]
+    res = run_cli(*argv, "--out", tmp_path)
+    assert res.returncode == 2, res.stderr
+    assert res.stderr.startswith("error:") and "Traceback" not in res.stderr
+    if argv[0] != "mesh":
+        assert "mesh has no interior nodes" in res.stderr
+    assert not (tmp_path / "mesh_refine.json").exists()
+
+
 def test_unknown_argument_exit_code(tmp_path):
     res = run_cli("solve", "--problem",
                   problem_path("manufactured_square.json"),

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from klab import geometry
+from klab.config import GEOM_TOL
 from klab.errors import GeometryError
 
 RNG = np.random.default_rng(11)
@@ -59,6 +60,49 @@ def test_lshape_contains_oracle(lshape):
     assert np.array_equal(lshape.contains(pts)[mask], expect[mask])
 
 
+def _parent_polygon_contains(self, points, tol):
+    """Polyhedron._polygon_contains as it was before contains called
+    geometry._points_in_polygon, kept verbatim as the reference."""
+    verts = self.vertices
+    n = len(verts)
+    on_boundary = self.boundary_distance(points) <= tol
+    x, y = points[:, 0], points[:, 1]
+    inside = np.zeros(len(points), dtype=bool)
+    for i in range(n):
+        x1, y1 = verts[i]
+        x2, y2 = verts[(i + 1) % n]
+        crosses = (y1 > y) != (y2 > y)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            xint = x1 + (y - y1) * (x2 - x1) / (y2 - y1)
+        inside ^= crosses & (x < np.where(crosses, xint, np.inf))
+    return inside | on_boundary
+
+
+@pytest.mark.parametrize("vertices", [
+    [(0, 0), (1, 0), (0.3, 0.8)],
+    [(0, 0), (2, 0.5), (1.1, 0.9), (1.9, 2.0), (-0.3, 1.4)],
+    [(0, 1), (0.22, 0.3), (0.95, 0.31), (0.36, -0.12), (0.59, -0.81),
+     (0, -0.38), (-0.59, -0.81), (-0.36, -0.12), (-0.95, 0.31),
+     (-0.22, 0.3)],
+], ids=["triangle", "nonconvex", "star"])
+def test_polygon_contains_matches_reference(vertices):
+    """Membership in non-rectilinear polygons, on random points, points
+    on the sides and the vertices, is the old per-domain loop's."""
+    poly = geometry.build_polygon(vertices)
+    assert poly.cells is None
+    verts = poly.vertices
+    lo, hi = verts.min(axis=0) - 0.2, verts.max(axis=0) + 0.2
+    rng = np.random.default_rng(len(vertices))
+    t = rng.random((200, 1))
+    on_sides = [a + t * (b - a) for a, b in zip(verts, np.roll(verts, -1, 0))]
+    pts = np.vstack([lo + rng.random((4000, 2)) * (hi - lo),
+                     *on_sides, verts])
+    for tol in (GEOM_TOL, 0.0):
+        got = poly.contains(pts, tol=tol)
+        assert np.array_equal(got, _parent_polygon_contains(poly, pts, tol))
+    assert poly.contains(verts, tol=0.0).all()
+
+
 def test_square_boundary_distance_oracle(square):
     pts = RNG.random((200, 2))
     d = square.boundary_distance(pts)
@@ -91,6 +135,15 @@ def test_l_prism_counts(l_prism):
                len(l_prism.boundary_faces))
     assert (v, e, f) == (12, 18, 8)
     assert v - e + f == 2
+
+
+def test_edge_faces_meet_at_their_edge(box, l_prism, fichera):
+    for dom in (box, l_prism, fichera):
+        assert len(dom.edge_faces) == len(dom.edges)
+        for e, faces in zip(dom.edges, dom.edge_faces):
+            assert len(set(faces)) == 2
+            for f in faces:
+                assert set(e) <= set(dom.boundary_faces[f])
 
 
 def test_fichera_counts(fichera):
@@ -181,6 +234,12 @@ def test_domain_from_dict_rejects_bad_specs():
         geometry.domain_from_dict({"dimension": 3, "generator": "torus"})
     with pytest.raises(GeometryError):
         geometry.domain_from_dict([1, 2, 3])
+
+
+def test_domain_parameter_named_kind_is_ignored():
+    dom = geometry.domain_from_dict({"dimension": 3, "generator": "box",
+                                     "parameters": {"kind": 1}})
+    assert dom.generator == "box" and len(dom.vertices) == 8
 
 
 def test_load_domain_bad_json(tmp_path):

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from klab import (femcore, geometry, mesh as meshmod, poincare, sobolev,
                   sphere, weights)
-from klab.errors import DecompositionError
+from klab.errors import DecompositionError, MeshSizeError
 from klab.sobolev import NormSpec
 
 
@@ -23,6 +23,13 @@ def test_sector_constant_analytic():
         poincare.sector_constant(0.0)
     with pytest.raises(DecompositionError):
         poincare.sector_constant(2.5 * math.pi)
+
+
+def test_mesh_without_interior_nodes_rejected(square):
+    coarse = meshmod.build_mesh(square, 1.0)
+    assert coarse.boundary_node_mask().all()
+    with pytest.raises(MeshSizeError, match="no interior nodes"):
+        poincare.domain_poincare_constant(coarse)
 
 
 def test_sector_factor():

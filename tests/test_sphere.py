@@ -5,10 +5,12 @@ import math
 import numpy as np
 import pytest
 
-from klab import geometry, sphere
+from klab import geometry, poincare, sphere
 from klab.errors import DegenerateLinkError
 
 RNG = np.random.default_rng(3)
+# Coordinate rounding of the reference refinement's node dedup.
+_ROUND = 12
 
 
 def _dict_loop_refinement(triangles, levels):
@@ -18,7 +20,7 @@ def _dict_loop_refinement(triangles, levels):
     nodes: list = []
 
     def add(v):
-        k = tuple(np.round(v, sphere._ROUND))
+        k = tuple(np.round(v, _ROUND))
         if k not in node_index:
             node_index[k] = len(nodes)
             nodes.append(np.asarray(v, dtype=float))
@@ -82,17 +84,11 @@ def test_refine_triangulation_matches_dict_loop(source):
 def test_octant_geometry():
     oct_ = sphere.octant()
     assert oct_.area == pytest.approx(math.pi / 2, rel=1e-12)
-    assert len(oct_.vertices) == 3
-    assert np.allclose(np.sort(oct_.angles), math.pi / 2)
 
 
 def test_hemisphere_geometry():
     hemi = sphere.hemisphere()
     assert hemi.area == pytest.approx(2 * math.pi, rel=1e-12)
-    # boundary is the equator: every interior angle is pi after the
-    # collinear equator points merge away
-    assert np.allclose(hemi.angles, math.pi) or len(hemi.vertices) >= 3
-    assert np.allclose(np.linalg.norm(hemi.vertices, axis=1), 1.0)
 
 
 def test_contains_directions_octant():
@@ -111,7 +107,7 @@ def test_sample_directions_inside():
 
 
 def test_full_sphere_rejected():
-    # eight octants tile the sphere: no boundary cycle remains
+    # eight octants tile the sphere: the refined link has no boundary
     e = np.eye(3)
     tris = []
     for sx in (1, -1):
@@ -121,22 +117,15 @@ def test_full_sphere_rejected():
                 if np.linalg.det(t) < 0:
                     t = t[::-1]
                 tris.append(t)
+    link = sphere.polygon_from_triangles(np.array(tris))
+    assert link.area == pytest.approx(4 * math.pi, rel=1e-12)
     with pytest.raises(DegenerateLinkError):
-        sphere.polygon_from_triangles(np.array(tris))
+        poincare.cap_constant_from_link(link)
 
 
 def test_empty_link_rejected():
     with pytest.raises(DegenerateLinkError):
         sphere.polygon_from_triangles(np.zeros((0, 3, 3)))
-
-
-def test_disconnected_link_rejected():
-    e = np.eye(3)
-    # two octants sharing only the antipodal pair of poles
-    t1 = np.array([e[0], e[1], e[2]])
-    t2 = np.array([-e[0], -e[1], e[2]])
-    with pytest.raises(DegenerateLinkError):
-        sphere.polygon_from_triangles(np.array([t1, t2]))
 
 
 def test_refine_triangulation_counts():
