@@ -15,10 +15,7 @@ window-probe       conjugated-operator stability sweep over the index a
 
 Every run writes canonical JSON (and, for convergence studies, CSV)
 into the --out directory; identical configuration and seed reproduce
-identical bytes. Study loops across refinement levels may run in
-parallel, capped by the KLAB_THREADS environment variable (default 1,
-serial); results are merged in level order either way, so reports do
-not depend on the worker count.
+identical bytes.
 
 Exit codes: 0 success, 2 invalid input (bad files, bad schema, bad
 parameters), 3 numerical failure (non-convergence, indefiniteness).
@@ -31,14 +28,12 @@ import json
 import math
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
 
 import numpy as np
 
 from . import (expressions, femcore, geometry, kernels, mesh as meshmod,
                poincare, report, sobolev, weights, wellposed)
-from .config import SCHEMA_VERSION, worker_count
+from .config import SCHEMA_VERSION
 from .errors import NumericalError, SpecError, ValidationError
 from .femcore import FemField
 from .geometry import Polyhedron
@@ -48,74 +43,8 @@ DEFAULT_SEED = poincare.DEFAULT_SEED
 
 
 # ---------------------------------------------------------------------
-# configuration
-# ---------------------------------------------------------------------
-
-
-@dataclass
-class RunConfig:
-    """One CLI invocation, validated.
-
-    Mesh parameters apply to subcommands that build their own mesh; the
-    problem path to solve-like subcommands. Tolerance overrides: tol is
-    the iterative-solver relative tolerance, threshold the stability
-    indicator cutoff of the window probe.
-    """
-
-    subcommand: str
-    domain: str | None = None
-    mesh_path: str | None = None
-    problem: str | None = None
-    h: float | None = None
-    kappa: float | None = None
-    levels: int | None = None
-    out: str = "."
-    seed: int = DEFAULT_SEED
-    tol: float = 1e-10
-    threshold: float = 0.1
-    samples: int = 1000
-    cap_levels: int = 4
-    expr: str | None = None
-    mu: int = 0
-    a: float | None = None
-    polar_vertex: int | None = None
-    a_grid: tuple = ()
-    f_expr: str | None = None
-
-    def __post_init__(self):
-        # Written so that NaN fails every test.
-        if not (0.0 < self.tol < math.inf and 0.0 < self.threshold < math.inf):
-            raise SpecError("tolerances must be positive and finite")
-        if self.h is not None and not 0.0 < self.h < math.inf:
-            raise SpecError("--h must be positive and finite")
-        if self.kappa is not None and not 0.0 < self.kappa <= 1.0:
-            raise SpecError("--kappa must lie in (0, 1]")
-        if self.levels is not None and self.levels < 0:
-            raise SpecError("--levels must be nonnegative")
-        if self.samples <= 0:
-            raise SpecError("--samples must be positive")
-        if self.cap_levels <= 0:
-            raise SpecError("--cap-levels must be positive")
-        self.seed = int(self.seed)
-
-
-def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    """RunConfig of the parsed arguments; argparse's own keys (command,
-    action, func) are dropped."""
-    known = RunConfig.__dataclass_fields__
-    return RunConfig(**{key: value for key, value in vars(args).items()
-                        if key in known})
-
-
-# ---------------------------------------------------------------------
 # shared helpers
 # ---------------------------------------------------------------------
-
-
-def _load_domain(path) -> Polyhedron:
-    if path is None:
-        raise SpecError("this subcommand needs --domain")
-    return geometry.load_domain(path)
 
 
 def _make_mesh(domain: Polyhedron, h: float, kappa: float | None,
@@ -131,10 +60,11 @@ def _make_mesh(domain: Polyhedron, h: float, kappa: float | None,
     return m
 
 
-def _mesh_for(cfg: RunConfig, domain: Polyhedron) -> meshmod.SimplicialMesh:
-    if cfg.mesh_path is None:
-        return _make_mesh(domain, cfg.h, cfg.kappa, cfg.levels)
-    m = meshmod.read_mesh(cfg.mesh_path)
+def _mesh_for(args: argparse.Namespace,
+              domain: Polyhedron) -> meshmod.SimplicialMesh:
+    if args.mesh_path is None:
+        return _make_mesh(domain, args.h, args.kappa, args.levels)
+    m = meshmod.read_mesh(args.mesh_path)
     if m.dimension != domain.dimension:
         raise SpecError(f"--mesh is {m.dimension}D but the domain is "
                         f"{domain.dimension}D")
@@ -162,19 +92,9 @@ def _mesh_summary(m: meshmod.SimplicialMesh) -> dict:
     }
 
 
-def _out_path(cfg: RunConfig, name: str) -> str:
-    os.makedirs(cfg.out, exist_ok=True)
-    return os.path.join(cfg.out, name)
-
-
-def _run_ordered(tasks):
-    """Run thunks, in parallel if KLAB_THREADS allows, keeping order."""
-    workers = min(worker_count(), len(tasks))
-    if workers <= 1:
-        return [task() for task in tasks]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        futures = [pool.submit(task) for task in tasks]
-        return [f.result() for f in futures]
+def _out_path(args: argparse.Namespace, name: str) -> str:
+    os.makedirs(args.out, exist_ok=True)
+    return os.path.join(args.out, name)
 
 
 # ---------------------------------------------------------------------
@@ -306,40 +226,40 @@ def _solution_errors(m: meshmod.SimplicialMesh, u: FemField, exact,
 
 
 def _study_meshes(domain: Polyhedron, h: float, kappa: float,
-                  n_levels: int) -> list:
+                  n_levels: int):
+    """The study's nested meshes, coarse first, each refined from the
+    one before only when it is asked for."""
     grading = None
     if kappa < 1.0:
         grading = meshmod.default_grading(domain, kappa)
-    out = [meshmod.build_mesh(domain, h, grading=grading)]
+    m = meshmod.build_mesh(domain, h, grading=grading)
+    yield m
     for _ in range(n_levels - 1):
-        out.append(meshmod.refine(out[-1], 1, grading=grading))
-    return out
+        m = meshmod.refine(m, 1, grading=grading)
+        yield m
 
 
-def _solve_levels(cfg: RunConfig, setup: dict) -> list:
-    h0 = cfg.h if cfg.h is not None else setup["h"]
-    kappa = cfg.kappa if cfg.kappa is not None else setup["kappa"]
-    a = cfg.a if cfg.a is not None else setup["a"]
-    n_levels = cfg.levels if cfg.levels else 1
-    meshes = _study_meshes(setup["domain"], h0, kappa, n_levels)
-
-    def task(level, m):
-        def run():
-            problem = wellposed.BvpProblem(
-                setup["domain"], m, f=setup["f"], g=setup["g"], a=a,
-                sign=setup["sign"], solver_tol=cfg.tol)
-            solved = wellposed.solve_dirichlet(problem)
-            entry = {"level": level, "h": h0 * 0.5 ** level,
-                     "nodes": m.num_nodes, "elements": m.num_elements,
-                     "report": solved.as_dict()}
-            if setup["exact"] is not None:
-                entry.update(_solution_errors(m, solved.solution,
-                                              setup["exact"],
-                                              setup["exact_grad"]))
-            return entry
-        return run
-
-    return _run_ordered([task(i, m) for i, m in enumerate(meshes)])
+def _solve_levels(args: argparse.Namespace, setup: dict) -> list:
+    """One solve per study level; an omitted --levels means one level."""
+    h0 = setup["h"] if args.h is None else args.h
+    kappa = setup["kappa"] if args.kappa is None else args.kappa
+    a = setup["a"] if args.a is None else args.a
+    n_levels = 1 if args.levels is None else args.levels
+    entries = []
+    for level, m in enumerate(_study_meshes(setup["domain"], h0, kappa,
+                                            n_levels)):
+        problem = wellposed.BvpProblem(
+            setup["domain"], m, f=setup["f"], g=setup["g"], a=a,
+            sign=setup["sign"], solver_tol=args.tol)
+        solved = wellposed.solve_dirichlet(problem)
+        entry = {"level": level, "h": h0 * 0.5 ** level,
+                 "nodes": m.num_nodes, "elements": m.num_elements,
+                 "report": solved.as_dict()}
+        if setup["exact"] is not None:
+            entry.update(_solution_errors(m, solved.solution, setup["exact"],
+                                          setup["exact_grad"]))
+        entries.append(entry)
+    return entries
 
 
 # ---------------------------------------------------------------------
@@ -347,8 +267,8 @@ def _solve_levels(cfg: RunConfig, setup: dict) -> list:
 # ---------------------------------------------------------------------
 
 
-def _cmd_domain_validate(cfg: RunConfig) -> int:
-    domain = _load_domain(cfg.domain)
+def _cmd_domain_validate(args: argparse.Namespace) -> int:
+    domain = geometry.load_domain(args.domain)
     payload = {
         "domain": geometry.domain_to_dict(domain),
         "dimension": domain.dimension,
@@ -370,109 +290,105 @@ def _cmd_domain_validate(cfg: RunConfig) -> int:
         payload["max_dihedral_angle"] = max(angles)
         payload["vertex_clearance"] = domain.vertex_clearance()
         payload["min_edge_length"] = domain.min_edge_length()
-    path = report.write_json(_out_path(cfg, "domain_validate.json"), payload)
+    path = report.write_json(_out_path(args, "domain_validate.json"), payload)
     print(f"domain OK: {domain.generator}, dimension {domain.dimension}, "
           f"{len(domain.vertices)} vertices")
     print(f"report: {path}")
     return 0
 
 
-def _cmd_mesh_build(cfg: RunConfig) -> int:
-    domain = _load_domain(cfg.domain)
-    m = _make_mesh(domain, cfg.h, cfg.kappa, cfg.levels)
-    mesh_path = _out_path(cfg, "mesh.txt")
+def _cmd_mesh_build(args: argparse.Namespace) -> int:
+    domain = geometry.load_domain(args.domain)
+    m = _make_mesh(domain, args.h, args.kappa, args.levels)
+    mesh_path = _out_path(args, "mesh.txt")
     meshmod.write_mesh(mesh_path, m)
     summary = _mesh_summary(m)
     payload = {"mesh_file": os.path.basename(mesh_path), "summary": summary}
-    path = report.write_json(_out_path(cfg, "mesh_build.json"), payload)
+    path = report.write_json(_out_path(args, "mesh_build.json"), payload)
     print(f"mesh: {m.num_nodes} nodes, {m.num_elements} elements, "
           f"h_max {summary['h_max']:.6g}")
     print(f"files: {mesh_path}, {path}")
     return 0
 
 
-def _cmd_mesh_refine(cfg: RunConfig) -> int:
-    if cfg.mesh_path is None:
-        raise SpecError("mesh refine needs --mesh")
-    m = meshmod.read_mesh(cfg.mesh_path)
-    m = meshmod.refine(m, cfg.levels)
-    mesh_path = _out_path(cfg, "mesh_refined.txt")
+def _cmd_mesh_refine(args: argparse.Namespace) -> int:
+    m = meshmod.read_mesh(args.mesh_path)
+    m = meshmod.refine(m, args.levels)
+    mesh_path = _out_path(args, "mesh_refined.txt")
     meshmod.write_mesh(mesh_path, m)
     payload = {"mesh_file": os.path.basename(mesh_path),
-               "levels": cfg.levels, "summary": _mesh_summary(m)}
-    path = report.write_json(_out_path(cfg, "mesh_refine.json"), payload)
+               "levels": args.levels, "summary": _mesh_summary(m)}
+    path = report.write_json(_out_path(args, "mesh_refine.json"), payload)
     print(f"refined mesh: {m.num_nodes} nodes, {m.num_elements} elements")
     print(f"files: {mesh_path}, {path}")
     return 0
 
 
-def _cmd_weights_dump(cfg: RunConfig) -> int:
-    domain = _load_domain(cfg.domain)
-    m = _mesh_for(cfg, domain)
+def _cmd_weights_dump(args: argparse.Namespace) -> int:
+    domain = geometry.load_domain(args.domain)
+    m = _mesh_for(args, domain)
     eta = weights.eta_field(domain)(m.nodes)
     rom = weights.romega_field(domain, mesh=m)(m.nodes)
     axes = "xyz"[:m.dimension]
     header = ["node_id", *axes, "eta", "r_omega"]
     rows = [[i, *m.nodes[i], eta[i], rom[i]] for i in range(m.num_nodes)]
-    csv_path = report.write_csv(_out_path(cfg, "weights.csv"), header, rows)
+    csv_path = report.write_csv(_out_path(args, "weights.csv"), header, rows)
     payload = {"csv_file": os.path.basename(csv_path),
                "summary": _mesh_summary(m),
                "eta_min": float(eta.min()), "eta_max": float(eta.max())}
-    path = report.write_json(_out_path(cfg, "weights_dump.json"), payload)
+    path = report.write_json(_out_path(args, "weights_dump.json"), payload)
     print(f"wrote {m.num_nodes} rows: {csv_path}")
     print(f"report: {path}")
     return 0
 
 
-def _cmd_weights_certify(cfg: RunConfig) -> int:
-    domain = _load_domain(cfg.domain)
+def _cmd_weights_certify(args: argparse.Namespace) -> int:
+    domain = geometry.load_domain(args.domain)
     m = None
-    if cfg.mesh_path is not None or cfg.h is not None:
-        m = _mesh_for(cfg, domain)
-    rep = weights.certify_equivalence(domain, mesh=m, n=cfg.samples)
+    if args.mesh_path is not None or args.h is not None:
+        m = _mesh_for(args, domain)
+    rep = weights.certify_equivalence(domain, mesh=m, n=args.samples)
     payload = rep.as_dict()
-    path = report.write_json(_out_path(cfg, "weights_certify.json"), payload)
-    print(f"equivalence on {cfg.samples} samples: "
+    path = report.write_json(_out_path(args, "weights_certify.json"), payload)
+    print(f"equivalence on {args.samples} samples: "
           f"{rep.lower:.6g} <= r_omega/eta <= {rep.upper:.6g}")
     print(f"report: {path}")
     return 0
 
 
-def _cmd_norm(cfg: RunConfig) -> int:
-    domain = _load_domain(cfg.domain)
-    m = _mesh_for(cfg, domain)
+def _cmd_norm(args: argparse.Namespace) -> int:
+    domain = geometry.load_domain(args.domain)
+    m = _mesh_for(args, domain)
     polar = None
-    if cfg.polar_vertex is not None:
-        polar = expressions.polar_frame(domain, cfg.polar_vertex)
-    if cfg.expr is None:
-        raise SpecError("norm needs --expr")
-    fn = expressions.parse_expression(cfg.expr, domain.dimension, polar)
+    if args.polar_vertex is not None:
+        polar = expressions.polar_frame(domain, args.polar_vertex)
+    fn = expressions.parse_expression(args.expr, domain.dimension, polar)
     u = femcore.interpolate(m, fn)
-    a = cfg.a if cfg.a is not None else 0.0
-    rep = sobolev.k_norm(u, weights.eta_field(domain), NormSpec(cfg.mu, a))
-    payload = {"expr": cfg.expr, "mu": cfg.mu, "a": a,
+    rep = sobolev.k_norm(u, weights.eta_field(domain),
+                         NormSpec(args.mu, args.a))
+    payload = {"expr": args.expr, "mu": args.mu, "a": args.a,
                "mesh": _mesh_summary(m), "norm": rep.as_dict(),
                "provenance": "quadrature"}
-    path = report.write_json(_out_path(cfg, "norm.json"), payload)
+    path = report.write_json(_out_path(args, "norm.json"), payload)
     rows = [[k, v] for k, v in sorted(rep.terms.items())]
     rows.append(["value", rep.value])
     print(report.render_table(["term", "squared integral"], rows[:-1]))
-    print(f"norm value: {rep.value!r} (mu={cfg.mu}, a={a!r})")
+    print(f"norm value: {rep.value!r} (mu={args.mu}, a={args.a!r})")
     print(f"report: {path}")
     return 0
 
 
-def _cmd_poincare(cfg: RunConfig) -> int:
-    domain = _load_domain(cfg.domain)
-    m = _mesh_for(cfg, domain)
-    decomp = poincare.build_decomposition(domain, samples=cfg.samples,
-                                          seed=cfg.seed,
-                                          cap_levels=cfg.cap_levels)
+def _cmd_poincare(args: argparse.Namespace) -> int:
+    domain = geometry.load_domain(args.domain)
+    m = _mesh_for(args, domain)
+    decomp = poincare.build_decomposition(domain, samples=args.samples,
+                                          seed=args.seed,
+                                          cap_levels=args.cap_levels)
     cert = poincare.constructive_kappa(domain, m, decomposition=decomp,
-                                       samples=cfg.samples, seed=cfg.seed)
+                                       samples=args.samples, seed=args.seed)
     payload = cert.as_dict()
     payload["mesh"] = _mesh_summary(m)
-    path = report.write_json(_out_path(cfg, "poincare.json"), payload)
+    path = report.write_json(_out_path(args, "poincare.json"), payload)
     rows = []
     for term in cert.region_terms:
         rows.append([term["label"], term["kind"], term["constant"],
@@ -489,11 +405,9 @@ def _cmd_poincare(cfg: RunConfig) -> int:
     return 0
 
 
-def _cmd_solve(cfg: RunConfig) -> int:
-    if cfg.problem is None:
-        raise SpecError("solve needs --problem")
-    setup = load_problem(cfg.problem)
-    levels = _solve_levels(cfg, setup)
+def _cmd_solve(args: argparse.Namespace) -> int:
+    setup = load_problem(args.problem)
+    levels = _solve_levels(args, setup)
     hs = [e["h"] for e in levels]
     payload = {"problem": setup["source"], "levels": levels}
     header = ["level", "h", "nodes", "residual", "stability_ratio"]
@@ -513,10 +427,10 @@ def _cmd_solve(cfg: RunConfig) -> int:
             header += ["h1_error", "h1_rate"]
             for row, e, rate in zip(rows, levels, payload["h1_rates"]):
                 row += [e["h1_error"], rate]
-    csv_path = report.write_csv(_out_path(cfg, "solve_convergence.csv"),
+    csv_path = report.write_csv(_out_path(args, "solve_convergence.csv"),
                                 header, rows)
     payload["csv_file"] = os.path.basename(csv_path)
-    path = report.write_json(_out_path(cfg, "solve.json"), payload)
+    path = report.write_json(_out_path(args, "solve.json"), payload)
     print(report.render_table(header, rows))
     if "l2_rate_fit" in payload and payload["l2_rate_fit"] is not None:
         print(f"fitted L2 rate: {payload['l2_rate_fit']:.3f}")
@@ -526,11 +440,9 @@ def _cmd_solve(cfg: RunConfig) -> int:
     return 0
 
 
-def _cmd_regularity_study(cfg: RunConfig) -> int:
-    if cfg.problem is None:
-        raise SpecError("regularity-study needs --problem")
-    setup = load_problem(cfg.problem)
-    levels = _solve_levels(cfg, setup)
+def _cmd_regularity_study(args: argparse.Namespace) -> int:
+    setup = load_problem(args.problem)
+    levels = _solve_levels(args, setup)
     k2 = [e["report"]["norms"]["u_K2_a1"] for e in levels]
     drift = [None]
     for i in range(1, len(k2)):
@@ -541,28 +453,26 @@ def _cmd_regularity_study(cfg: RunConfig) -> int:
              e["report"]["stability_ratio"]] for i, e in enumerate(levels)]
     payload = {"problem": setup["source"], "levels": levels,
                "k2_norms": k2, "k2_drift": drift}
-    csv_path = report.write_csv(_out_path(cfg, "regularity_study.csv"),
+    csv_path = report.write_csv(_out_path(args, "regularity_study.csv"),
                                 header, rows)
     payload["csv_file"] = os.path.basename(csv_path)
-    path = report.write_json(_out_path(cfg, "regularity_study.json"), payload)
+    path = report.write_json(_out_path(args, "regularity_study.json"), payload)
     print(report.render_table(header, rows))
     print(f"files: {csv_path}, {path}")
     return 0
 
 
-def _cmd_window_probe(cfg: RunConfig) -> int:
-    domain = _load_domain(cfg.domain)
-    m = _mesh_for(cfg, domain)
-    if not cfg.a_grid:
-        raise SpecError("window-probe needs --a-grid")
+def _cmd_window_probe(args: argparse.Namespace) -> int:
+    domain = geometry.load_domain(args.domain)
+    m = _mesh_for(args, domain)
     f = None
-    if cfg.f_expr is not None:
-        f = expressions.parse_expression(cfg.f_expr, domain.dimension)
-    probe = wellposed.weight_window_probe(domain, m, list(cfg.a_grid),
-                                          threshold=cfg.threshold, f=f)
+    if args.f_expr is not None:
+        f = expressions.parse_expression(args.f_expr, domain.dimension)
+    probe = wellposed.weight_window_probe(domain, m, args.a_grid,
+                                          threshold=args.threshold, f=f)
     payload = probe.as_dict()
     payload["mesh"] = _mesh_summary(m)
-    path = report.write_json(_out_path(cfg, "window_probe.json"), payload)
+    path = report.write_json(_out_path(args, "window_probe.json"), payload)
     header = ["a", "indicator", "stable", "solve_ok", "response_norm"]
     rows = [[e["a"], e["indicator"], e["stable"], e["solve_ok"],
              e.get("response_norm")] for e in probe.entries]
@@ -583,17 +493,52 @@ def _cmd_window_probe(cfg: RunConfig) -> int:
 # ---------------------------------------------------------------------
 
 
+def _checked(text: str, kind, requirement: str, test):
+    """text read as kind, for argparse's ``type=``: a value that does not
+    parse or fails test exits 2 with a usage message. Each test is
+    written so that NaN fails it."""
+    try:
+        value = kind(text)
+    except ValueError:
+        value = None
+    if value is None or not test(value):
+        raise argparse.ArgumentTypeError(f"{text!r} is not {requirement}")
+    return value
+
+
+def _positive(text: str) -> float:
+    return _checked(text, float, "a positive finite number",
+                    lambda v: 0.0 < v < math.inf)
+
+
+def _kappa(text: str) -> float:
+    return _checked(text, float, "in (0, 1]", lambda v: 0.0 < v <= 1.0)
+
+
+def _at_least(low: int):
+    return lambda text: _checked(text, int, f"an integer >= {low}",
+                                 lambda v: v >= low)
+
+
+def _a_grid(text: str) -> list:
+    """Comma-separated indices; the window probe checks their range."""
+    return _checked(text, lambda t: [float(v) for v in t.split(",")
+                                     if v.strip()],
+                    "a nonempty comma-separated list of numbers", bool)
+
+
 def _add_out(p):
     p.add_argument("--out", default=".", help="output directory")
     p.add_argument("--seed", type=int, default=DEFAULT_SEED,
                    help="seed for randomized property runs")
 
 
-def _add_mesh_args(p, with_mesh_file: bool = True):
-    p.add_argument("--h", type=float, default=None, help="target spacing")
-    p.add_argument("--kappa", type=float, default=None,
+def _add_mesh_args(p, with_mesh_file: bool = True, min_levels: int = 0):
+    p.add_argument("--h", type=_positive, default=None,
+                   help="target spacing")
+    p.add_argument("--kappa", type=_kappa, default=None,
                    help="grading exponent in (0, 1]; 1 or omitted = uniform")
-    p.add_argument("--levels", type=int, default=None,
+    p.add_argument("--levels", type=_at_least(min_levels), default=None,
                    help="refinements of the base mesh; for solve and "
                         "regularity-study, the number of nested mesh "
                         "levels in the study (base mesh plus levels-1 "
@@ -614,7 +559,7 @@ def build_parser() -> argparse.ArgumentParser:
     d = dsub.add_parser("validate", help="check a domain file")
     d.add_argument("--domain", required=True)
     _add_out(d)
-    d.set_defaults(func=_cmd_domain_validate, subcommand="domain validate")
+    d.set_defaults(func=_cmd_domain_validate)
 
     p = sub.add_parser("mesh", help="mesh generation")
     msub = p.add_subparsers(dest="action", required=True)
@@ -622,13 +567,13 @@ def build_parser() -> argparse.ArgumentParser:
     b.add_argument("--domain", required=True)
     _add_mesh_args(b, with_mesh_file=False)
     _add_out(b)
-    b.set_defaults(func=_cmd_mesh_build, subcommand="mesh build")
+    b.set_defaults(func=_cmd_mesh_build)
     r = msub.add_parser("refine", help="refine a mesh file")
     r.add_argument("--mesh", dest="mesh_path", required=True)
-    r.add_argument("--levels", type=int, default=1,
+    r.add_argument("--levels", type=_at_least(0), default=1,
                    help="refinements to apply (at least 1)")
     _add_out(r)
-    r.set_defaults(func=_cmd_mesh_refine, subcommand="mesh refine")
+    r.set_defaults(func=_cmd_mesh_refine)
 
     p = sub.add_parser("weights", help="singular weight functions")
     wsub = p.add_subparsers(dest="action", required=True)
@@ -636,13 +581,13 @@ def build_parser() -> argparse.ArgumentParser:
     d.add_argument("--domain", required=True)
     _add_mesh_args(d)
     _add_out(d)
-    d.set_defaults(func=_cmd_weights_dump, subcommand="weights dump")
+    d.set_defaults(func=_cmd_weights_dump)
     c = wsub.add_parser("certify", help="sampled equivalence constants")
     c.add_argument("--domain", required=True)
-    c.add_argument("--samples", type=int, default=2048)
+    c.add_argument("--samples", type=_at_least(1), default=2048)
     _add_mesh_args(c)
     _add_out(c)
-    c.set_defaults(func=_cmd_weights_certify, subcommand="weights certify")
+    c.set_defaults(func=_cmd_weights_certify)
 
     n = sub.add_parser("norm", help="weighted norm of a closed-form field")
     n.add_argument("--domain", required=True)
@@ -653,66 +598,50 @@ def build_parser() -> argparse.ArgumentParser:
                    default=None, help="corner index for r, theta")
     _add_mesh_args(n)
     _add_out(n)
-    n.set_defaults(func=_cmd_norm, subcommand="norm")
+    n.set_defaults(func=_cmd_norm)
 
     q = sub.add_parser("poincare", help="weighted Poincare certificate")
     q.add_argument("--domain", required=True)
-    q.add_argument("--samples", type=int, default=1000)
-    q.add_argument("--cap-levels", dest="cap_levels", type=int, default=4)
+    q.add_argument("--samples", type=_at_least(1), default=1000)
+    q.add_argument("--cap-levels", dest="cap_levels", type=_at_least(1),
+                   default=4)
     _add_mesh_args(q)
     _add_out(q)
-    q.set_defaults(func=_cmd_poincare, subcommand="poincare")
+    q.set_defaults(func=_cmd_poincare)
 
-    s = sub.add_parser("solve", help="Dirichlet solve / convergence study")
-    s.add_argument("--problem", required=True, help="problem file (JSON)")
-    s.add_argument("--a", type=float, default=None,
-                   help="override the conjugation index")
-    s.add_argument("--tol", type=float, default=1e-10,
-                   help="iterative solver relative tolerance")
-    _add_mesh_args(s, with_mesh_file=False)
-    _add_out(s)
-    s.set_defaults(func=_cmd_solve, subcommand="solve")
-
-    g = sub.add_parser("regularity-study",
-                       help="stability ratio across refinement levels")
-    g.add_argument("--problem", required=True)
-    g.add_argument("--a", type=float, default=None)
-    g.add_argument("--tol", type=float, default=1e-10)
-    _add_mesh_args(g, with_mesh_file=False)
-    _add_out(g)
-    g.set_defaults(func=_cmd_regularity_study,
-                   subcommand="regularity-study")
+    for name, handler, help_text in (
+            ("solve", _cmd_solve, "Dirichlet solve / convergence study"),
+            ("regularity-study", _cmd_regularity_study,
+             "stability ratio across refinement levels")):
+        s = sub.add_parser(name, help=help_text)
+        s.add_argument("--problem", required=True, help="problem file (JSON)")
+        s.add_argument("--a", type=float, default=None,
+                       help="override the conjugation index")
+        s.add_argument("--tol", type=_positive, default=1e-10,
+                       help="iterative solver relative tolerance")
+        _add_mesh_args(s, with_mesh_file=False, min_levels=1)
+        _add_out(s)
+        s.set_defaults(func=handler)
 
     w = sub.add_parser("window-probe",
                        help="stability sweep over the conjugation index")
     w.add_argument("--domain", required=True)
-    w.add_argument("--a-grid", dest="a_grid_text", required=True,
+    w.add_argument("--a-grid", dest="a_grid", type=_a_grid, required=True,
                    help="comma-separated indices, e.g. 0,0.3,0.5")
-    w.add_argument("--threshold", type=float, default=0.1,
+    w.add_argument("--threshold", type=_positive, default=0.1,
                    help="indicator cutoff relative to a = 0")
     w.add_argument("--f", dest="f_expr", default=None,
                    help="probe source expression (default: 1)")
     _add_mesh_args(w)
     _add_out(w)
-    w.set_defaults(func=_cmd_window_probe, subcommand="window-probe")
+    w.set_defaults(func=_cmd_window_probe)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    if getattr(args, "a_grid_text", None) is not None:
-        try:
-            args.a_grid = tuple(float(s) for s in
-                                args.a_grid_text.split(",") if s.strip())
-        except ValueError as exc:
-            print(f"error: bad --a-grid: {exc}", file=sys.stderr)
-            return 2
-        del args.a_grid_text
-    handler = args.func
+    args = build_parser().parse_args(argv)
     try:
-        cfg = _config_from_args(args)
-        return handler(cfg)
+        return args.func(args)
     except FileNotFoundError as exc:
         print(f"error: missing input file: {exc.filename}", file=sys.stderr)
         return 2

@@ -1,6 +1,4 @@
-"""Shared numeric tolerances and environment-driven runtime settings."""
-
-import os
+"""Shared numeric tolerances and limits."""
 
 # Geometric predicate tolerance. Every exact-geometry comparison
 # (angle sums, planarity, point-on-face tests) goes through this one
@@ -26,17 +24,3 @@ MIN_ANGLE_FLOOR = 0.02
 # Schema tag written into every JSON/CSV report produced by the CLI.
 SCHEMA_VERSION = 1
 
-
-def worker_count() -> int:
-    """Worker cap for embarrassingly parallel study loops.
-
-    Controlled by the KLAB_THREADS environment variable; defaults to 1
-    (serial), which is always deterministic. Parallel runs merge results
-    in task order so reports do not depend on the worker count.
-    """
-    raw = os.environ.get("KLAB_THREADS", "1")
-    try:
-        n = int(raw)
-    except ValueError:
-        return 1
-    return max(1, n)

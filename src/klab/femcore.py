@@ -387,29 +387,6 @@ def facet_measures(nodes: np.ndarray, facets: np.ndarray) -> np.ndarray:
     return 0.5 * np.linalg.norm(cross, axis=1)
 
 
-def boundary_rule(mesh: SimplicialMesh, degree: int) -> QuadratureRule:
-    return simplex_rule(mesh.dimension - 1, degree)
-
-
-def assemble_boundary_mass(mesh: SimplicialMesh, weight_fn,
-                           degree: int = 2) -> sp.csr_matrix:
-    """Matrix of the boundary integral of w(x) u v over all facets."""
-    facets = mesh.boundary_facets
-    n, k = mesh.num_nodes, facets.shape[1]
-    if not len(facets):
-        return sp.csr_matrix((n, n))
-    rule = boundary_rule(mesh, degree)
-    meas = facet_measures(mesh.nodes, facets)
-    pts = map_points(rule.bary, mesh.nodes, facets)
-    wvals = np.asarray(weight_fn(pts.reshape(-1, mesh.dimension)),
-                       dtype=float).reshape(len(facets), -1)
-    local = np.einsum("q,eq,qi,qj,e->eij", rule.weights, wvals,
-                      rule.bary, rule.bary, meas)
-    rows = np.repeat(facets, k, axis=1).ravel()
-    cols = np.tile(facets, (1, k)).ravel()
-    return sp.coo_matrix((local.ravel(), (rows, cols)), shape=(n, n)).tocsr()
-
-
 # ---------------------------------------------------------------------
 # linear algebra
 # ---------------------------------------------------------------------

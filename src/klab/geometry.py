@@ -281,12 +281,14 @@ def build_polyhedron_3d(kind: str, /, **params) -> Polyhedron:
     kind = "fichera"  cube [-1,1]^3 with the closed octant [0,1]^3 removed
     """
     if kind == "box":
+        _only_parameters(kind, params, ("lengths",))
         lengths = _positive(params.get("lengths", (1.0, 1.0, 1.0)), (3,),
                             "box lengths must be 3 positive finite numbers")
         grids = [np.array([0.0, l]) for l in lengths]
         inside = np.ones((1, 1, 1), dtype=bool)
         return _from_grid(grids, inside, "box", {"lengths": lengths.tolist()})
     if kind == "l_prism":
+        _only_parameters(kind, params, ("height",))
         height = float(_positive(params.get("height", 1.0), (),
                                  "prism height must be a positive finite number"))
         xs = np.array([-1.0, 0.0, 1.0])
@@ -296,6 +298,7 @@ def build_polyhedron_3d(kind: str, /, **params) -> Polyhedron:
         inside[1, 0, 0] = False  # remove the (+x, -y) column
         return _from_grid([xs, ys, zs], inside, "l_prism", {"height": height})
     if kind == "fichera":
+        _only_parameters(kind, params)
         g = np.array([-1.0, 0.0, 1.0])
         inside = np.ones((2, 2, 2), dtype=bool)
         inside[1, 1, 1] = False  # remove the (+, +, +) octant
@@ -319,6 +322,15 @@ def _positive(value, shape: tuple, message: str) -> np.ndarray:
     if arr is None or arr.shape != shape or not np.all(arr > 0):
         raise GeometryError(message)
     return arr
+
+
+def _only_parameters(kind: str, params: dict, known: tuple = ()) -> None:
+    """GeometryError unless every key of params is one the generator
+    reads, so a misspelt parameter is not silently left at its default."""
+    unknown = sorted(set(params) - set(known))
+    if unknown:
+        raise GeometryError(f"generator '{kind}' does not take "
+                            f"parameters {unknown}")
 
 
 def _from_grid(grids, inside, generator, parameters) -> Polyhedron:
@@ -677,12 +689,15 @@ def domain_from_dict(spec: dict) -> Polyhedron:
         raise GeometryError("domain parameters must be a JSON object")
     if dim == 2:
         if gen == "polygon":
+            _only_parameters(gen, params)
             if "vertices" not in spec:
                 raise GeometryError("polygon spec needs 'vertices'")
             return build_polygon(spec["vertices"])
         if gen == "l_shape":
+            _only_parameters(gen, params)
             return build_polygon(L_SHAPE_VERTICES)
         if gen == "rectangle":
+            _only_parameters(gen, params, ("lengths",))
             a, b = _positive(params.get("lengths", (1.0, 1.0)), (2,),
                              "rectangle lengths must be 2 positive finite numbers")
             return build_polygon([(0, 0), (a, 0), (a, b), (0, b)])

@@ -112,6 +112,14 @@ class SimplicialMesh:
             mask[self.boundary_facets.ravel()] = True
         return mask
 
+    def free_nodes(self) -> np.ndarray:
+        """Interior (zero-trace) node indices in increasing order;
+        MeshSizeError when the mesh is too coarse to have any."""
+        free = np.where(~self.boundary_node_mask())[0]
+        if not len(free):
+            raise MeshSizeError("mesh has no interior nodes")
+        return free
+
     def element_volumes(self) -> np.ndarray:
         return kernels.simplex_volumes(self.nodes, self.elements)
 

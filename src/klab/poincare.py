@@ -29,7 +29,7 @@ import scipy.linalg
 import scipy.sparse as sp
 
 from . import femcore, geometry, kernels, sobolev, sphere, weights
-from .errors import DecompositionError, DegenerateLinkError, MeshSizeError
+from .errors import DecompositionError, DegenerateLinkError
 from .femcore import FemField
 from .geometry import Polyhedron
 from .mesh import SimplicialMesh, free_prolongations
@@ -645,16 +645,9 @@ class KappaCertificate:
                 "passed": self.passed}
 
 
-def _free_nodes(mesh: SimplicialMesh) -> np.ndarray:
-    free = np.where(~mesh.boundary_node_mask())[0]
-    if not len(free):
-        raise MeshSizeError("mesh has no interior nodes")
-    return free
-
-
 def _free_stiffness(mesh: SimplicialMesh) -> sp.csr_matrix:
     """Stiffness matrix restricted to the interior (zero-trace) nodes."""
-    free = _free_nodes(mesh)
+    free = mesh.free_nodes()
     return femcore.assemble_stiffness(mesh)[free][:, free].tocsr()
 
 
@@ -665,7 +658,7 @@ def domain_poincare_constant(mesh: SimplicialMesh,
 
     ``k_free`` is ``_free_stiffness(mesh)`` when the caller has it already.
     """
-    free = _free_nodes(mesh)
+    free = mesh.free_nodes()
     if k_free is None:
         k_free = _free_stiffness(mesh)
     m_mat = femcore.assemble_weighted_mass(mesh, lambda p: np.ones(len(p)),
@@ -766,7 +759,7 @@ def variational_kappa(domain: Polyhedron, mesh: SimplicialMesh,
     zero-trace field on this mesh, not just an asymptotic statement.
     ``k_free`` is ``_free_stiffness(mesh)`` when the caller has it already.
     """
-    free = _free_nodes(mesh)
+    free = mesh.free_nodes()
     if k_free is None:
         k_free = _free_stiffness(mesh)
     m_mat = sobolev.k11_mass(domain, mesh)

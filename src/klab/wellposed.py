@@ -27,7 +27,7 @@ import numpy as np
 import scipy.sparse.linalg
 
 from . import femcore, geometry, kernels, sobolev, weights
-from .errors import InadmissibleIndexError, MeshSizeError
+from .errors import InadmissibleIndexError
 from .femcore import FemField
 from .geometry import Polyhedron
 from .mesh import SimplicialMesh, free_prolongations
@@ -182,10 +182,7 @@ def solve_dirichlet(problem: BvpProblem) -> SolveReport:
     # pattern goes too.
     del k_mat, mesh.pattern
 
-    constrained = mesh.boundary_node_mask()
-    free = np.where(~constrained)[0]
-    if not len(free):
-        raise MeshSizeError("mesh has no interior nodes")
+    free = mesh.free_nodes()
     rhs_full = f_vec - b_mat @ lift
     rhs = rhs_full[free]
     b_ff = b_mat[free][:, free].tocsr()
@@ -303,9 +300,7 @@ def weight_window_probe(domain: Polyhedron, mesh: SimplicialMesh,
         _check_conjugation(a)
     parts = conjugate_parts(domain, mesh)
     k_mat, _, m_mat = parts
-    free = np.where(~mesh.boundary_node_mask())[0]
-    if not len(free):
-        raise MeshSizeError("mesh has no interior nodes")
+    free = mesh.free_nodes()
     k_ff = k_mat[free][:, free].tocsr()
     m_ff = m_mat[free][:, free].tocsr()
 

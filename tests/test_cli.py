@@ -231,27 +231,6 @@ def test_byte_identical_reruns(tmp_path):
         (d2 / "solve_convergence.csv").read_bytes()
 
 
-@pytest.mark.parametrize("argv, reports", [
-    (["solve", "--problem", problem_path("lshape_singular.json"),
-      "--levels", "3"], ["solve.json", "solve_convergence.csv"]),
-    (["poincare", "--domain", problem_path("box.json"), "--h", "0.25",
-      "--levels", "1"], ["poincare.json"]),
-])
-def test_reports_do_not_depend_on_threads(tmp_path, argv, reports):
-    """Multigrid-preconditioned solves and eigensolves (the meshes are
-    refined) give the same report bytes with 1 and 2 worker threads."""
-    blobs = []
-    for threads in ("1", "2"):
-        out = tmp_path / threads
-        res = subprocess.run(
-            [sys.executable, "-m", "klab.cli", *argv, "--out", str(out)],
-            capture_output=True, text=True,
-            env=dict(os.environ, KLAB_THREADS=threads))
-        assert res.returncode == 0, res.stderr
-        blobs.append([(out / name).read_bytes() for name in reports])
-    assert blobs[0] == blobs[1]
-
-
 def test_missing_file_exit_code(tmp_path):
     res = run_cli("solve", "--problem", tmp_path / "nope.json",
                   "--out", tmp_path)
@@ -372,6 +351,10 @@ BAD_DOMAINS = {
     "vertices-nan": '{"vertices": [[0, 0], [1, 0], [NaN, 1]]}',
     "height-string": '{"generator": "l_prism", "parameters": {"height": "tall"}}',
     "parameters-list": '{"generator": "rectangle", "parameters": [1, 2]}',
+    "box-lengths-typo": ('{"generator": "box", '
+                         '"parameters": {"lenghts": [2, 1, 1]}}'),
+    "fichera-parameter": ('{"generator": "fichera", '
+                          '"parameters": {"lengths": [2, 2, 2]}}'),
 }
 
 
@@ -381,7 +364,8 @@ def test_malformed_domain_file_exit_code(tmp_path, name):
     invalid input."""
     spec = json.loads(BAD_DOMAINS[name])
     spec.update(schema_version=1,
-                dimension=3 if spec.get("generator") in ("box", "l_prism")
+                dimension=3 if spec.get("generator") in ("box", "l_prism",
+                                                         "fichera")
                 else 2)
     bad = tmp_path / "domain.json"
     bad.write_text(json.dumps(spec))
@@ -427,6 +411,36 @@ def test_too_coarse_mesh_exit_code(tmp_path, argv):
     if argv[0] != "mesh":
         assert "mesh has no interior nodes" in res.stderr
     assert not (tmp_path / "mesh_refine.json").exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["mesh", "build", "--domain", "square.json", "--h", "0"],
+    ["mesh", "build", "--domain", "square.json", "--h", "0.5",
+     "--kappa", "0"],
+    ["mesh", "build", "--domain", "square.json", "--h", "0.5",
+     "--kappa", "1.5"],
+    ["mesh", "build", "--domain", "square.json", "--h", "0.5",
+     "--levels", "-1"],
+    ["solve", "--problem", "manufactured_square.json", "--levels", "0"],
+    ["weights", "certify", "--domain", "square.json", "--samples", "0"],
+    ["poincare", "--domain", "square.json", "--h", "0.5",
+     "--cap-levels", "0"],
+    ["solve", "--problem", "manufactured_square.json", "--tol", "-1"],
+    ["window-probe", "--domain", "square.json", "--h", "0.5",
+     "--a-grid", "0,0.5", "--threshold", "0"],
+], ids=["h-0", "kappa-0", "kappa-1.5", "levels-negative", "solve-levels-0",
+        "samples-0", "cap-levels-0", "tol-negative", "threshold-0"])
+def test_invalid_option_value_exit_code(tmp_path, capsys, argv):
+    """The parser rejects an out-of-range option value: exit 2 before any
+    work, and no report is written."""
+    from klab import cli
+
+    argv = [problem_path(a) if a.endswith(".json") else a for a in argv]
+    with pytest.raises(SystemExit) as exc:
+        cli.main([*argv, "--out", str(tmp_path)])
+    assert exc.value.code == 2
+    assert "error: argument" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_unknown_argument_exit_code(tmp_path):

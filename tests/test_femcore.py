@@ -367,17 +367,6 @@ def test_load_vector(square_mesh):
     assert u @ b == pytest.approx(0.5, rel=1e-12)
 
 
-def test_boundary_mass(square_mesh):
-    bm = femcore.assemble_boundary_mass(square_mesh,
-                                        lambda p: np.ones(len(p)))
-    ones = np.ones(square_mesh.num_nodes)
-    assert ones @ (bm @ ones) == pytest.approx(4.0, rel=1e-12)
-    u = femcore.interpolate(square_mesh, lambda p: p[:, 0]).values
-    # integral of x^2 over the boundary: two vertical sides give 0 and 1,
-    # two horizontal sides give 1/3 each
-    assert u @ (bm @ u) == pytest.approx(1.0 + 2.0 / 3.0, rel=1e-12)
-
-
 def test_facet_measures(box_mesh):
     meas = femcore.facet_measures(box_mesh.nodes, box_mesh.boundary_facets)
     assert meas.sum() == pytest.approx(6.0, rel=1e-12)

@@ -234,12 +234,25 @@ def test_domain_from_dict_rejects_bad_specs():
         geometry.domain_from_dict({"dimension": 3, "generator": "torus"})
     with pytest.raises(GeometryError):
         geometry.domain_from_dict([1, 2, 3])
+    for spec in ({"dimension": 2, "generator": "rectangle",
+                  "parameters": {"lengths": [2, 1], "height": 1}},
+                 {"dimension": 2, "generator": "l_shape",
+                  "parameters": {"lengths": [1, 1]}},
+                 {"dimension": 2, "vertices": [[0, 0], [1, 0], [0, 1]],
+                  "parameters": {"scale": 2}},
+                 {"dimension": 3, "generator": "l_prism",
+                  "parameters": {"heigth": 2}}):
+        with pytest.raises(GeometryError, match="does not take parameters"):
+            geometry.domain_from_dict(spec)
 
 
-def test_domain_parameter_named_kind_is_ignored():
-    dom = geometry.domain_from_dict({"dimension": 3, "generator": "box",
-                                     "parameters": {"kind": 1}})
-    assert dom.generator == "box" and len(dom.vertices) == 8
+def test_domain_parameter_named_kind_is_rejected():
+    """A parameter named like the generator's positional argument is an
+    unknown parameter like any other: GeometryError, not a TypeError."""
+    with pytest.raises(GeometryError,
+                       match=r"does not take parameters \['kind'\]"):
+        geometry.domain_from_dict({"dimension": 3, "generator": "box",
+                                   "parameters": {"kind": 1}})
 
 
 def test_load_domain_bad_json(tmp_path):
