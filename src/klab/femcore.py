@@ -222,40 +222,6 @@ def recover_gradient(field: FemField, geometry=None) -> np.ndarray:
     return acc / wsum[:, None]
 
 
-def element_gradient_operator(mesh: SimplicialMesh) -> list:
-    """Sparse maps from nodal values to constant element gradients.
-
-    One (E, N) matrix per coordinate direction.
-    """
-    _, grads = kernels.simplex_geometry(mesh.nodes, mesh.elements)
-    n, e, k = mesh.num_nodes, mesh.num_elements, mesh.elements.shape[1]
-    rows = np.repeat(np.arange(e), k)
-    cols = mesh.elements.ravel()
-    return [sp.coo_matrix((grads[:, :, c].ravel(), (rows, cols)),
-                          shape=(e, n)).tocsr()
-            for c in range(mesh.dimension)]
-
-
-def recovery_operator(mesh: SimplicialMesh) -> list:
-    """Sparse maps from nodal values to recovered nodal gradients.
-
-    One (N, N) matrix per coordinate direction; rows are the
-    volume-weighted averages used by recover_gradient.
-    """
-    vols, grads = kernels.simplex_geometry(mesh.nodes, mesh.elements)
-    n, k = mesh.num_nodes, mesh.elements.shape[1]
-    wsum = np.zeros(n)
-    for i in range(k):
-        np.add.at(wsum, mesh.elements[:, i], vols)
-    out = []
-    for c in range(mesh.dimension):
-        # Row i of an element's block is the same for every i.
-        local = np.broadcast_to((vols[:, None] * grads[:, :, c])[:, None, :],
-                                (len(vols), k, k))
-        out.append(sp.diags(1.0 / wsum) @ mesh.pattern.matrix([local]))
-    return out
-
-
 def element_hessians(field: FemField) -> np.ndarray:
     """Constant per-element Hessian surrogate from the recovered gradient.
 
@@ -327,23 +293,6 @@ def assemble_weighted_mass(mesh: SimplicialMesh, weight_fn, degree: int = 2,
     return _assemble_local(mesh, local, element_ids)
 
 
-def assemble_weighted_stiffness(mesh: SimplicialMesh, weight_fn, degree: int = 2,
-                                element_ids=None) -> sp.csr_matrix:
-    """Matrix of integral of w(x) grad(u) . grad(v)."""
-    rule = simplex_rule(mesh.dimension, degree)
-    nodes = mesh.nodes
-
-    def local(elems):
-        vols, grads = kernels.simplex_geometry(nodes, elems)
-        pts = map_points(rule.bary, nodes, elems)
-        wvals = np.asarray(weight_fn(pts.reshape(-1, mesh.dimension)),
-                           dtype=float).reshape(len(vols), -1)
-        wavg = np.einsum("q,eq->e", rule.weights, wvals)
-        return kernels.local_stiffness(vols * wavg, grads)
-
-    return _assemble_local(mesh, local, element_ids)
-
-
 def assemble_gradvec(mesh: SimplicialMesh, vector_fn, degree: int = 2,
                      element_ids=None) -> sp.csr_matrix:
     """Matrix of integral of (q(x) . grad(u)) v for a vector field q."""
@@ -376,15 +325,6 @@ def assemble_load(mesh: SimplicialMesh, fun, degree: int = 2) -> np.ndarray:
                             rule.bary)
         np.add.at(out, elems.ravel(), contrib.ravel())
     return out
-
-
-def facet_measures(nodes: np.ndarray, facets: np.ndarray) -> np.ndarray:
-    """Length (2D) or area (3D) of boundary facets."""
-    pts = nodes[facets]
-    if facets.shape[1] == 2:
-        return np.linalg.norm(pts[:, 1] - pts[:, 0], axis=1)
-    cross = np.cross(pts[:, 1] - pts[:, 0], pts[:, 2] - pts[:, 0])
-    return 0.5 * np.linalg.norm(cross, axis=1)
 
 
 # ---------------------------------------------------------------------

@@ -156,24 +156,9 @@ class Polyhedron:
 
     # -- boundary faces -----------------------------------------------
 
-    def sample_on_face(self, face_idx: int, n: int, rng: np.random.Generator) -> np.ndarray:
-        cyc = self.vertices[list(self.boundary_faces[face_idx])]
-        if self.dimension == 2:
-            t = rng.random(n)
-            return cyc[0] + t[:, None] * (cyc[1] - cyc[0])
-        _, frame, origin = _face_frame(cyc)
-        poly2d = (cyc - origin) @ frame.T
-        lo, hi = poly2d.min(axis=0), poly2d.max(axis=0)
-        out = []
-        while len(out) < n:
-            cand = lo + rng.random((4 * n, 2)) * (hi - lo)
-            keep = cand[_points_in_polygon(cand, poly2d)]
-            out.extend(keep[: n - len(out)])
-        uv = np.array(out)
-        return origin + uv @ frame
-
-    def face_containing(self, point: np.ndarray, tol: float = 1e-9) -> int:
-        """Index of a boundary face containing the point; -1 if none."""
+    def face_containing(self, point: np.ndarray) -> int:
+        """Index of a boundary face within 1e-9 of the point; -1 if none."""
+        tol = 1e-9
         point = np.asarray(point, dtype=float)
         for idx, f in enumerate(self.boundary_faces):
             cyc = self.vertices[list(f)]

@@ -140,9 +140,6 @@ class SimplicialMesh:
     def h_max(self) -> float:
         return float(self.element_diameters().max())
 
-    def h_min(self) -> float:
-        return float(self.element_diameters().min())
-
     def total_volume(self) -> float:
         return float(kernels.neumaier_sum(self.element_volumes()))
 
@@ -629,8 +626,7 @@ def default_grading(domain: Polyhedron, kappa: float) -> GradingSpec:
     return GradingSpec(kappa=kappa, radius=radius, centers=centers)
 
 
-def singular_node_mask(mesh: SimplicialMesh, domain: Polyhedron,
-                       tol: float = SINGULAR_NODE_TOL) -> np.ndarray:
+def singular_node_mask(mesh: SimplicialMesh, domain: Polyhedron) -> np.ndarray:
     """Nodes lying on the singular set (corners; edges and corners in 3D)."""
     pts = mesh.nodes
     if domain.dimension == 2:
@@ -638,7 +634,7 @@ def singular_node_mask(mesh: SimplicialMesh, domain: Polyhedron,
     else:
         segs = domain.singular_segments()
         d, _, _ = kernels.nearest_on_segments(pts, segs[:, 0], segs[:, 1])
-    return d <= tol
+    return d <= SINGULAR_NODE_TOL
 
 
 def _assert_shape_regular(mesh: SimplicialMesh) -> None:

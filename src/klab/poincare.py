@@ -35,6 +35,8 @@ from .geometry import Polyhedron
 from .mesh import SimplicialMesh, free_prolongations
 
 DEFAULT_SEED = 20240917
+# (eps, delta) halvings build_decomposition tries before it gives up
+MAX_HALVINGS = 20
 ETA_MATCH_TOL = 1e-10
 _SAMPLE_INSET = 1e-3
 
@@ -513,7 +515,7 @@ def _check_decomposition(domain: Polyhedron, decomp: Decomposition,
 
 
 def build_decomposition(domain: Polyhedron, samples: int = 1000,
-                        seed: int = DEFAULT_SEED, max_halvings: int = 20,
+                        seed: int = DEFAULT_SEED,
                         cap_levels: int = 4) -> Decomposition:
     """Search for a valid decomposition by joint (eps, delta) halving.
 
@@ -524,7 +526,7 @@ def build_decomposition(domain: Polyhedron, samples: int = 1000,
     l_min = domain.min_edge_length()
     eps0 = l_min / 4.0
     failures = []
-    for trial in range(max_halvings + 1):
+    for trial in range(MAX_HALVINGS + 1):
         eps = eps0 / 2.0 ** trial
         delta = eps / 2.0
         rng = np.random.default_rng(seed)
@@ -550,7 +552,7 @@ def build_decomposition(domain: Polyhedron, samples: int = 1000,
         return decomp
     raise DecompositionError(
         "no valid decomposition after {} halvings; last failures: {}".format(
-            max_halvings, "; ".join(failures[-3:])))
+            MAX_HALVINGS, "; ".join(failures[-3:])))
 
 
 # ---------------------------------------------------------------------
@@ -564,39 +566,6 @@ def gradient_energy(u: FemField) -> float:
     egrads = u.element_gradients(grads)
     return float(kernels.neumaier_sum(vols * np.einsum("ed,ed->e", egrads,
                                                        egrads)))
-
-
-def region_inequality_check(domain: Polyhedron, region, u: FemField,
-                            degree: int = 5) -> dict:
-    """Compare the regional Hardy bound against its certified constant.
-
-    lhs is the integral of u^2 / w^2 over the region with w the region's
-    radial weight; rhs is constant * integral of |grad u|^2 over the
-    whole domain. For zero-trace fields lhs <= rhs.
-    """
-    if region.constant is None:
-        raise DecompositionError(
-            f"{region.label} has no attached constant")
-    mesh = u.mesh
-    rule = femcore.simplex_rule(mesh.dimension, degree)
-    vols = mesh.element_volumes()
-    pts = femcore.quadrature_points(mesh, rule).reshape(-1, mesh.dimension)
-    uq = u.at_quadrature(rule).ravel()
-
-    inside = region.contains(pts)
-    dens = np.zeros(len(pts))
-    if inside.any():
-        w = region.radial_weight(pts[inside])
-        dens[inside] = (uq[inside] / w) ** 2
-    dens = dens.reshape(mesh.num_elements, -1)
-    lhs = float(kernels.neumaier_sum(
-        vols * (dens @ rule.weights)))
-    energy = gradient_energy(u)
-    rhs = float(region.constant) * energy
-    return {"label": region.label, "kind": region.kind, "lhs": lhs,
-            "rhs": rhs, "constant": float(region.constant),
-            "gradient_energy": energy,
-            "passed": bool(lhs <= rhs * (1.0 + 1e-12))}
 
 
 def random_zero_trace_fields(mesh: SimplicialMesh, n_fields: int,

@@ -25,7 +25,6 @@ constants certified by sampling.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -77,15 +76,6 @@ class EtaField:
         segs = self.domain.singular_segments()
         d, nearest, _ = kernels.nearest_on_segments(pts, segs[:, 0], segs[:, 1])
         return d, nearest
-
-    def gradient(self, points: np.ndarray) -> np.ndarray:
-        """Unit vector from the nearest singular point, zero on the set."""
-        pts = np.atleast_2d(np.asarray(points, dtype=float))
-        d, nearest = self._nearest(pts)
-        safe = np.where(d > 0.0, d, 1.0)
-        out = (pts - nearest) / safe[:, None]
-        out[d == 0.0] = 0.0
-        return out
 
     def grad_over_value(self, points: np.ndarray) -> np.ndarray:
         """grad(eta) / eta; the squared norm of this is 1 / eta^2."""
@@ -211,15 +201,14 @@ class RomegaField:
         return out
 
 
-def romega_field(domain: Polyhedron, mesh: SimplicialMesh | None = None,
-                 s0: float | None = None, s1: float = DEFAULT_S1) -> RomegaField:
-    if s0 is None:
-        s0 = default_smoothing_scale(domain)
+def romega_field(domain: Polyhedron,
+                 mesh: SimplicialMesh | None = None) -> RomegaField:
+    s0 = default_smoothing_scale(domain)
     if domain.dimension == 2:
         return RomegaField(domain, s0=s0)
     if mesh is None:
         raise ValueError("3D regularized weight needs a mesh for the edge metric")
-    w = RomegaField(domain, s0=s0, s1=s1, mesh=mesh)
+    w = RomegaField(domain, s0=s0, s1=DEFAULT_S1, mesh=mesh)
     w.node_rho1_raw = _node_rho1(domain, mesh, w)
     return w
 
@@ -261,7 +250,7 @@ def _node_rho1(domain: Polyhedron, mesh: SimplicialMesh, w: RomegaField) -> np.n
 # ---------------------------------------------------------------------
 
 
-def power_weight(base_field, exponent: float, floor: float = 0.0):
+def power_weight(base_field, exponent: float):
     """Callable base(x) ** exponent with a nonpositivity guard.
 
     With a negative exponent the base must stay positive at every point
@@ -271,7 +260,7 @@ def power_weight(base_field, exponent: float, floor: float = 0.0):
 
     def w(points):
         vals = np.asarray(base_field(points), dtype=float)
-        if exponent < 0.0 and np.any(vals <= floor):
+        if exponent < 0.0 and np.any(vals <= 0.0):
             raise NonpositiveWeightError(
                 "weight base vanishes where a negative power is required")
         return vals ** exponent
@@ -303,8 +292,8 @@ def halton(n: int, dim: int, start: int = 1) -> np.ndarray:
     return out
 
 
-def sample_interior(domain: Polyhedron, n: int, margin: float = 1e-9) -> np.ndarray:
-    """n strictly interior Halton points."""
+def sample_interior(domain: Polyhedron, n: int) -> np.ndarray:
+    """n Halton points farther than 1e-9 from the boundary."""
     lo = domain.vertices.min(axis=0)
     hi = domain.vertices.max(axis=0)
     out: list = []
@@ -312,7 +301,7 @@ def sample_interior(domain: Polyhedron, n: int, margin: float = 1e-9) -> np.ndar
     while len(out) < n:
         cand = lo + halton(4 * n, domain.dimension, start=start) * (hi - lo)
         start += 4 * n
-        keep = domain.contains(cand) & (domain.boundary_distance(cand) > margin)
+        keep = domain.contains(cand) & (domain.boundary_distance(cand) > 1e-9)
         out.extend(cand[keep][: n - len(out)])
         if start > 400 * n:
             raise GeometryError("interior sampling failed; domain volume too small")
@@ -343,12 +332,10 @@ class EquivalenceReport:
         }
 
 
-def certify_equivalence(domain: Polyhedron, weight: RomegaField | None = None,
-                        mesh: SimplicialMesh | None = None,
+def certify_equivalence(domain: Polyhedron, mesh: SimplicialMesh | None = None,
                         n: int = 2048) -> EquivalenceReport:
     """Sampled bounds c_low <= r_omega / eta <= c_high on the interior."""
-    if weight is None:
-        weight = romega_field(domain, mesh=mesh)
+    weight = romega_field(domain, mesh=mesh)
     pts = sample_interior(domain, n)
     eta = distance_to_singular_set(domain, pts)
     w = weight(pts)

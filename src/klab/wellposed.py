@@ -85,25 +85,22 @@ class SolveReport:
                 "sign_note": self.sign_note}
 
 
-def conjugate_parts(domain: Polyhedron, mesh: SimplicialMesh,
-                    weight=None, degree: int = 5):
+def conjugate_parts(domain: Polyhedron, mesh: SimplicialMesh):
     """Component matrices (K, skew, M) of the conjugated family.
 
     B_a = K + a * skew - a^2 * M with skew = G^T - G for the
-    convection matrix G of q = grad w / w, and M the |q|^2 weighted
-    mass. The weight defaults to the singular distance, whose
-    logarithmic gradient satisfies |q| = 1 / eta.
+    convection matrix G of q = grad eta / eta, and M the |q|^2 weighted
+    mass. The singular distance eta has |q| = 1 / eta.
     """
     k_mat = femcore.assemble_stiffness(mesh)
-    w = weight if weight is not None else weights.eta_field(domain)
-    q_fn = w.grad_over_value
+    q_fn = weights.eta_field(domain).grad_over_value
 
     def q_sq(points):
         q = np.asarray(q_fn(points), dtype=float)
         return np.einsum("nd,nd->n", q, q)
 
-    g_mat = femcore.assemble_gradvec(mesh, q_fn, degree=degree)
-    m_mat = femcore.assemble_weighted_mass(mesh, q_sq, degree=degree)
+    g_mat = femcore.assemble_gradvec(mesh, q_fn, degree=5)
+    m_mat = femcore.assemble_weighted_mass(mesh, q_sq, degree=5)
     return k_mat, (g_mat.T - g_mat).tocsr(), m_mat
 
 

@@ -90,7 +90,9 @@ def test_mesh_summary_reuses_stored_min_angle(case, tmp_path, monkeypatch):
     summary = cli._mesh_summary(m)
     assert calls == []
     assert summary["min_angle"]["value"] == want
-    assert (summary["h_max"], summary["h_min"]) == (m.h_max(), m.h_min())
+    diameters = m.element_diameters()
+    assert (summary["h_max"], summary["h_min"]) == (diameters.max(),
+                                                    diameters.min())
     meshmod.write_mesh(tmp_path / "mesh.txt", m)
     read = meshmod.read_mesh(tmp_path / "mesh.txt")
     assert cli._mesh_summary(read)["min_angle"]["value"] == want
@@ -162,6 +164,17 @@ def test_norm_command_polar(tmp_path):
     assert res.returncode == 0, res.stderr
     payload = json.loads((tmp_path / "norm.json").read_text())
     assert payload["norm"]["value"] > 0.0
+
+
+def test_norm_divergent_index_exits_2(tmp_path):
+    # w^(-2a) overflows at a = 1e308: the run is refused, not reported
+    res = run_cli("norm", "--domain", problem_path("square.json"),
+                  "--expr", "x", "--h", "0.5", "--mu", "1", "--a", "1e308",
+                  "--out", tmp_path)
+    assert res.returncode == 2, res.stderr
+    assert "error: norm term" in res.stderr
+    assert "Traceback" not in res.stderr
+    assert not (tmp_path / "norm.json").exists()
 
 
 def test_solve_convergence_study(tmp_path):

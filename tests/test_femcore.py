@@ -116,19 +116,6 @@ def test_recovered_hessian_of_quadratic(square_mesh):
     assert np.allclose(hess[interior], expect, atol=1e-9)
 
 
-def test_gradient_operators_match(square_mesh):
-    field = femcore.interpolate(square_mesh,
-                                lambda p: np.sin(p[:, 0]) * p[:, 1])
-    egrad = field.element_gradients()
-    ops = femcore.element_gradient_operator(square_mesh)
-    for c, op in enumerate(ops):
-        assert np.allclose(op @ field.values, egrad[:, c])
-    rec = femcore.recover_gradient(field)
-    rops = femcore.recovery_operator(square_mesh)
-    for c, op in enumerate(rops):
-        assert np.allclose(op @ field.values, rec[:, c])
-
-
 def test_stiffness_identities(square_mesh):
     k = femcore.assemble_stiffness(square_mesh)
     assert (k - k.T).nnz == 0 or np.abs((k - k.T).data).max() < 1e-14
@@ -150,13 +137,6 @@ def test_weighted_mass_identities(square_mesh):
                                         degree=5)
     # integral of x * x^2 over the unit square
     assert u @ (mw @ u) == pytest.approx(1.0 / 4.0, rel=1e-12)
-
-
-def test_weighted_stiffness_constant_weight(square_mesh):
-    k = femcore.assemble_stiffness(square_mesh)
-    kw = femcore.assemble_weighted_stiffness(square_mesh,
-                                             lambda p: 2.0 * np.ones(len(p)))
-    assert np.abs((kw - 2.0 * k).toarray()).max() < 1e-13
 
 
 def test_gradvec_against_quadrature(square_mesh):
@@ -204,8 +184,6 @@ _ASSEMBLE = {
     "stiffness": femcore.assemble_stiffness,
     "mass": functools.partial(femcore.assemble_weighted_mass,
                               weight_fn=_mass_weight),
-    "weighted_stiffness": functools.partial(
-        femcore.assemble_weighted_stiffness, weight_fn=_mass_weight),
     "gradvec": functools.partial(femcore.assemble_gradvec,
                                  vector_fn=_vector_field),
 }
@@ -226,9 +204,6 @@ def _reference_blocks(mesh, form, elements):
         qdotg = np.einsum("eqd,ejd->eqj", qvals, grads)
         return np.einsum("q,qi,eqj,e->eij", rule.weights, rule.bary, qdotg, vols)
     wvals = _mass_weight(flat).reshape(len(elements), len(rule.weights))
-    if form == "weighted_stiffness":
-        return kernels.local_stiffness(
-            vols * np.einsum("q,eq->e", rule.weights, wvals), grads)
     return kernels.local_weighted_mass(
         kernels.simplex_volumes(mesh.nodes, elements), rule.bary,
         rule.weights, wvals)
@@ -365,11 +340,6 @@ def test_load_vector(square_mesh):
     # linear functional of an affine test function is exact
     u = femcore.interpolate(square_mesh, lambda p: p[:, 1]).values
     assert u @ b == pytest.approx(0.5, rel=1e-12)
-
-
-def test_facet_measures(box_mesh):
-    meas = femcore.facet_measures(box_mesh.nodes, box_mesh.boundary_facets)
-    assert meas.sum() == pytest.approx(6.0, rel=1e-12)
 
 
 def test_dirichlet_solve_reproduces_affine(square_mesh):

@@ -256,7 +256,8 @@ def test_grading_preserves_volume_and_boundary(lshape):
     assert m.grading == g
     # graded meshes concentrate: smallest element well below the uniform one
     uni = meshmod.build_mesh(lshape, 0.125)
-    assert m.h_min() < 0.6 * uni.h_min()
+    assert (m.element_diameters().min()
+            < 0.6 * uni.element_diameters().min())
 
 
 def test_grading_shrinks_near_corner(lshape):

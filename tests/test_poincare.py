@@ -9,8 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from klab import (femcore, geometry, mesh as meshmod, poincare, sobolev,
-                  sphere, weights)
+from klab import (femcore, geometry, kernels, mesh as meshmod, poincare,
+                  sobolev, sphere, weights)
 from klab.errors import DecompositionError, MeshSizeError
 from klab.sobolev import NormSpec
 
@@ -244,17 +244,34 @@ def test_region_membership_matches_full_array_formula(name, rotate, seed):
             assert np.array_equal(region.radial_weight(pts), want)
 
 
+def _region_hardy_lhs(region, u):
+    """Integral of u^2 / w^2 over the region, w its radial weight."""
+    mesh = u.mesh
+    rule = femcore.simplex_rule(mesh.dimension, 5)
+    pts = femcore.quadrature_points(mesh, rule).reshape(-1, mesh.dimension)
+    uq = u.at_quadrature(rule).ravel()
+    inside = region.contains(pts)
+    dens = np.zeros(len(pts))
+    if inside.any():
+        dens[inside] = (uq[inside] / region.radial_weight(pts[inside])) ** 2
+    dens = dens.reshape(mesh.num_elements, -1)
+    return float(kernels.neumaier_sum(
+        mesh.element_volumes() * (dens @ rule.weights)))
+
+
 def test_region_inequality_random_fields(lshape, lshape_mesh):
+    # each region's constant is a real Hardy bound: for zero-trace
+    # fields the regional integral of u^2 / w^2 stays below constant
+    # times the Dirichlet energy over the whole domain
     dec = poincare.build_decomposition(lshape, samples=300)
     rng = np.random.default_rng(poincare.DEFAULT_SEED)
     fields = poincare.random_zero_trace_fields(lshape_mesh, 10, rng)
     for u in fields:
+        energy = poincare.gradient_energy(u)
         for region in dec.regions:
-            res = poincare.region_inequality_check(lshape, region, u)
-            assert res["passed"], res
-            assert res["lhs"] >= 0.0
-            assert res["rhs"] == pytest.approx(
-                res["constant"] * res["gradient_energy"])
+            lhs = _region_hardy_lhs(region, u)
+            assert 0.0 <= lhs <= region.constant * energy * (1.0 + 1e-12), \
+                region.label
 
 
 def test_random_zero_trace_fields_deterministic(square_mesh):

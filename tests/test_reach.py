@@ -1,0 +1,66 @@
+"""Every public library function is reached by the package or the
+acceptance battery, not only by its own unit tests."""
+
+import ast
+import collections
+import os
+
+SRC = os.path.join(os.path.dirname(__file__), os.pardir, "src", "klab")
+ACCEPTANCE = os.path.join(os.path.dirname(__file__), "test_acceptance.py")
+# the [project.scripts] entry point
+ENTRY_POINTS = {"cli.main"}
+
+
+def _parse(path):
+    with open(path, encoding="utf-8") as fh:
+        return ast.parse(fh.read(), filename=path)
+
+
+def _public_defs(tree):
+    """(qualified name, node) of the public module-level functions and
+    public methods of a module."""
+    for node in tree.body:
+        if isinstance(node, ast.ClassDef):
+            items = [(f"{node.name}.", item) for item in node.body]
+        else:
+            items = [("", node)]
+        for prefix, item in items:
+            if (isinstance(item, ast.FunctionDef)
+                    and not item.name.startswith("_")):
+                yield prefix + item.name, item
+
+
+def _references(tree) -> collections.Counter:
+    """How often each name is used as a Name or an Attribute; a
+    docstring mention is a string constant and does not count."""
+    out = collections.Counter()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            out[node.id] += 1
+        elif isinstance(node, ast.Attribute):
+            out[node.attr] += 1
+    return out
+
+
+def unreached_functions() -> list:
+    """module.name of each public function that no package module and no
+    acceptance test refers to, its own definition aside."""
+    trees = {name[:-3]: _parse(os.path.join(SRC, name))
+             for name in sorted(os.listdir(SRC)) if name.endswith(".py")}
+    in_src = sum((_references(t) for t in trees.values()),
+                 collections.Counter())
+    acceptance = _references(_parse(ACCEPTANCE))
+    missing = []
+    for module, tree in trees.items():
+        for qualname, node in _public_defs(tree):
+            label = f"{module}.{qualname}"
+            if label in ENTRY_POINTS or acceptance[node.name]:
+                continue
+            if in_src[node.name] > _references(node)[node.name]:
+                continue
+            missing.append(label)
+    return missing
+
+
+def test_every_public_function_is_reached():
+    assert unreached_functions() == []

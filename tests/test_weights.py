@@ -2,8 +2,10 @@
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from klab import kernels, mesh as meshmod, weights
+from klab import geometry, kernels, mesh as meshmod, weights
 from klab.errors import NonpositiveWeightError
 
 
@@ -30,13 +32,14 @@ def test_eta_box_is_edge_distance(box):
 
 
 def test_eta_gradient_is_unit(lshape):
+    # eta * grad_over_value is grad(eta): a unit vector, which central
+    # differences of eta confirm component by component
     eta = weights.eta_field(lshape)
     rng = np.random.default_rng(5)
     pts = rng.random((200, 2)) * 2.0 - 1.0
     pts = pts[eta(pts) > 1e-6]
-    g = eta.gradient(pts)
+    g = eta.grad_over_value(pts) * eta(pts)[:, None]
     assert np.allclose(np.linalg.norm(g, axis=1), 1.0, atol=1e-12)
-    # finite differences confirm the direction
     h = 1e-7
     for k in range(2):
         step = np.zeros(2)
@@ -56,11 +59,40 @@ def test_grad_over_value(lshape):
 
 @pytest.mark.parametrize("name", ["lshape", "box"])
 def test_grad_over_value_is_gradient_over_eta(name, request):
+    # against central differences of log(eta), which is grad(eta) / eta
     domain = request.getfixturevalue(name)
     eta = weights.eta_field(domain)
     pts = weights.sample_interior(domain, 300)
-    assert np.array_equal(eta.grad_over_value(pts),
-                          eta.gradient(pts) / eta(pts)[:, None])
+    pts = pts[eta(pts) > 1e-3]
+    got = eta.grad_over_value(pts)
+    h = 1e-7
+    for k in range(domain.dimension):
+        step = np.zeros(domain.dimension)
+        step[k] = h
+        fd = (np.log(eta(pts + step)) - np.log(eta(pts - step))) / (2.0 * h)
+        assert np.allclose(fd, got[:, k], rtol=1e-5, atol=1e-5)
+
+
+_EQUIVALENCE_DOMAINS = {
+    "square": geometry.build_polygon([(0, 0), (1, 0), (1, 1), (0, 1)]),
+    "lshape": geometry.build_polygon(geometry.L_SHAPE_VERTICES),
+}
+
+
+@settings(deadline=None, max_examples=200)
+@given(st.sampled_from(sorted(_EQUIVALENCE_DOMAINS)),
+       st.floats(-1.0, 1.0), st.floats(-1.0, 1.0))
+def test_romega_is_equivalent_to_eta_in_2d(name, x, y):
+    """In 2D eta is the corner distance and r_omega its rho_smooth, so
+    r_omega / eta lies in [1/2, 1] at every interior point."""
+    domain = _EQUIVALENCE_DOMAINS[name]
+    p = np.array([[x, y]])
+    assume(domain.contains(p)[0])
+    eta = weights.eta_field(domain)(p)[0]
+    assume(eta > 0.0)
+    ratio = weights.romega_field(domain)(p)[0] / eta
+    # one rounding of rho_smooth's closed form may land an ulp above eta
+    assert 0.5 <= ratio <= 1.0 + 4.0 * np.finfo(float).eps
 
 
 def test_rho_smooth_properties():
