@@ -56,7 +56,7 @@ def _make_mesh(domain: Polyhedron, h: float, kappa: float | None,
         grading = meshmod.default_grading(domain, kappa)
     m = meshmod.build_mesh(domain, h, grading=grading)
     if levels:
-        m = meshmod.refine(m, levels, grading=grading)
+        m = meshmod.refine(m, levels)
     return m
 
 
@@ -207,7 +207,7 @@ def _solution_errors(m: meshmod.SimplicialMesh, u: FemField, exact,
         pts = femcore.map_points(rule.bary, m.nodes, els)
         flat = pts.reshape(-1, m.dimension)
         nodal = u.values[els]
-        uq = femcore.nodal_at(nodal, rule.bary)
+        uq = femcore.row_product(nodal, rule.bary.T)
         exq = np.asarray(exact(flat), dtype=float).reshape(uq.shape)
         diff_sq = (uq - exq) ** 2
         l2[block] = np.einsum("e,q,eq->e", vols, rule.weights, diff_sq)
@@ -225,29 +225,18 @@ def _solution_errors(m: meshmod.SimplicialMesh, u: FemField, exact,
     return out
 
 
-def _study_meshes(domain: Polyhedron, h: float, kappa: float,
-                  n_levels: int):
-    """The study's nested meshes, coarse first, each refined from the
-    one before only when it is asked for."""
-    grading = None
-    if kappa < 1.0:
-        grading = meshmod.default_grading(domain, kappa)
-    m = meshmod.build_mesh(domain, h, grading=grading)
-    yield m
-    for _ in range(n_levels - 1):
-        m = meshmod.refine(m, 1, grading=grading)
-        yield m
-
-
 def _solve_levels(args: argparse.Namespace, setup: dict) -> list:
-    """One solve per study level; an omitted --levels means one level."""
+    """One solve per study level, each mesh refined from the one before
+    (refine reapplies its grading); an omitted --levels means one level."""
     h0 = setup["h"] if args.h is None else args.h
     kappa = setup["kappa"] if args.kappa is None else args.kappa
     a = setup["a"] if args.a is None else args.a
     n_levels = 1 if args.levels is None else args.levels
+    m = _make_mesh(setup["domain"], h0, kappa, None)
     entries = []
-    for level, m in enumerate(_study_meshes(setup["domain"], h0, kappa,
-                                            n_levels)):
+    for level in range(n_levels):
+        if level:
+            m = meshmod.refine(m)
         problem = wellposed.BvpProblem(
             setup["domain"], m, f=setup["f"], g=setup["g"], a=a,
             sign=setup["sign"], solver_tol=args.tol)

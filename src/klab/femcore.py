@@ -3,8 +3,10 @@
 Contains the quadrature tables (all rules have strictly interior
 points and positive weights, which matters because the coefficients we
 integrate blow up at the boundary of some elements), matrix assembly
-for weighted stiffness and mass forms, and the SPD solvers. The solvers
-run on the nested hierarchy that mesh refinement records: v_cycle is a
+for weighted stiffness and mass forms, and the solvers. solve is the one
+entry for linear systems: cg_solve for SPD ones, else one SuperLU factor
+(_factor, which every factorization goes through). The solvers run on
+the nested hierarchy that mesh refinement records: v_cycle is a
 geometric multigrid V-cycle on it (Bramble, Pasciak and Xu 1990),
 cg_solve is conjugate gradients preconditioned by that V-cycle (Jacobi
 without a hierarchy), and generalized_eig_extreme is LOBPCG
@@ -22,10 +24,12 @@ for any block size.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.linalg
 import scipy.sparse as sp
 import scipy.sparse.linalg
 
@@ -41,6 +45,8 @@ MAX_DEGREE = 5
 # fill-in costs far more than the iterations. Above it the V-cycle
 # smooths with a smaller Jacobi damping.
 LU_MAX_ROW_NNZ = 10
+# Smallest pencil scipy's lobpcg iterates on for one eigenvector.
+LOBPCG_MIN_SIZE = 5
 
 
 @dataclass(frozen=True)
@@ -57,15 +63,13 @@ class QuadratureRule:
 
 
 def _dedup_orbit(groups):
-    from itertools import permutations
+    """Points and weights of the rule: every distinct permutation of each
+    group's barycentric values, in sorted order, with the group weight."""
     pts, wts = [], []
     for values, w in groups:
-        seen = []
-        for perm in sorted(set(permutations(values))):
-            seen.append(perm)
-        for p in seen:
-            pts.append(p)
-            wts.append(w)
+        orbit = sorted(set(itertools.permutations(values)))
+        pts.extend(orbit)
+        wts.extend([w] * len(orbit))
     return np.array(pts, dtype=float), np.array(wts, dtype=float)
 
 
@@ -151,18 +155,16 @@ def map_points(bary: np.ndarray, nodes: np.ndarray,
     return out
 
 
-def nodal_at(nodal: np.ndarray, bary: np.ndarray) -> np.ndarray:
-    """Values (m, Q) at the barycentric points ``bary`` (Q, k) of the
-    P1 functions with nodal values ``nodal`` (m, k): nodal @ bary.T,
-    rounded as one matrix product rounds each row.
+def row_product(rows: np.ndarray, other: np.ndarray) -> np.ndarray:
+    """rows @ other, each row rounded as a product of many rows rounds it.
 
-    numpy hands a lone row to a matrix-vector kernel that can round
-    differently from its matrix-matrix kernel, so a lone row is doubled:
-    an element's values do not depend on the block it is computed in.
+    numpy hands a lone row to a vector kernel that can round differently
+    from its matrix kernel, so a lone row is doubled: a row's result does
+    not depend on how many rows are computed with it.
     """
-    if len(nodal) == 1:
-        return (np.concatenate([nodal, nodal]) @ bary.T)[:1]
-    return nodal @ bary.T
+    if len(rows) == 1:
+        return (np.concatenate([rows, rows]) @ other)[:1]
+    return rows @ other
 
 
 def quadrature_points(mesh: SimplicialMesh, rule: QuadratureRule) -> np.ndarray:
@@ -183,7 +185,7 @@ class FemField:
     values: np.ndarray
 
     def at_quadrature(self, rule: QuadratureRule) -> np.ndarray:
-        return nodal_at(self.values[self.mesh.elements], rule.bary)
+        return row_product(self.values[self.mesh.elements], rule.bary.T)
 
     def element_gradients(self, grads=None) -> np.ndarray:
         """Constant gradient of each element, (E, d); grads are the mesh's
@@ -341,6 +343,15 @@ def split_dirichlet(matrix: sp.csr_matrix, constrained: np.ndarray):
     return a_ff, a_fc, free, fixed
 
 
+def _factor(matrix):
+    """One SuperLU factor of a sparse matrix; ConvergenceError when the
+    factorization fails (an exactly singular matrix)."""
+    try:
+        return scipy.sparse.linalg.splu(matrix.tocsc())
+    except RuntimeError as exc:
+        raise ConvergenceError(f"sparse LU factorization failed: {exc}") from None
+
+
 def v_cycle(matrix, hierarchy=()):
     """Symmetric multigrid V-cycle for an SPD matrix: apply(r) ~ A^-1 r.
 
@@ -357,7 +368,7 @@ def v_cycle(matrix, hierarchy=()):
     for p in reversed(hierarchy):
         levels.append((a_mat, omega / a_mat.diagonal(), p))
         a_mat = (p.T @ a_mat @ p).tocsr()
-    coarse = scipy.sparse.linalg.splu(a_mat.tocsc()).solve
+    coarse = _factor(a_mat).solve
     del a_mat
 
     # A loop over the levels, not a recursive closure: a closure that
@@ -437,6 +448,26 @@ def cg_solve(matrix, rhs, tol: float = 1e-10, maxiter: int | None = None,
         residual=res / rhs_norm)
 
 
+def solve(matrix, rhs, tol: float = 1e-10, hierarchy: tuple = (),
+          symmetric: bool = True) -> tuple[np.ndarray, dict]:
+    """Solve matrix x = rhs: cg_solve (tol, hierarchy) when symmetric
+    (SPD), else one SuperLU factorization. info gives the method ("cg"
+    or "direct_lu"), the iterations (1 for the factorization) and the
+    true relative residual norm(rhs - matrix x) / norm(rhs). Raises
+    ConvergenceError when CG stalls or the factorization fails."""
+    if symmetric:
+        x, info = cg_solve(matrix, rhs, tol=tol, hierarchy=hierarchy)
+        method, iterations = "cg", info["iterations"]
+    else:
+        x = _factor(matrix).solve(rhs)
+        method, iterations = "direct_lu", 1
+    res = rhs - matrix @ x
+    rhs_norm = math.sqrt(max(kernels.neumaier_dot(rhs, rhs), 1e-300))
+    residual = math.sqrt(max(kernels.neumaier_dot(res, res), 0.0)) / rhs_norm
+    return x, {"method": method, "iterations": iterations,
+               "residual": residual}
+
+
 def _start_vector(n: int) -> np.ndarray:
     rng = np.random.default_rng(20240917)
     v = 1.0 + 0.01 * rng.standard_normal(n)
@@ -466,7 +497,8 @@ def generalized_eig_extreme(a_mat, b_mat, which: str = "min",
     on hierarchy when one is given (mesh.free_prolongations), else one
     SuperLU factor for at most LU_MAX_ROW_NNZ nonzeros per row (2D and
     surface pencils), else Jacobi. The start vector is fixed, so
-    results are deterministic.
+    results are deterministic. A pencil of fewer than LOBPCG_MIN_SIZE
+    unknowns is solved densely by scipy.linalg.eigh, in 0 iterations.
 
     Converged means the relative residual
     norm(A x - lambda B x) / (|lambda| norm(B x)) is at most tol; the
@@ -483,32 +515,40 @@ def generalized_eig_extreme(a_mat, b_mat, which: str = "min",
     n = a_mat.shape[0]
     if n == 0:
         raise ValueError("empty operator")
-    solved = a_mat if which == "min" else b_mat
-    if hierarchy or solved.nnz <= LU_MAX_ROW_NNZ * n:
-        precondition = v_cycle(solved, hierarchy)
-    else:
-        inv_diag = 1.0 / solved.diagonal()
-
-        def precondition(r):
-            return inv_diag * r
     iterations = 0
+    if n < LOBPCG_MIN_SIZE:
+        # scipy's lobpcg makes the same dense call here, with a warning
+        pick = 0 if which == "min" else n - 1
+        _, vecs = scipy.linalg.eigh(a_mat.toarray(), b_mat.toarray(),
+                                    subset_by_index=(pick, pick),
+                                    check_finite=False)
+        lam, x, residual, _ = _rayleigh(a_mat, b_mat, vecs[:, 0])
+    else:
+        solved = a_mat if which == "min" else b_mat
+        if hierarchy or solved.nnz <= LU_MAX_ROW_NNZ * n:
+            precondition = v_cycle(solved, hierarchy)
+        else:
+            inv_diag = 1.0 / solved.diagonal()
 
-    def apply(r):
-        nonlocal iterations
-        iterations += 1
-        return precondition(np.ravel(r))
+            def precondition(r):
+                return inv_diag * r
 
-    prec = scipy.sparse.linalg.LinearOperator((n, n), matvec=apply,
-                                              dtype=float)
-    lam, x, residual, scale = _rayleigh(a_mat, b_mat, _start_vector(n))
-    while residual > tol and iterations < maxiter:
-        before = iterations
-        _, xs = scipy.sparse.linalg.lobpcg(
-            a_mat, x[:, None], B=b_mat, M=prec, tol=tol * scale,
-            maxiter=maxiter - iterations, largest=(which == "max"))
-        lam, x, residual, scale = _rayleigh(a_mat, b_mat, xs[:, 0])
-        if iterations == before:
-            break
+        def apply(r):
+            nonlocal iterations
+            iterations += 1
+            return precondition(np.ravel(r))
+
+        prec = scipy.sparse.linalg.LinearOperator((n, n), matvec=apply,
+                                                  dtype=float)
+        lam, x, residual, scale = _rayleigh(a_mat, b_mat, _start_vector(n))
+        while residual > tol and iterations < maxiter:
+            before = iterations
+            _, xs = scipy.sparse.linalg.lobpcg(
+                a_mat, x[:, None], B=b_mat, M=prec, tol=tol * scale,
+                maxiter=maxiter - iterations, largest=(which == "max"))
+            lam, x, residual, scale = _rayleigh(a_mat, b_mat, xs[:, 0])
+            if iterations == before:
+                break
     if residual > tol:
         raise ConvergenceError(
             f"eigen iteration reached relative residual {residual:.3e} "

@@ -154,28 +154,6 @@ class Polyhedron:
         segs = self.singular_segments()
         return float(np.linalg.norm(segs[:, 1] - segs[:, 0], axis=1).min())
 
-    # -- boundary faces -----------------------------------------------
-
-    def face_containing(self, point: np.ndarray) -> int:
-        """Index of a boundary face within 1e-9 of the point; -1 if none."""
-        tol = 1e-9
-        point = np.asarray(point, dtype=float)
-        for idx, f in enumerate(self.boundary_faces):
-            cyc = self.vertices[list(f)]
-            if self.dimension == 2:
-                d, _, _ = kernels.nearest_on_segments(point[None, :], cyc[:1], cyc[1:2])
-                if d[0] <= tol:
-                    return idx
-            else:
-                normal, frame, origin = _face_frame(cyc)
-                if abs((point - origin) @ normal) > tol:
-                    continue
-                uv = (point - origin) @ frame.T
-                poly2d = (cyc - origin) @ frame.T
-                if _points_in_polygon(uv[None, :], poly2d, tol=tol)[0]:
-                    return idx
-        return -1
-
 
 # ---------------------------------------------------------------------
 # constructors
@@ -594,11 +572,14 @@ def edge_frame(poly: Polyhedron, edge_idx: int):
 
     tangents = []
     for fi in poly.edge_faces[edge_idx]:
-        cyc = poly.vertices[list(poly.boundary_faces[fi])]
-        normal, _, origin = _face_frame(cyc)
+        face = poly.boundary_faces[fi]
+        normal, _, _ = _face_frame(poly.vertices[list(face)])
         t = np.cross(normal, axis)
         t = t / np.linalg.norm(t)
-        if poly.face_containing(mid + probe * t) != fi:
+        # of the two in-plane directions, the one into the face
+        ahead, behind = poly._face_distance(
+            np.array([mid + probe * t, mid - probe * t]), face)
+        if behind < ahead:
             t = -t
         tangents.append(t)
     t1, t2 = tangents

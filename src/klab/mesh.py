@@ -19,6 +19,7 @@ underlying ungraded mesh, and reapply it.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
@@ -27,8 +28,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from . import kernels
-from .config import (DEFAULT_NODE_CAP, GEOM_TOL, MIN_ANGLE_FLOOR,
-                     SINGULAR_NODE_TOL)
+from .config import DEFAULT_NODE_CAP, GEOM_TOL, MIN_ANGLE_FLOOR
 from .errors import GeometryError, MeshFormatError, MeshSizeError
 
 if TYPE_CHECKING:  # geometry imports sphere, which imports this module
@@ -309,8 +309,8 @@ def build_mesh(domain: Polyhedron, h: float,
                grading: GradingSpec | None = None) -> SimplicialMesh:
     """Mesh the domain with target grid spacing h.
 
-    Element diameters are at most sqrt(d) * h. Axis-aligned domains are
-    meshed by structured subdivision of their grid cells; other
+    Element diameters are at most sqrt(d) * h. Axis-aligned domains, 2D
+    or 3D, are meshed by Kuhn's subdivision of their grid cells; other
     polygons by ear clipping followed by uniform quadrisection.
     """
     if h <= 0.0:
@@ -321,13 +321,10 @@ def build_mesh(domain: Polyhedron, h: float,
         raise MeshSizeError(
             f"h = {h} implies about {estimate:.3g} nodes, beyond the cap "
             f"{DEFAULT_NODE_CAP}")
-    if domain.dimension == 2:
-        if domain.cells is not None:
-            mesh = _structured_mesh_2d(domain, h)
-        else:
-            mesh = _ear_clip_mesh(domain, h)
-    else:
+    if domain.cells is not None:
         mesh = _kuhn_mesh(domain, h)
+    else:
+        mesh = _ear_clip_mesh(domain, h)
     mesh.provenance = {"generator": domain.generator, "h": h}
     mesh.validate()
     if grading is not None:
@@ -352,29 +349,6 @@ class _NodePool:
 
     def array(self) -> np.ndarray:
         return np.array(self.coords, dtype=float)
-
-
-def _structured_mesh_2d(domain: Polyhedron, h: float) -> SimplicialMesh:
-    pool = _NodePool()
-    tris: list = []
-    for lo, hi in domain.cells:
-        nx = max(1, math.ceil((hi[0] - lo[0]) / h - 1e-12))
-        ny = max(1, math.ceil((hi[1] - lo[1]) / h - 1e-12))
-        xs = lo[0] + (hi[0] - lo[0]) * np.arange(nx + 1) / nx
-        ys = lo[1] + (hi[1] - lo[1]) * np.arange(ny + 1) / ny
-        ids = np.empty((nx + 1, ny + 1), dtype=np.int64)
-        for i in range(nx + 1):
-            for j in range(ny + 1):
-                ids[i, j] = pool.add((xs[i], ys[j]))
-        for i in range(nx):
-            for j in range(ny):
-                sw, se = ids[i, j], ids[i + 1, j]
-                nw, ne = ids[i, j + 1], ids[i + 1, j + 1]
-                tris.append((sw, se, ne))
-                tris.append((sw, ne, nw))
-    nodes = pool.array()
-    elements = _oriented(2, nodes, np.array(tris, dtype=np.int64))
-    return SimplicialMesh(2, nodes, elements, derive_boundary_facets(elements))
 
 
 def _ear_clip_mesh(domain: Polyhedron, h: float) -> SimplicialMesh:
@@ -433,36 +407,32 @@ def _in_triangle(p, a, b, c, tol=1e-12) -> bool:
     return s1 >= -tol and s2 >= -tol and s3 >= -tol
 
 
-_KUHN_ORDERS = ((0, 1, 2), (0, 2, 1), (1, 0, 2), (1, 2, 0), (2, 0, 1), (2, 1, 0))
-
-
 def _kuhn_mesh(domain: Polyhedron, h: float) -> SimplicialMesh:
-    """Six tetrahedra per grid cube, consistent across cube faces."""
+    """Kuhn's subdivision of the grid cells, in any dimension: d!
+    simplices per cell, one per axis order of a monotone path from its
+    low to its high corner, consistent across cell faces."""
+    dim = domain.dimension
+    orders = list(itertools.permutations(range(dim)))
     pool = _NodePool()
-    tets: list = []
+    simplices: list = []
     for lo, hi in domain.cells:
-        counts = [max(1, math.ceil((hi[d] - lo[d]) / h - 1e-12)) for d in range(3)]
+        counts = [max(1, math.ceil((hi[d] - lo[d]) / h - 1e-12)) for d in range(dim)]
         axes = [lo[d] + (hi[d] - lo[d]) * np.arange(counts[d] + 1) / counts[d]
-                for d in range(3)]
-        ids = np.empty((counts[0] + 1, counts[1] + 1, counts[2] + 1), dtype=np.int64)
-        for i in range(counts[0] + 1):
-            for j in range(counts[1] + 1):
-                for k in range(counts[2] + 1):
-                    ids[i, j, k] = pool.add((axes[0][i], axes[1][j], axes[2][k]))
-        for i in range(counts[0]):
-            for j in range(counts[1]):
-                for k in range(counts[2]):
-                    corner = np.array([i, j, k])
-                    for order in _KUHN_ORDERS:
-                        path = [corner.copy()]
-                        for ax in order:
-                            nxt = path[-1].copy()
-                            nxt[ax] += 1
-                            path.append(nxt)
-                        tets.append(tuple(ids[tuple(p)] for p in path))
+                for d in range(dim)]
+        ids = np.empty([c + 1 for c in counts], dtype=np.int64)
+        for index in itertools.product(*(range(c + 1) for c in counts)):
+            ids[index] = pool.add([axes[d][i] for d, i in enumerate(index)])
+        for corner in itertools.product(*(range(c) for c in counts)):
+            for order in orders:
+                path = list(corner)
+                simplex = [ids[corner]]
+                for ax in order:
+                    path[ax] += 1
+                    simplex.append(ids[tuple(path)])
+                simplices.append(simplex)
     nodes = pool.array()
-    elements = _oriented(3, nodes, np.array(tets, dtype=np.int64))
-    return SimplicialMesh(3, nodes, elements, derive_boundary_facets(elements))
+    elements = _oriented(dim, nodes, np.array(simplices, dtype=np.int64))
+    return SimplicialMesh(dim, nodes, elements, derive_boundary_facets(elements))
 
 
 # ---------------------------------------------------------------------
@@ -624,17 +594,6 @@ def default_grading(domain: Polyhedron, kappa: float) -> GradingSpec:
     radius = 0.25 * min(sep, clear)
     centers = tuple(tuple(float(c) for c in v) for v in domain.vertices)
     return GradingSpec(kappa=kappa, radius=radius, centers=centers)
-
-
-def singular_node_mask(mesh: SimplicialMesh, domain: Polyhedron) -> np.ndarray:
-    """Nodes lying on the singular set (corners; edges and corners in 3D)."""
-    pts = mesh.nodes
-    if domain.dimension == 2:
-        d, _ = kernels.nearest_points(pts, domain.vertices)
-    else:
-        segs = domain.singular_segments()
-        d, _, _ = kernels.nearest_on_segments(pts, segs[:, 0], segs[:, 1])
-    return d <= SINGULAR_NODE_TOL
 
 
 def _assert_shape_regular(mesh: SimplicialMesh) -> None:

@@ -139,30 +139,20 @@ def cap_constant_from_link(link: sphere.SphericalPolygon,
 # ---------------------------------------------------------------------
 
 
-def _project(rel, v):
-    """rel @ v, rounded as one matrix-vector product rounds each row.
-
-    numpy hands a lone row to a dot kernel that can round differently
-    from its matrix-vector kernel, so a lone row is doubled: a point's
-    coordinates, and hence its membership, do not depend on how many
-    points are tested with it.
-    """
-    if len(rel) == 1:
-        return (np.concatenate([rel, rel]) @ v)[:1]
-    return rel @ v
-
-
 def _radius(rel, n1, n2):
-    return np.hypot(_project(rel, n1), _project(rel, n2))
+    return np.hypot(femcore.row_product(rel, n1),
+                    femcore.row_product(rel, n2))
 
 
 def _in_wedge(rel, n1, n2, r_max, theta):
     """0 < r < r_max and 0 < phi < theta for the polar coordinates (r,
     phi in [0, 2 pi)) of each row of rel in the frame (n1, n2); r_max is
     a scalar or one bound per row. The angle is taken only on the rows
-    that pass the radius test."""
-    x = _project(rel, n1)
-    y = _project(rel, n2)
+    that pass the radius test. Coordinates are femcore.row_product
+    projections, so a point's membership does not depend on how many
+    points are tested with it."""
+    x = femcore.row_product(rel, n1)
+    y = femcore.row_product(rel, n2)
     r = np.hypot(x, y)
     ok = (r > 0.0) & (r < r_max)
     rows = np.flatnonzero(ok)
@@ -232,7 +222,7 @@ class EdgeCylinderRegion:
 
     def contains(self, points: np.ndarray) -> np.ndarray:
         rel = np.atleast_2d(points) - self.origin
-        z = _project(rel, self.axis)
+        z = femcore.row_product(rel, self.axis)
         ok = (z > self.eps) & (z < self.length - self.eps)
         rows = np.flatnonzero(ok)
         ok[rows] = _in_wedge(rel[rows], self.n1, self.n2, self.delta,
@@ -279,7 +269,7 @@ class VertexConeRegion:
 
     def contains(self, points: np.ndarray) -> np.ndarray:
         rel = np.atleast_2d(points) - self.apex
-        z = _project(rel, self.axis)
+        z = femcore.row_product(rel, self.axis)
         ok = (z > 0.0) & (z < self.eps)
         rows = np.flatnonzero(ok)
         ok[rows] = _in_wedge(rel[rows], self.n1, self.n2,
@@ -710,11 +700,6 @@ class VariationalKappa:
     eigenvalue: float
     iterations: int
     dofs: int
-
-    def as_dict(self) -> dict:
-        return {"kappa": self.kappa, "eigenvalue": self.eigenvalue,
-                "iterations": self.iterations, "dofs": self.dofs,
-                "provenance": "eigensolve"}
 
 
 def variational_kappa(domain: Polyhedron, mesh: SimplicialMesh,

@@ -29,7 +29,7 @@ from .config import OVERFLOW_GUARD
 from .errors import InadmissibleIndexError, NonpositiveWeightError
 from .femcore import FemField
 from .geometry import Polyhedron
-from .mesh import SimplicialMesh, free_prolongations, singular_node_mask
+from .mesh import SimplicialMesh, free_prolongations
 
 _AXES = "xyz"
 
@@ -49,8 +49,12 @@ class NormSpec:
     def __post_init__(self):
         if not isinstance(self.mu, int) or self.mu < 0 or self.mu > 2:
             raise InadmissibleIndexError("norm order mu must be 0, 1 or 2")
-        if not math.isfinite(self.a):
-            raise InadmissibleIndexError("weight index a must be finite")
+        # the powers of the weight the terms of order 0, 1 and 2 integrate
+        exponents = (-2.0 * self.a, 2.0 * (1.0 - self.a), 2.0 * (2.0 - self.a))
+        if not all(map(math.isfinite, exponents)):
+            raise InadmissibleIndexError(
+                f"norm terms of order {self.mu}, index {self.a!r} diverge: "
+                f"weight exponents {exponents!r} are not all finite")
 
 
 @dataclass
@@ -81,7 +85,7 @@ def _derivative_labels(dim: int, order: int) -> list:
 
 def _element_classes(mesh: SimplicialMesh, domain: Polyhedron):
     """Split elements into singular-adjacent and regular index arrays."""
-    near = singular_node_mask(mesh, domain)
+    near = weights.eta_field(domain).on_singular_set(mesh.nodes)
     touches = near[mesh.elements].any(axis=1)
     return np.where(touches)[0], np.where(~touches)[0]
 
@@ -101,20 +105,46 @@ def k_norm(u: FemField, weight, spec: NormSpec) -> NormReport:
 
     weight is a callable distance field (the singular-set distance or a
     regularized equivalent).
-
-    Each element class is integrated one block of kernels.BLOCK elements
-    at a time into per-element values, and every term reduces those
-    once over the class: the weighted gradient and Hessian terms by
-    neumaier_dot, the order-0 term by neumaier_sum.
     """
-    mesh = u.mesh
-    domain = weight.domain
+    return _block_norm(u.mesh, weight, spec, u.values)
+
+
+def k_data_norm(domain: Polyhedron, mesh: SimplicialMesh, fn,
+                a: float) -> NormReport:
+    """Order-0 weighted norm of a coefficient function or element data.
+
+    Computes the K(0, a) norm (integral of eta^(-2 a) |f|^2) for a
+    callable f, a per-element constant array or a nodal array, by the
+    block loop k_norm uses.
+    """
+    per_element = False
+    if not callable(fn):
+        fn = np.asarray(fn, dtype=float)
+        per_element = fn.shape == (mesh.num_elements,)
+        if not per_element and fn.shape != (mesh.num_nodes,):
+            raise ValueError("data must be callable, nodal or per-element")
+    return _block_norm(mesh, weights.eta_field(domain), NormSpec(mu=0, a=a),
+                       fn, per_element)
+
+
+def _block_norm(mesh: SimplicialMesh, weight, spec: NormSpec, data,
+                per_element: bool = False) -> NormReport:
+    """The norm of spec of data: a callable of points, nodal values (all
+    mu >= 1 takes) or, with per_element, one constant per element.
+
+    Elements touching the singular set are integrated at
+    SINGULAR_DEGREE, the others at BASE_DEGREE, one block of
+    kernels.BLOCK elements at a time into per-element values that each
+    term reduces once per class: the gradient and Hessian terms (formed
+    only when mu asks) by neumaier_dot, the order-0 term by neumaier_sum.
+    """
     dim = mesh.dimension
-    hess = femcore.element_hessians(u) if spec.mu >= 2 else None
+    hess = (femcore.element_hessians(FemField(mesh, data))
+            if spec.mu >= 2 else None)
 
     terms = {lab: 0.0 for order in range(spec.mu + 1)
              for lab in _derivative_labels(dim, order)}
-    sing_idx, reg_idx = _element_classes(mesh, domain)
+    sing_idx, reg_idx = _element_classes(mesh, weight.domain)
     for subset, degree in ((reg_idx, BASE_DEGREE),
                            (sing_idx, SINGULAR_DEGREE)):
         if not len(subset):
@@ -126,16 +156,24 @@ def k_norm(u: FemField, weight, spec: NormSpec) -> NormReport:
         order1 = np.empty(len(subset))
         order2 = np.empty(len(subset))
         for block in femcore.element_blocks(len(subset)):
-            els = mesh.elements[subset[block]]
-            vols, grads = kernels.simplex_geometry(mesh.nodes, els)
+            ids = subset[block]
+            els = mesh.elements[ids]
+            if spec.mu >= 1:
+                vols, grads = kernels.simplex_geometry(mesh.nodes, els)
+                egrads[block] = np.einsum("ei,eid->ed", data[els], grads)
+            else:
+                vols = kernels.simplex_volumes(mesh.nodes, els)
             pts = femcore.map_points(rule.bary, mesh.nodes, els)
             flat = pts.reshape(-1, dim)
             wvals = np.asarray(weight(flat), dtype=float).reshape(len(els), -1)
             if np.any(wvals <= 0.0):
                 raise NonpositiveWeightError("weight vanishes at a quadrature point")
-            nodal = u.values[els]
-            u_q = femcore.nodal_at(nodal, rule.bary)
-            egrads[block] = np.einsum("ei,eid->ed", nodal, grads)
+            if callable(data):
+                u_q = np.asarray(data(flat), dtype=float).reshape(len(els), -1)
+            elif per_element:
+                u_q = np.repeat(data[ids, None], len(rule.weights), axis=1)
+            else:
+                u_q = femcore.row_product(data[els], rule.bary.T)
             wpow = wvals ** (-2.0 * spec.a)
             order0[block] = np.einsum("e,q,eq,eq->e", vols, rule.weights,
                                       wpow, u_q * u_q)
@@ -161,58 +199,6 @@ def k_norm(u: FemField, weight, spec: NormSpec) -> NormReport:
     return _finalize(terms, spec.mu, spec.a)
 
 
-def k_data_norm(domain: Polyhedron, mesh: SimplicialMesh, fn,
-                a: float) -> NormReport:
-    """Order-0 weighted norm of a coefficient function or element data.
-
-    Computes the K(0, a) norm (integral of w^(-2 a) |f|^2) for a
-    callable f, a nodal array, or a per-element constant array, with
-    the same split quadrature degrees k_norm uses, one block of
-    kernels.BLOCK elements at a time; the per-element integrals of each
-    element class reduce once by neumaier_sum.
-    """
-    spec = NormSpec(mu=0, a=a)
-    eta = weights.eta_field(domain)
-    per_element = None
-    nodal = None
-    if not callable(fn):
-        arr = np.asarray(fn, dtype=float)
-        if arr.shape == (mesh.num_elements,):
-            per_element = arr
-        elif arr.shape == (mesh.num_nodes,):
-            nodal = arr
-        else:
-            raise ValueError("data must be callable, nodal or per-element")
-    terms = {"u": 0.0}
-    sing_idx, reg_idx = _element_classes(mesh, domain)
-    for subset, degree in ((reg_idx, BASE_DEGREE),
-                           (sing_idx, SINGULAR_DEGREE)):
-        if not len(subset):
-            continue
-        rule = femcore.simplex_rule(mesh.dimension, degree)
-        order0 = np.empty(len(subset))
-        for block in femcore.element_blocks(len(subset)):
-            ids = subset[block]
-            els = mesh.elements[ids]
-            pts = femcore.map_points(rule.bary, mesh.nodes, els)
-            flat = pts.reshape(-1, mesh.dimension)
-            wvals = eta(flat).reshape(len(els), -1)
-            if np.any(wvals <= 0.0):
-                raise NonpositiveWeightError("weight vanishes at a quadrature point")
-            if per_element is not None:
-                fq = np.repeat(per_element[ids, None], len(rule.weights), axis=1)
-            elif nodal is not None:
-                fq = femcore.nodal_at(nodal[els], rule.bary)
-            else:
-                fq = np.asarray(fn(flat), dtype=float).reshape(len(els), -1)
-            wpow = wvals ** (-2.0 * spec.a)
-            order0[block] = np.einsum(
-                "e,q,eq,eq->e", kernels.simplex_volumes(mesh.nodes, els),
-                rule.weights, wpow, fq * fq)
-        terms["u"] += kernels.neumaier_sum(order0)
-    return _finalize(terms, 0, spec.a)
-
-
 def k11_mass(domain: Polyhedron, mesh: SimplicialMesh):
     """The 1/eta^2 weighted mass matrix with split-degree quadrature.
 
@@ -220,20 +206,13 @@ def k11_mass(domain: Polyhedron, mesh: SimplicialMesh):
     touching the singular set and at the base degree elsewhere, exactly
     as k_norm integrates the zeroth-derivative term of NormSpec(1, 1).
     """
-    eta = weights.eta_field(domain)
-    inv_sq = weights.power_weight(eta, -2.0)
+    inv_sq = weights.power_weight(weights.eta_field(domain), -2.0)
     sing, regular = _element_classes(mesh, domain)
-    parts = []
-    if len(regular):
-        parts.append(femcore.assemble_weighted_mass(
-            mesh, inv_sq, degree=BASE_DEGREE, element_ids=regular))
-    if len(sing):
-        parts.append(femcore.assemble_weighted_mass(
-            mesh, inv_sq, degree=SINGULAR_DEGREE, element_ids=sing))
-    mat = parts[0]
-    for extra in parts[1:]:
-        mat = mat + extra
-    return mat.tocsr()
+    parts = [femcore.assemble_weighted_mass(mesh, inv_sq, degree=degree,
+                                            element_ids=ids)
+             for ids, degree in ((regular, BASE_DEGREE),
+                                 (sing, SINGULAR_DEGREE)) if len(ids)]
+    return sum(parts[1:], parts[0]).tocsr()
 
 
 def k11_form(domain: Polyhedron, mesh: SimplicialMesh, stiffness=None):
@@ -264,7 +243,7 @@ def minimal_extension(domain: Polyhedron, mesh: SimplicialMesh, g,
     constrained = mesh.boundary_node_mask()
     a_ff, a_fc, free, fixed = femcore.split_dirichlet(a_mat, constrained)
     rhs = -a_fc @ g_nodes[fixed]
-    x_f, _ = femcore.cg_solve(
+    x_f, _ = femcore.solve(
         a_ff, rhs, tol=1e-12,
         hierarchy=free_prolongations(mesh.prolongations, free))
     values = np.array(g_nodes, dtype=float)

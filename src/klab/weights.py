@@ -50,26 +50,23 @@ def distance_to_vertices(domain: Polyhedron, points: np.ndarray) -> np.ndarray:
     return d
 
 
-def distance_to_singular_set(domain: Polyhedron, points: np.ndarray) -> np.ndarray:
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
-    if domain.dimension == 2:
-        return distance_to_vertices(domain, pts)
-    segs = domain.singular_segments()
-    d, _, _ = kernels.nearest_on_segments(pts, segs[:, 0], segs[:, 1])
-    return d
-
-
 @dataclass
 class EtaField:
-    """Distance to the singular set, with exact unit gradient."""
+    """Distance to the singular set, with exact unit gradient: the one
+    place that set (polygon corners, polyhedron edges) is measured."""
 
     domain: Polyhedron
 
     def __call__(self, points: np.ndarray) -> np.ndarray:
-        return distance_to_singular_set(self.domain, points)
+        return self._nearest(points)[0]
 
-    def _nearest(self, pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def on_singular_set(self, points: np.ndarray) -> np.ndarray:
+        """Mask of the points within SINGULAR_NODE_TOL of the singular set."""
+        return self(points) <= SINGULAR_NODE_TOL
+
+    def _nearest(self, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Distance to and coordinates of the nearest singular point."""
+        pts = np.atleast_2d(np.asarray(points, dtype=float))
         if self.domain.dimension == 2:
             d, idx = kernels.nearest_points(pts, self.domain.vertices)
             return d, self.domain.vertices[idx]
@@ -234,9 +231,7 @@ def _node_rho1(domain: Polyhedron, mesh: SimplicialMesh, w: RomegaField) -> np.n
          (np.concatenate([pairs[:, 0], pairs[:, 1]]),
           np.concatenate([pairs[:, 1], pairs[:, 0]]))),
         shape=(n, n)).tocsr()
-    segs = domain.singular_segments()
-    d_sing, _, _ = kernels.nearest_on_segments(nodes, segs[:, 0], segs[:, 1])
-    sources = np.where(d_sing <= SINGULAR_NODE_TOL)[0]
+    sources = np.where(EtaField(domain).on_singular_set(nodes))[0]
     if not len(sources):
         raise GeometryError("mesh has no nodes on the singular edges")
     dist = dijkstra(graph, directed=False, indices=sources, min_only=True)
@@ -337,7 +332,7 @@ def certify_equivalence(domain: Polyhedron, mesh: SimplicialMesh | None = None,
     """Sampled bounds c_low <= r_omega / eta <= c_high on the interior."""
     weight = romega_field(domain, mesh=mesh)
     pts = sample_interior(domain, n)
-    eta = distance_to_singular_set(domain, pts)
+    eta = EtaField(domain)(pts)
     w = weight(pts)
     if np.any(w <= 0.0):
         raise NonpositiveWeightError("regularized weight is nonpositive at a sample")

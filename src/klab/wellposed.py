@@ -24,10 +24,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse.linalg
 
 from . import femcore, geometry, kernels, sobolev, weights
-from .errors import InadmissibleIndexError
+from .errors import ConvergenceError, InadmissibleIndexError
 from .femcore import FemField
 from .geometry import Polyhedron
 from .mesh import SimplicialMesh, free_prolongations
@@ -35,6 +34,8 @@ from .sobolev import NormSpec
 
 SIGN_CONVENTIONS = ("laplace", "minus_laplace")
 MAX_CONJUGATION = 2.0
+# Quadrature degree of load vectors from a callable source.
+LOAD_DEGREE = 4
 
 
 @dataclass
@@ -53,7 +54,6 @@ class BvpProblem:
     g: object = None
     a: float = 0.0
     sign: str = "minus_laplace"
-    f_degree: int = 4
     solver_tol: float = 1e-10
 
     def __post_init__(self):
@@ -126,8 +126,7 @@ def _load_vector(problem: BvpProblem) -> np.ndarray:
         return np.zeros(mesh.num_nodes)
     flip = -1.0 if problem.sign == "laplace" else 1.0
     if callable(problem.f):
-        fn = problem.f
-        return flip * femcore.assemble_load(mesh, fn, degree=problem.f_degree)
+        return flip * femcore.assemble_load(mesh, problem.f, degree=LOAD_DEGREE)
     f_nodes = np.asarray(problem.f, dtype=float)
     mass = femcore.assemble_weighted_mass(mesh, lambda p: np.ones(len(p)),
                                           degree=2)
@@ -144,10 +143,13 @@ def _sign_note(problem: BvpProblem) -> str:
 def solve_dirichlet(problem: BvpProblem) -> SolveReport:
     """Solve B_a u = F with Dirichlet data lifted by minimal extension.
 
-    a = 0 uses conjugate-free assembly and conjugate-gradient solves,
-    preconditioned by multigrid on the mesh's refinement hierarchy when
-    it has one; conjugated systems are nonsymmetric and go through a
-    sparse direct factorization. The stiffness matrix K is assembled
+    The system goes through femcore.solve. a = 0 uses conjugate-free
+    assembly and its conjugate-gradient solver, preconditioned by
+    multigrid on the mesh's refinement hierarchy when it has one;
+    conjugated systems are nonsymmetric and go through its one sparse
+    LU factorization, whose failure is a ConvergenceError. The report
+    carries the method, iterations and true relative residual that
+    femcore.solve returns. The stiffness matrix K is assembled
     once (it is B_0, and the first of the conjugate parts otherwise),
     and the K(1, 1) form K + k11_mass once when there is boundary data:
     it gives the lift, the minimal extension of g, and the g surrogate,
@@ -184,21 +186,10 @@ def solve_dirichlet(problem: BvpProblem) -> SolveReport:
     rhs = rhs_full[free]
     b_ff = b_mat[free][:, free].tocsr()
 
-    if problem.a == 0.0:
-        x, info = femcore.cg_solve(
-            b_ff, rhs, tol=problem.solver_tol,
-            hierarchy=free_prolongations(mesh.prolongations, free))
-        iterations = info["iterations"]
-        method = "cg"
-    else:
-        lu = scipy.sparse.linalg.splu(b_ff.tocsc())
-        x = lu.solve(rhs)
-        iterations = 1
-        method = "direct_lu"
-    res_vec = rhs - b_ff @ x
-    rhs_norm = math.sqrt(max(kernels.neumaier_dot(rhs, rhs), 1e-300))
-    residual = math.sqrt(max(kernels.neumaier_dot(res_vec, res_vec), 0.0)) \
-        / rhs_norm
+    symmetric = problem.a == 0.0
+    hierarchy = free_prolongations(mesh.prolongations, free) if symmetric else ()
+    x, info = femcore.solve(b_ff, rhs, tol=problem.solver_tol,
+                            hierarchy=hierarchy, symmetric=symmetric)
 
     values = np.array(lift)
     values[free] += x
@@ -225,9 +216,9 @@ def solve_dirichlet(problem: BvpProblem) -> SolveReport:
     norms = {"u_K2_a1": u_high.value, "u_K0_1": u_base.value,
              "f_K0_am1": f_norm, "g_surrogate": g_surr,
              "u_terms": dict(u_high.terms)}
-    return SolveReport(solution=u, a=problem.a, residual=residual,
-                       iterations=iterations, method=method, norms=norms,
-                       stability_ratio=ratio, sign_note=note)
+    return SolveReport(solution=u, a=problem.a, residual=info["residual"],
+                       iterations=info["iterations"], method=info["method"],
+                       norms=norms, stability_ratio=ratio, sign_note=note)
 
 
 # ---------------------------------------------------------------------
@@ -289,8 +280,8 @@ def weight_window_probe(domain: Polyhedron, mesh: SimplicialMesh,
     yields every indicator; it is 1 at a = 0 and a value <= 0 marks an
     indefinite K - a^2 M (energy breakdown). A point is stable when the
     indicator stays above threshold times its a = 0 value and the
-    conjugated solve against the fixed source, a sparse LU solve for
-    every a, succeeds.
+    conjugated solve against the fixed source, femcore.solve's sparse
+    LU for every a, succeeds.
     """
     a_values = [float(a) for a in a_values]
     for a in a_values:
@@ -312,7 +303,7 @@ def weight_window_probe(domain: Polyhedron, mesh: SimplicialMesh,
     if f is None:
         def f(points):
             return np.ones(len(points))
-    f_vec = femcore.assemble_load(mesh, f, degree=4)
+    f_vec = femcore.assemble_load(mesh, f, degree=LOAD_DEGREE)
 
     entries = []
     indicator_zero = 1.0
@@ -325,18 +316,14 @@ def weight_window_probe(domain: Polyhedron, mesh: SimplicialMesh,
         b_mat = combine_conjugate(parts, a)
         b_ff = b_mat[free][:, free].tocsr()
         try:
-            x = scipy.sparse.linalg.splu(b_ff.tocsc()).solve(f_vec[free])
-            res = f_vec[free] - b_ff @ x
-            rnorm = math.sqrt(max(kernels.neumaier_dot(res, res), 0.0))
-            fnorm = math.sqrt(max(kernels.neumaier_dot(f_vec[free],
-                                                       f_vec[free]), 1e-300))
+            x, info = femcore.solve(b_ff, f_vec[free], symmetric=False)
             response = math.sqrt(max(kernels.neumaier_dot(x, k_ff @ x), 0.0))
             entry.update(solve_ok=True, response_norm=response,
-                         solve_residual=rnorm / fnorm)
-        except RuntimeError as exc:
+                         solve_residual=info["residual"])
+        except ConvergenceError as exc:
             entry.update(solve_ok=False, response_norm=None,
                          solve_residual=None,
-                         solve_note=f"conjugated solve failed: {exc}")
+                         solve_note=f"conjugated solve: {exc}")
 
         entry["stable"] = (indicator >= threshold * indicator_zero
                            and entry["solve_ok"])

@@ -174,6 +174,8 @@ def test_norm_divergent_index_exits_2(tmp_path):
     assert res.returncode == 2, res.stderr
     assert "error: norm term" in res.stderr
     assert "Traceback" not in res.stderr
+    # refused before any quadrature: no overflow reaches numpy
+    assert "RuntimeWarning" not in res.stderr
     assert not (tmp_path / "norm.json").exists()
 
 
@@ -188,6 +190,37 @@ def test_solve_convergence_study(tmp_path):
     csv_lines = (tmp_path / "solve_convergence.csv").read_text()
     assert csv_lines.startswith("level,h,")
     assert "l2_error" in csv_lines.split("\n")[0]
+
+
+def test_solve_conjugated_levels_use_direct_lu(tmp_path):
+    res = run_cli("solve", "--problem", problem_path("lshape_singular.json"),
+                  "--levels", "2", "--a", "0.3", "--out", tmp_path)
+    assert res.returncode == 0, res.stderr
+    payload = json.loads((tmp_path / "solve.json").read_text())
+    assert len(payload["levels"]) == 2
+    for level in payload["levels"]:
+        assert level["report"]["a"] == 0.3
+        assert level["report"]["method"] == "direct_lu"
+        assert level["report"]["iterations"] == 1
+        assert level["report"]["residual"] <= 1e-12
+
+
+def test_failed_factorization_exits_3(tmp_path, monkeypatch, capsys):
+    import scipy.sparse.linalg
+
+    from klab import cli
+
+    def failing(*args, **kwargs):
+        raise RuntimeError("Factor is exactly singular")
+
+    monkeypatch.setattr(scipy.sparse.linalg, "splu", failing)
+    code = cli.main(["solve", "--problem",
+                     problem_path("lshape_singular.json"), "--a", "0.3",
+                     "--out", str(tmp_path)])
+    err = capsys.readouterr().err
+    assert code == 3, err
+    assert "numerical failure" in err and "Factor is exactly singular" in err
+    assert "Traceback" not in err
 
 
 def test_solve_singular_problem(tmp_path):

@@ -382,8 +382,11 @@ def test_generalized_eig_diagonal():
     lam, vec, info = femcore.generalized_eig_extreme(a, b, which="min")
     assert lam == pytest.approx(1.0, rel=1e-8)
     assert np.abs(vec[1:]).max() < 1e-4
-    lam_max, _, _ = femcore.generalized_eig_extreme(a, b, which="max")
+    # below LOBPCG's size the pencil is solved densely, with no warning
+    assert info["iterations"] == 0
+    lam_max, _, info = femcore.generalized_eig_extreme(a, b, which="max")
     assert lam_max == pytest.approx(5.0, rel=1e-8)
+    assert info["iterations"] == 0
     with pytest.raises(ValueError):
         femcore.generalized_eig_extreme(a, b, which="middle")
 
@@ -400,6 +403,25 @@ def test_generalized_eig_dirichlet_laplacian(square_mesh):
     # h = 1/8 overestimates by O(h^2)
     assert lam == pytest.approx(2.0 * math.pi ** 2, rel=0.05)
     assert lam > 2.0 * math.pi ** 2
+
+
+def test_solve_reports_method_and_true_residual(square_mesh):
+    """CG for SPD systems, one LU otherwise; a singular LU is a
+    ConvergenceError."""
+    k = femcore.assemble_stiffness(square_mesh)
+    k_ff, _, _, _ = femcore.split_dirichlet(k, square_mesh.boundary_node_mask())
+    rhs = np.linspace(1.0, 2.0, k_ff.shape[0])
+    for symmetric, method in ((True, "cg"), (False, "direct_lu")):
+        x, info = femcore.solve(k_ff, rhs, tol=1e-12, symmetric=symmetric)
+        assert info["method"] == method
+        res = rhs - k_ff @ x
+        assert info["residual"] == pytest.approx(
+            np.linalg.norm(res) / np.linalg.norm(rhs), rel=1e-6, abs=1e-15)
+        assert info["residual"] <= 1e-11
+    assert info["iterations"] == 1
+    singular = sp.csr_matrix(np.array([[1.0, 2.0], [2.0, 4.0]]))
+    with pytest.raises(ConvergenceError, match="factorization failed"):
+        femcore.solve(singular, np.ones(2), symmetric=False)
 
 
 def _count_splu(monkeypatch):
@@ -518,7 +540,8 @@ def test_eigensolve_reports_nonconvergence(lshape):
     mesh = meshmod.refine(meshmod.build_mesh(lshape, 0.5, grading=grading),
                           2, grading=grading)
     m_w, k_ff, _, hierarchy = _weighted_pencil(lshape, mesh)
-    with pytest.raises(ConvergenceError) as err:
+    # scipy's lobpcg warns that it stopped short of its tolerance
+    with pytest.raises(ConvergenceError) as err, pytest.warns(UserWarning):
         femcore.generalized_eig_extreme(m_w, k_ff, which="max", maxiter=1,
                                         hierarchy=hierarchy)
     assert err.value.residual > 1e-8

@@ -204,7 +204,7 @@ def test_edge_frame_membership(box, l_prism):
 def test_box_distance_to_singular_set(box):
     from klab import weights
     center = np.array([[0.5, 0.5, 0.5]])
-    d = weights.distance_to_singular_set(box, center)
+    d = weights.EtaField(box)(center)
     assert d[0] == pytest.approx(math.hypot(0.5, 0.5))
 
 
@@ -269,7 +269,20 @@ def test_build_polygon_rejects_degenerate():
         geometry.build_polygon([(0, 0), (1, 1), (1, 0), (0, 1)])
 
 
-def test_face_containing_and_sampling(box):
-    for f_idx, face in enumerate(box.boundary_faces):
-        mid = box.vertices[list(face)].mean(axis=0)
-        assert box.face_containing(mid) == f_idx
+@pytest.mark.parametrize("name", ["box", "l_prism", "fichera"])
+def test_edge_frame_tangents_point_into_their_faces(request, name):
+    """At every edge, n1 and the direction at angle theta from it lie in
+    the edge's two faces and point into them, not out of them."""
+    dom = request.getfixturevalue(name)
+    for e_idx, (i, j) in enumerate(dom.edges):
+        origin, axis, n1, n2, theta = geometry.edge_frame(dom, e_idx)
+        length = np.linalg.norm(dom.vertices[j] - dom.vertices[i])
+        mid = origin + 0.5 * length * axis
+        second = math.cos(theta) * n1 + math.sin(theta) * n2
+        for t, fi in zip((n1, second), dom.edge_faces[e_idx]):
+            face = dom.boundary_faces[fi]
+            step = 1e-3 * length
+            ahead = dom._face_distance((mid + step * t)[None], face)[0]
+            behind = dom._face_distance((mid - step * t)[None], face)[0]
+            assert ahead < 1e-12, (e_idx, fi)
+            assert behind == pytest.approx(step, rel=1e-9), (e_idx, fi)

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from klab import geometry, kernels
+from klab import geometry, kernels, weights
 from klab import mesh as meshmod
 from klab.config import MIN_ANGLE_FLOOR
 from klab.errors import GeometryError, MeshFormatError, MeshSizeError
@@ -21,6 +21,51 @@ def test_square_structured_counts(square):
     assert m.num_nodes == 9
     assert m.total_volume() == pytest.approx(1.0, rel=1e-12)
     assert len(m.boundary_facets) == 8
+
+
+def _grid_mesh_2d_loop(domain, h):
+    """The 2D grid mesher _kuhn_mesh replaced: two triangles per grid
+    square, (sw, se, ne) and (sw, ne, nw), nodes pooled in loop order."""
+    pool = meshmod._NodePool()
+    tris = []
+    for lo, hi in domain.cells:
+        nx = max(1, math.ceil((hi[0] - lo[0]) / h - 1e-12))
+        ny = max(1, math.ceil((hi[1] - lo[1]) / h - 1e-12))
+        xs = lo[0] + (hi[0] - lo[0]) * np.arange(nx + 1) / nx
+        ys = lo[1] + (hi[1] - lo[1]) * np.arange(ny + 1) / ny
+        ids = np.empty((nx + 1, ny + 1), dtype=np.int64)
+        for i in range(nx + 1):
+            for j in range(ny + 1):
+                ids[i, j] = pool.add((xs[i], ys[j]))
+        for i in range(nx):
+            for j in range(ny):
+                sw, se = ids[i, j], ids[i + 1, j]
+                nw, ne = ids[i, j + 1], ids[i + 1, j + 1]
+                tris.append((sw, se, ne))
+                tris.append((sw, ne, nw))
+    nodes = pool.array()
+    elements = meshmod._oriented(2, nodes, np.array(tris, dtype=np.int64))
+    return nodes, elements, meshmod.derive_boundary_facets(elements)
+
+
+@pytest.mark.parametrize("name", ["square", "lshape"])
+@pytest.mark.parametrize("h", [1.0, 0.5, 0.3, 0.125, 0.07])
+@pytest.mark.parametrize("kappa", [None, 0.5])
+def test_kuhn_mesh_2d_matches_grid_loop(request, name, h, kappa):
+    """Kuhn's subdivision in 2D is the former two-triangle grid loop,
+    bit for bit, before and after grading."""
+    domain = request.getfixturevalue(name)
+    nodes, elements, facets = _grid_mesh_2d_loop(domain, h)
+    m = meshmod._kuhn_mesh(domain, h)
+    assert m.nodes.tobytes() == nodes.tobytes()
+    assert np.array_equal(m.elements, elements)
+    assert np.array_equal(m.boundary_facets, facets)
+    grading = None if kappa is None else default_grading(domain, kappa)
+    built = meshmod.build_mesh(domain, h, grading=grading)
+    expected = nodes if grading is None else grading.apply(nodes)
+    assert built.nodes.tobytes() == expected.tobytes()
+    assert np.array_equal(built.elements, elements)
+    assert np.array_equal(built.boundary_facets, facets)
 
 
 def test_lshape_mesh_covers_domain(lshape):
@@ -461,11 +506,11 @@ def test_mesh_file_errors(tmp_path):
 
 def test_singular_node_mask(lshape, box):
     m = meshmod.build_mesh(lshape, 0.25)
-    mask = meshmod.singular_node_mask(m, lshape)
+    mask = weights.eta_field(lshape).on_singular_set(m.nodes)
     # exactly the six corner nodes in 2D
     assert mask.sum() == 6
     mb = meshmod.build_mesh(box, 0.5)
-    maskb = meshmod.singular_node_mask(mb, box)
+    maskb = weights.eta_field(box).on_singular_set(mb.nodes)
     on_edge = 0
     for p in mb.nodes:
         hits = sum(1 for c in range(3) if p[c] in (0.0, 1.0))
