@@ -227,10 +227,13 @@ def _solution_errors(m: meshmod.SimplicialMesh, u: FemField, exact,
 
 def _solve_levels(args: argparse.Namespace, setup: dict) -> list:
     """One solve per study level, each mesh refined from the one before
-    (refine reapplies its grading); an omitted --levels means one level."""
+    (refine reapplies its grading); an omitted --levels means one level.
+    The problem's exact solution solves it at the file's index only, so
+    an --a that changes the index drops the error fields."""
     h0 = setup["h"] if args.h is None else args.h
     kappa = setup["kappa"] if args.kappa is None else args.kappa
     a = setup["a"] if args.a is None else args.a
+    exact = setup["exact"] if a == setup["a"] else None
     n_levels = 1 if args.levels is None else args.levels
     m = _make_mesh(setup["domain"], h0, kappa, None)
     entries = []
@@ -244,8 +247,8 @@ def _solve_levels(args: argparse.Namespace, setup: dict) -> list:
         entry = {"level": level, "h": h0 * 0.5 ** level,
                  "nodes": m.num_nodes, "elements": m.num_elements,
                  "report": solved.as_dict()}
-        if setup["exact"] is not None:
-            entry.update(_solution_errors(m, solved.solution, setup["exact"],
+        if exact is not None:
+            entry.update(_solution_errors(m, solved.solution, exact,
                                           setup["exact_grad"]))
         entries.append(entry)
     return entries
@@ -402,29 +405,24 @@ def _cmd_solve(args: argparse.Namespace) -> int:
     header = ["level", "h", "nodes", "residual", "stability_ratio"]
     rows = [[e["level"], e["h"], e["nodes"], e["report"]["residual"],
              e["report"]["stability_ratio"]] for e in levels]
-    if setup["exact"] is not None:
-        l2 = [e["l2_error"] for e in levels]
-        payload["l2_rates"] = report.observed_rates(hs, l2)
-        payload["l2_rate_fit"] = report.fitted_rate(hs, l2)
-        header += ["l2_error", "l2_rate"]
-        for row, e, rate in zip(rows, levels, payload["l2_rates"]):
-            row += [e["l2_error"], rate]
-        if all(e["h1_error"] is not None for e in levels):
-            h1 = [e["h1_error"] for e in levels]
-            payload["h1_rates"] = report.observed_rates(hs, h1)
-            payload["h1_rate_fit"] = report.fitted_rate(hs, h1)
-            header += ["h1_error", "h1_rate"]
-            for row, e, rate in zip(rows, levels, payload["h1_rates"]):
-                row += [e["h1_error"], rate]
+    for norm in ("l2", "h1"):
+        errors = [e.get(f"{norm}_error") for e in levels]
+        if None in errors:
+            continue
+        rates = payload[f"{norm}_rates"] = report.observed_rates(hs, errors)
+        payload[f"{norm}_rate_fit"] = report.fitted_rate(hs, errors)
+        header += [f"{norm}_error", f"{norm}_rate"]
+        for row, error, rate in zip(rows, errors, rates):
+            row += [error, rate]
     csv_path = report.write_csv(_out_path(args, "solve_convergence.csv"),
                                 header, rows)
     payload["csv_file"] = os.path.basename(csv_path)
     path = report.write_json(_out_path(args, "solve.json"), payload)
     print(report.render_table(header, rows))
-    if "l2_rate_fit" in payload and payload["l2_rate_fit"] is not None:
-        print(f"fitted L2 rate: {payload['l2_rate_fit']:.3f}")
-    if payload.get("h1_rate_fit") is not None:
-        print(f"fitted H1 rate: {payload['h1_rate_fit']:.3f}")
+    for norm in ("l2", "h1"):
+        if payload.get(f"{norm}_rate_fit") is not None:
+            print(f"fitted {norm.upper()} rate: "
+                  f"{payload[f'{norm}_rate_fit']:.3f}")
     print(f"files: {csv_path}, {path}")
     return 0
 
@@ -559,7 +557,7 @@ def build_parser() -> argparse.ArgumentParser:
     b.set_defaults(func=_cmd_mesh_build)
     r = msub.add_parser("refine", help="refine a mesh file")
     r.add_argument("--mesh", dest="mesh_path", required=True)
-    r.add_argument("--levels", type=_at_least(0), default=1,
+    r.add_argument("--levels", type=_at_least(1), default=1,
                    help="refinements to apply (at least 1)")
     _add_out(r)
     r.set_defaults(func=_cmd_mesh_refine)

@@ -5,13 +5,13 @@ The weighted Poincare inequality
     integral of u^2 / eta^2  <=  (kappa - 1) * integral of |grad u|^2
 
 for zero-trace fields is certified by covering a neighborhood of the
-singular set with canonical regions (corner sectors in 2D; edge
-cylinders, vertex cones and vertex balls in 3D). Each region carries a
-regional Hardy constant: an exact sector constant (theta / pi)^2 for
-wedge-shaped regions, and the reciprocal of the first Dirichlet
-eigenvalue of the spherical link for vertex balls. Away from the
-regions the distance weight is bounded below and the plain Poincare
-inequality takes over.
+singular set with canonical regions. Corner sectors (2D), edge
+cylinders and vertex cones (3D) are one shape, a `WedgeRegion`, with
+the exact Hardy constant (theta / pi)^2; a vertex ball, the rest of
+the link cone near a vertex, carries the reciprocal of the first
+Dirichlet eigenvalue of its spherical link. Away from the regions the
+distance weight is bounded below and the plain Poincare inequality
+takes over.
 
 The module exposes both sides of the comparison: `constructive_kappa`
 assembles the certified constant from regional pieces with explicit
@@ -57,13 +57,6 @@ def sector_constant(theta: float) -> float:
     if not 0.0 < theta <= 2.0 * math.pi:
         raise DecompositionError("wedge opening must lie in (0, 2 pi]")
     return (theta / math.pi) ** 2
-
-
-def sector_factor(theta: float) -> float:
-    """First-eigenvalue frequency pi / theta of the arc (0, theta)."""
-    if theta <= 0.0:
-        raise DecompositionError("wedge opening must be positive")
-    return math.pi / theta
 
 
 def sector_constant_fem(theta: float, n: int = 128) -> float:
@@ -139,160 +132,100 @@ def cap_constant_from_link(link: sphere.SphericalPolygon,
 # ---------------------------------------------------------------------
 
 
-def _radius(rel, n1, n2):
-    return np.hypot(femcore.row_product(rel, n1),
-                    femcore.row_product(rel, n2))
-
-
-def _in_wedge(rel, n1, n2, r_max, theta):
-    """0 < r < r_max and 0 < phi < theta for the polar coordinates (r,
-    phi in [0, 2 pi)) of each row of rel in the frame (n1, n2); r_max is
-    a scalar or one bound per row. The angle is taken only on the rows
-    that pass the radius test. Coordinates are femcore.row_product
-    projections, so a point's membership does not depend on how many
-    points are tested with it."""
-    x = femcore.row_product(rel, n1)
-    y = femcore.row_product(rel, n2)
-    r = np.hypot(x, y)
-    ok = (r > 0.0) & (r < r_max)
-    rows = np.flatnonzero(ok)
-    phi = np.mod(np.arctan2(y[rows], x[rows]), 2.0 * np.pi)
-    ok[rows] = (phi > 0.0) & (phi < theta)
-    return ok
-
-
 @dataclass
-class SectorRegion:
-    """Corner sector {0 < r < radius, 0 < phi < theta} of a polygon."""
+class WedgeRegion:
+    """Wedge region {0 < r < r0 + slope z, 0 < phi < theta, z_lo < z < z_hi}.
+
+    (r, phi) are polar coordinates in the frame (n1, n2) about origin, and
+    z is the coordinate along axis; a 2D corner sector has axis None and
+    only the (r, phi) bounds. An edge cylinder has r0 = delta, slope 0
+    and z in (eps, length - eps); a vertex cone has r0 = 0 and z in
+    (0, eps), its apex at the vertex and its axis along the edge.
+
+    Hardy bound: for u vanishing on both walls phi = 0 and phi = theta,
+
+        integral over R of u^2 / r^2  <=  (theta / pi)^2 integral over R
+                                          of |grad u|^2,
+
+    with gradient set S = R: each arc {r, z fixed, 0 < phi < theta} lies
+    inside the wedge and u vanishes at both its ends, so the arc's 1D
+    Dirichlet inequality with eigenvalue (pi / theta)^2, divided by r and
+    integrated over r and z, bounds the left side by the angular part
+    |d_phi u / r|^2 of the gradient on R alone.
+    """
 
     label: str
-    vertex_id: int
-    center: np.ndarray
-    n1: np.ndarray
-    n2: np.ndarray
-    theta: float
-    radius: float
-    constant: float
-    constant_provenance: str = "analytic"
-    kind: str = "vertex_sector"
-
-    def contains(self, points: np.ndarray) -> np.ndarray:
-        rel = np.atleast_2d(points) - self.center
-        return _in_wedge(rel, self.n1, self.n2, self.radius, self.theta)
-
-    def radial_weight(self, points: np.ndarray) -> np.ndarray:
-        pts = np.atleast_2d(points)
-        return np.linalg.norm(pts - self.center, axis=1)
-
-    def sample(self, n: int, rng: np.random.Generator) -> np.ndarray:
-        lo, span = _SAMPLE_INSET, 1.0 - 2.0 * _SAMPLE_INSET
-        r = self.radius * np.sqrt(lo + span * rng.random(n))
-        phi = self.theta * (lo + span * rng.random(n))
-        return (self.center + r[:, None] * np.cos(phi)[:, None] * self.n1
-                + r[:, None] * np.sin(phi)[:, None] * self.n2)
-
-    def as_dict(self) -> dict:
-        return {"kind": self.kind, "label": self.label,
-                "vertex_id": self.vertex_id, "theta": self.theta,
-                "radius": self.radius, "constant": self.constant,
-                "provenance": self.constant_provenance}
-
-
-@dataclass
-class EdgeCylinderRegion:
-    """Wedge shell around an edge: z in (eps, length - eps), 0 < r < delta."""
-
-    label: str
-    edge_id: int
     origin: np.ndarray
-    axis: np.ndarray
+    axis: np.ndarray | None
     n1: np.ndarray
     n2: np.ndarray
     theta: float
-    length: float
-    eps: float
-    delta: float
+    r0: float
     constant: float
+    slope: float = 0.0
+    z_lo: float = 0.0
+    z_hi: float = 0.0
+    vertex_id: int | None = None
+    edge_id: int | None = None
     constant_provenance: str = "analytic"
-    kind: str = "edge_cylinder"
 
     @property
-    def z_extent(self) -> float:
-        return self.length - 2.0 * self.eps
+    def kind(self) -> str:
+        if self.axis is None:
+            return "vertex_sector"
+        return "edge_cylinder" if self.vertex_id is None else "vertex_cone"
 
     def contains(self, points: np.ndarray) -> np.ndarray:
+        """The axial test first, then the radius and the angle (phi in
+        [0, 2 pi)), each only on the rows that passed the tests before
+        it. Coordinates are femcore.row_product projections, so a
+        point's membership does not depend on how many points are tested
+        with it."""
         rel = np.atleast_2d(points) - self.origin
-        z = femcore.row_product(rel, self.axis)
-        ok = (z > self.eps) & (z < self.length - self.eps)
-        rows = np.flatnonzero(ok)
-        ok[rows] = _in_wedge(rel[rows], self.n1, self.n2, self.delta,
-                             self.theta)
+        rows = np.arange(len(rel))
+        r_max = self.r0
+        if self.axis is not None:
+            z = femcore.row_product(rel, self.axis)
+            rows = np.flatnonzero((z > self.z_lo) & (z < self.z_hi))
+            r_max = self.r0 + self.slope * z[rows]
+        x = femcore.row_product(rel[rows], self.n1)
+        y = femcore.row_product(rel[rows], self.n2)
+        r = np.hypot(x, y)
+        inside = (r > 0.0) & (r < r_max)
+        phi = np.mod(np.arctan2(y[inside], x[inside]), 2.0 * np.pi)
+        ok = np.zeros(len(rel), dtype=bool)
+        ok[rows[inside]] = (phi > 0.0) & (phi < self.theta)
         return ok
 
     def radial_weight(self, points: np.ndarray) -> np.ndarray:
-        return _radius(np.atleast_2d(points) - self.origin, self.n1, self.n2)
+        rel = np.atleast_2d(points) - self.origin
+        return np.hypot(femcore.row_product(rel, self.n1),
+                        femcore.row_product(rel, self.n2))
 
     def sample(self, n: int, rng: np.random.Generator) -> np.ndarray:
         lo, span = _SAMPLE_INSET, 1.0 - 2.0 * _SAMPLE_INSET
-        z = self.eps + self.z_extent * (lo + span * rng.random(n))
-        r = self.delta * np.sqrt(lo + span * rng.random(n))
+        base, r_max = self.origin, self.r0
+        if self.axis is not None:
+            z = self.z_lo + (self.z_hi - self.z_lo) * (lo + span
+                                                       * rng.random(n))
+            base = base + z[:, None] * self.axis
+            r_max = self.r0 + self.slope * z
+        r = r_max * np.sqrt(lo + span * rng.random(n))
         phi = self.theta * (lo + span * rng.random(n))
-        return (self.origin + z[:, None] * self.axis
-                + r[:, None] * np.cos(phi)[:, None] * self.n1
+        return (base + r[:, None] * np.cos(phi)[:, None] * self.n1
                 + r[:, None] * np.sin(phi)[:, None] * self.n2)
 
     def as_dict(self) -> dict:
-        return {"kind": self.kind, "label": self.label,
-                "edge_id": self.edge_id, "theta": self.theta,
-                "r_e": self.delta, "z_e": self.z_extent,
-                "constant": self.constant,
-                "provenance": self.constant_provenance}
-
-
-@dataclass
-class VertexConeRegion:
-    """Cone {0 < z < eps, 0 < r < slope * z} along an edge at a vertex."""
-
-    label: str
-    vertex_id: int
-    edge_id: int
-    apex: np.ndarray
-    axis: np.ndarray
-    n1: np.ndarray
-    n2: np.ndarray
-    theta: float
-    eps: float
-    slope: float
-    constant: float
-    constant_provenance: str = "analytic"
-    kind: str = "vertex_cone"
-
-    def contains(self, points: np.ndarray) -> np.ndarray:
-        rel = np.atleast_2d(points) - self.apex
-        z = femcore.row_product(rel, self.axis)
-        ok = (z > 0.0) & (z < self.eps)
-        rows = np.flatnonzero(ok)
-        ok[rows] = _in_wedge(rel[rows], self.n1, self.n2,
-                             self.slope * z[rows], self.theta)
-        return ok
-
-    def radial_weight(self, points: np.ndarray) -> np.ndarray:
-        return _radius(np.atleast_2d(points) - self.apex, self.n1, self.n2)
-
-    def sample(self, n: int, rng: np.random.Generator) -> np.ndarray:
-        lo, span = _SAMPLE_INSET, 1.0 - 2.0 * _SAMPLE_INSET
-        z = self.eps * (lo + span * rng.random(n))
-        r = self.slope * z * np.sqrt(lo + span * rng.random(n))
-        phi = self.theta * (lo + span * rng.random(n))
-        return (self.apex + z[:, None] * self.axis
-                + r[:, None] * np.cos(phi)[:, None] * self.n1
-                + r[:, None] * np.sin(phi)[:, None] * self.n2)
-
-    def as_dict(self) -> dict:
-        return {"kind": self.kind, "label": self.label,
-                "vertex_id": self.vertex_id, "edge_id": self.edge_id,
-                "theta": self.theta, "slope": self.slope, "eps": self.eps,
-                "constant": self.constant,
+        if self.kind == "vertex_sector":
+            shape = {"vertex_id": self.vertex_id, "radius": self.r0}
+        elif self.kind == "edge_cylinder":
+            shape = {"edge_id": self.edge_id, "r_e": self.r0,
+                     "z_e": self.z_hi - self.z_lo}
+        else:
+            shape = {"vertex_id": self.vertex_id, "edge_id": self.edge_id,
+                     "slope": self.slope, "eps": self.z_hi}
+        return {"kind": self.kind, "label": self.label, "theta": self.theta,
+                **shape, "constant": self.constant,
                 "provenance": self.constant_provenance}
 
 
@@ -305,6 +238,11 @@ class VertexBallRegion:
     claimed by an edge region. The radial weight is the distance to
     the vertex, and c1 = min eta / rho over the region converts the
     link Hardy bound into a bound with the full singular distance.
+
+    Gradient set: the cap bound integrates each sphere {rho = const}
+    in full, so its right side is the gradient integral over the whole
+    of B(v, 2 eps) intersected with the domain, including the cones and
+    cylinders at v that the region itself excludes.
     """
 
     label: str
@@ -406,10 +344,10 @@ def _build_regions_2d(domain: Polyhedron, eps: float) -> list:
     regions = []
     for vi in range(len(domain.vertices)):
         v, n1, n2, theta = geometry.corner_frame(domain, vi)
-        regions.append(SectorRegion(
-            label=f"sector_v{vi}", vertex_id=vi, center=np.asarray(v, float),
-            n1=np.asarray(n1, float), n2=np.asarray(n2, float), theta=theta,
-            radius=eps, constant=sector_constant(theta)))
+        regions.append(WedgeRegion(
+            label=f"sector_v{vi}", vertex_id=vi, origin=np.asarray(v, float),
+            axis=None, n1=np.asarray(n1, float), n2=np.asarray(n2, float),
+            theta=theta, r0=eps, constant=sector_constant(theta)))
     return regions
 
 
@@ -424,22 +362,18 @@ def _build_regions_3d(domain: Polyhedron, eps: float, delta: float) -> list:
         if length <= 2.0 * eps:
             raise DecompositionError(
                 f"edge {ei} too short for the cylinder at eps={eps}")
-        c = sector_constant(theta)
-        cylinders.append(EdgeCylinderRegion(
-            label=f"cylinder_e{ei}", edge_id=ei, origin=origin, axis=axis,
-            n1=n1, n2=n2, theta=theta, length=length, eps=eps, delta=delta,
-            constant=c))
-        far = origin + length * axis
+        wedge = {"edge_id": ei, "n1": n1, "n2": n2, "theta": theta,
+                 "constant": sector_constant(theta)}
+        cylinders.append(WedgeRegion(
+            label=f"cylinder_e{ei}", origin=origin, axis=axis, r0=delta,
+            z_lo=eps, z_hi=length - eps, **wedge))
         # The wedge frame (n1, n2) is valid along the whole edge; the far
         # cone only reverses the axial coordinate.
-        cones.append(VertexConeRegion(
-            label=f"cone_v{e[0]}_e{ei}", vertex_id=int(e[0]), edge_id=ei,
-            apex=origin, axis=axis, n1=n1, n2=n2, theta=theta, eps=eps,
-            slope=slope, constant=c))
-        cones.append(VertexConeRegion(
-            label=f"cone_v{e[1]}_e{ei}", vertex_id=int(e[1]), edge_id=ei,
-            apex=far, axis=-axis, n1=n1, n2=n2, theta=theta, eps=eps,
-            slope=slope, constant=c))
+        for vi, apex, direction in ((e[0], origin, axis),
+                                    (e[1], origin + length * axis, -axis)):
+            cones.append(WedgeRegion(
+                label=f"cone_v{vi}_e{ei}", vertex_id=int(vi), origin=apex,
+                axis=direction, r0=0.0, slope=slope, z_hi=eps, **wedge))
 
     balls = []
     for vi in range(len(domain.vertices)):
@@ -463,12 +397,18 @@ def _check_decomposition(domain: Polyhedron, decomp: Decomposition,
         if not region.contains(pts).all():
             raise DecompositionError(
                 f"{region.label} samples violate its coordinate bounds")
-        if region.kind in ("vertex_sector", "edge_cylinder", "vertex_cone"):
+        if isinstance(region, WedgeRegion):
             gap = np.abs(eta(pts) - region.radial_weight(pts))
             if gap.max(initial=0.0) > ETA_MATCH_TOL:
                 raise DecompositionError(
                     f"{region.label}: singular distance deviates from the "
                     f"region radius by {gap.max():.3e}")
+        else:
+            c1 = float((eta(pts) / region.radial_weight(pts)).min())
+            if c1 <= 0.0:
+                raise DecompositionError(f"{region.label}: c1 is not positive")
+            region.c1 = c1
+            region.c1_samples = len(pts)
         clouds.append(pts)
 
     pool = np.concatenate(clouds, axis=0)
@@ -492,16 +432,6 @@ def _check_decomposition(domain: Polyhedron, decomp: Decomposition,
         if not covered.all():
             raise DecompositionError(
                 "points near the singular set escape every region")
-
-    for region, pts in zip(decomp.regions, clouds):
-        if region.kind != "vertex_ball":
-            continue
-        ratio = eta(pts) / region.radial_weight(pts)
-        c1 = float(ratio.min())
-        if c1 <= 0.0:
-            raise DecompositionError(f"{region.label}: c1 is not positive")
-        region.c1 = c1
-        region.c1_samples = len(pts)
 
 
 def build_decomposition(domain: Polyhedron, samples: int = 1000,
@@ -660,7 +590,7 @@ def constructive_kappa(domain: Polyhedron, mesh: SimplicialMesh,
             # quoted alongside the angle inequality reads pi / theta.
             # Both are recorded, with their gap, rather than guessing
             # which one a reader expects.
-            factor = sector_factor(region.theta)
+            factor = math.pi / region.theta
             entry["paper_factor"] = factor
             entry["paper_factor_discrepancy"] = abs(region.constant - factor)
         entry["term"] = term

@@ -203,6 +203,13 @@ def test_solve_conjugated_levels_use_direct_lu(tmp_path):
         assert level["report"]["method"] == "direct_lu"
         assert level["report"]["iterations"] == 1
         assert level["report"]["residual"] <= 1e-12
+        # the file's exact solution solves the a = 0 problem only
+        assert "l2_error" not in level and "h1_error" not in level
+    assert not [key for key in payload
+                if key.endswith("_rates") or key.endswith("_rate_fit")]
+    header = (tmp_path / "solve_convergence.csv").read_text().split("\n")[0]
+    assert header == "level,h,nodes,residual,stability_ratio"
+    assert "fitted" not in res.stdout
 
 
 def test_failed_factorization_exits_3(tmp_path, monkeypatch, capsys):
@@ -438,25 +445,15 @@ def test_malformed_inline_domain_exit_code(tmp_path):
      "--h", "1"],
     ["window-probe", "--domain", "square.json", "--h", "1",
      "--a-grid", "0,0.5"],
-    ["mesh", "refine", "--levels", "0"],
-], ids=["solve", "regularity-study", "window-probe", "refine-levels-0"])
+], ids=["solve", "regularity-study", "window-probe"])
 def test_too_coarse_mesh_exit_code(tmp_path, argv):
-    """A mesh with no interior nodes, and zero refinements, are unusable
-    resolutions: exit 2 with a message, never a traceback."""
-    if argv[:2] == ["mesh", "refine"]:
-        from klab import geometry
-
-        domain = geometry.load_domain(problem_path("square.json"))
-        meshmod.write_mesh(tmp_path / "mesh.txt",
-                           meshmod.build_mesh(domain, 0.5))
-        argv = argv + ["--mesh", tmp_path / "mesh.txt"]
-    argv = [problem_path(a) if str(a).endswith(".json") else a for a in argv]
+    """A mesh with no interior nodes is an unusable resolution: exit 2
+    with a message, never a traceback."""
+    argv = [problem_path(a) if a.endswith(".json") else a for a in argv]
     res = run_cli(*argv, "--out", tmp_path)
     assert res.returncode == 2, res.stderr
     assert res.stderr.startswith("error:") and "Traceback" not in res.stderr
-    if argv[0] != "mesh":
-        assert "mesh has no interior nodes" in res.stderr
-    assert not (tmp_path / "mesh_refine.json").exists()
+    assert "mesh has no interior nodes" in res.stderr
 
 
 @pytest.mark.parametrize("argv", [
@@ -474,8 +471,10 @@ def test_too_coarse_mesh_exit_code(tmp_path, argv):
     ["solve", "--problem", "manufactured_square.json", "--tol", "-1"],
     ["window-probe", "--domain", "square.json", "--h", "0.5",
      "--a-grid", "0,0.5", "--threshold", "0"],
+    ["mesh", "refine", "--mesh", "mesh.txt", "--levels", "0"],
 ], ids=["h-0", "kappa-0", "kappa-1.5", "levels-negative", "solve-levels-0",
-        "samples-0", "cap-levels-0", "tol-negative", "threshold-0"])
+        "samples-0", "cap-levels-0", "tol-negative", "threshold-0",
+        "refine-levels-0"])
 def test_invalid_option_value_exit_code(tmp_path, capsys, argv):
     """The parser rejects an out-of-range option value: exit 2 before any
     work, and no report is written."""

@@ -32,14 +32,6 @@ def test_mesh_without_interior_nodes_rejected(square):
         poincare.domain_poincare_constant(coarse)
 
 
-def test_sector_factor():
-    for theta in (math.pi / 2, math.pi, 1.5 * math.pi):
-        f = poincare.sector_factor(theta)
-        assert f == pytest.approx(math.pi / theta)
-        assert f == pytest.approx(1.0 / math.sqrt(
-            poincare.sector_constant(theta)))
-
-
 @pytest.mark.parametrize("theta", [math.pi / 2, math.pi, 1.5 * math.pi])
 def test_sector_constant_fem_cross_check(theta):
     fem = poincare.sector_constant_fem(theta, n=128)
@@ -112,24 +104,15 @@ def _polar_reference(rel, n1, n2):
 
 def _contains_reference(region, pts):
     """Every coordinate and every test on the whole point array."""
-    if region.kind == "vertex_sector":
-        r, phi = _polar_reference(pts - region.center, region.n1, region.n2)
-        return ((r > 0.0) & (r < region.radius)
-                & (phi > 0.0) & (phi < region.theta))
-    if region.kind == "edge_cylinder":
+    if isinstance(region, poincare.WedgeRegion):
         rel = pts - region.origin
-        z = rel @ region.axis
         r, phi = _polar_reference(rel, region.n1, region.n2)
-        return ((z > region.eps) & (z < region.length - region.eps)
-                & (r > 0.0) & (r < region.delta)
-                & (phi > 0.0) & (phi < region.theta))
-    if region.kind == "vertex_cone":
-        rel = pts - region.apex
+        ok = (r > 0.0) & (phi > 0.0) & (phi < region.theta)
+        if region.axis is None:
+            return ok & (r < region.r0)
         z = rel @ region.axis
-        r, phi = _polar_reference(rel, region.n1, region.n2)
-        return ((z > 0.0) & (z < region.eps) & (r > 0.0)
-                & (r < region.slope * z)
-                & (phi > 0.0) & (phi < region.theta))
+        return (ok & (z > region.z_lo) & (z < region.z_hi)
+                & (r < region.r0 + region.slope * z))
     rel = pts - region.center
     rho = np.linalg.norm(rel, axis=1)
     ok = (rho > 0.0) & (rho < region.radius)
@@ -162,8 +145,8 @@ def _rotated(regions, rot):
         if region.kind == "vertex_ball":
             continue
         moved = {key: rot @ getattr(region, key)
-                 for key in ("center", "origin", "apex", "axis", "n1", "n2")
-                 if hasattr(region, key)}
+                 for key in ("origin", "axis", "n1", "n2")
+                 if getattr(region, key) is not None}
         out.append(dataclasses.replace(region, **moved))
     return out
 
@@ -183,16 +166,9 @@ def _boundary_points(region, n, rng):
     if region.kind == "vertex_ball":
         dirs = region.link.sample_directions(n, rng)
         return region.center + region.radius * dirs
-    if region.kind == "vertex_sector":
-        base, axis, rmax = region.center, None, region.radius
-        z = np.zeros(n)
-    elif region.kind == "edge_cylinder":
-        base, axis, rmax = region.origin, region.axis, region.delta
-        z = region.eps + region.z_extent * u
-    else:
-        base, axis = region.apex, region.axis
-        z = region.eps * u
-        rmax = region.slope * z
+    base, axis = region.origin, region.axis
+    z = region.z_lo + (region.z_hi - region.z_lo) * u
+    rmax = region.r0 + region.slope * z
     r = rmax * rng.random(n)
     phi = region.theta * rng.random(n)
     out = [_wedge_points(base, axis, region.n1, region.n2, z,
@@ -201,12 +177,12 @@ def _boundary_points(region, n, rng):
            _wedge_points(base, axis, region.n1, region.n2, z, r,
                          region.theta + 0.0 * phi)]
     if axis is not None:
-        # z = eps: the cylinder's near end, the cone's base
-        z_end = np.full(n, region.eps)
-        r_end = r if region.kind == "edge_cylinder" \
-            else region.slope * region.eps * rng.random(n)
-        out.append(_wedge_points(base, axis, region.n1, region.n2, z_end,
-                                 r_end, phi))
+        # the end faces: the cylinder's z = eps and z = length - eps, the
+        # cone's apex z = 0 and base z = eps
+        for z_end in (region.z_lo, region.z_hi):
+            r_end = (region.r0 + region.slope * z_end) * rng.random(n)
+            out.append(_wedge_points(base, axis, region.n1, region.n2,
+                                     np.full(n, z_end), r_end, phi))
     return np.concatenate(out)
 
 
@@ -214,10 +190,11 @@ def _boundary_points(region, n, rng):
 @given(st.sampled_from(["lshape", "box", "l_prism", "fichera"]),
        st.booleans(), st.integers(min_value=0, max_value=2 ** 32 - 1))
 def test_region_membership_matches_full_array_formula(name, rotate, seed):
-    """contains and radial_weight equal the whole-array formulas bit for
-    bit, on random points, region samples and points placed on the
-    z = eps, r = delta (cone: r = slope z) and phi = 0, theta surfaces;
-    a point tested alone gets the answer it gets in the batch."""
+    """contains and (for every wedge, sectors included) radial_weight
+    equal the whole-array formulas bit for bit, on random points, region
+    samples and points placed on the end faces z = z_lo, z_hi, the
+    surface r = r0 + slope z and the walls phi = 0, theta; a point
+    tested alone gets the answer it gets in the batch."""
     dom, regions = _regions(name)
     rng = np.random.default_rng(seed)
     lo, hi = dom.vertices.min(axis=0), dom.vertices.max(axis=0)
@@ -237,10 +214,9 @@ def test_region_membership_matches_full_array_formula(name, rotate, seed):
             region.label
         for i in alone:
             assert region.contains(pts[i:i + 1])[0] == got[i], region.label
-        if region.kind in ("edge_cylinder", "vertex_cone"):
-            rel = pts - (region.origin if region.kind == "edge_cylinder"
-                         else region.apex)
-            want, _ = _polar_reference(rel, region.n1, region.n2)
+        if isinstance(region, poincare.WedgeRegion):
+            want, _ = _polar_reference(pts - region.origin, region.n1,
+                                       region.n2)
             assert np.array_equal(region.radial_weight(pts), want)
 
 
@@ -370,3 +346,38 @@ def test_constructive_kappa_box(box, box_mesh):
             assert entry["cap"]["provenance"] == "eigensolve"
             assert entry["term"] == pytest.approx(
                 entry["constant"] / entry["c1"] ** 2)
+
+
+_WEDGE_TERM_KEYS = {"paper_factor", "paper_factor_discrepancy", "term"}
+# kind: (keys of its decomposition.regions entry, keys its region_terms
+# entry adds)
+REGION_REPORT_KEYS = {
+    "vertex_sector": ({"kind", "label", "vertex_id", "theta", "radius",
+                       "constant", "provenance"}, _WEDGE_TERM_KEYS),
+    "edge_cylinder": ({"kind", "label", "edge_id", "theta", "r_e", "z_e",
+                       "constant", "provenance"}, _WEDGE_TERM_KEYS),
+    "vertex_cone": ({"kind", "label", "vertex_id", "edge_id", "theta",
+                     "slope", "eps", "constant", "provenance"},
+                    _WEDGE_TERM_KEYS),
+    "vertex_ball": ({"kind", "label", "vertex_id", "radius", "link_area",
+                     "constant", "provenance", "c1", "c1_provenance",
+                     "c1_samples"}, {"cap", "term"}),
+}
+
+
+def test_region_report_keys(lshape, lshape_mesh, box, box_mesh):
+    """Each region kind writes exactly its own keys into poincare.json."""
+    box_decomp = poincare.build_decomposition(box, samples=150, cap_levels=2)
+    certs = [poincare.constructive_kappa(lshape, lshape_mesh, samples=300),
+             poincare.constructive_kappa(box, box_mesh,
+                                         decomposition=box_decomp)]
+    seen = set()
+    for cert in certs:
+        regions = cert.decomposition["regions"]
+        assert len(regions) == len(cert.region_terms)
+        for entry, term in zip(regions, cert.region_terms):
+            keys, term_keys = REGION_REPORT_KEYS[entry["kind"]]
+            assert set(entry) == keys, entry["label"]
+            assert set(term) == keys | term_keys, entry["label"]
+            seen.add(entry["kind"])
+    assert seen == set(REGION_REPORT_KEYS)

@@ -1,5 +1,5 @@
-"""Every public library function is reached by the package or the
-acceptance battery, not only by its own unit tests."""
+"""Every public library function and class is reached by the package or
+the acceptance battery, not only by its own unit tests."""
 
 import ast
 import collections
@@ -18,14 +18,14 @@ def _parse(path):
 
 def _public_defs(tree):
     """(qualified name, node) of the public module-level functions and
-    public methods of a module."""
+    classes and the public methods of a module."""
     for node in tree.body:
+        items = [("", node)]
         if isinstance(node, ast.ClassDef):
-            items = [(f"{node.name}.", item) for item in node.body]
-        else:
-            items = [("", node)]
+            items += [(f"{node.name}.", item) for item in node.body
+                      if isinstance(item, ast.FunctionDef)]
         for prefix, item in items:
-            if (isinstance(item, ast.FunctionDef)
+            if (isinstance(item, (ast.FunctionDef, ast.ClassDef))
                     and not item.name.startswith("_")):
                 yield prefix + item.name, item
 
@@ -42,9 +42,10 @@ def _references(tree) -> collections.Counter:
     return out
 
 
-def unreached_functions() -> list:
-    """module.name of each public function that no package module and no
-    acceptance test refers to, its own definition aside."""
+def unreached_definitions() -> list:
+    """module.name of each public function, method or class that no
+    package module and no acceptance test refers to, its own definition
+    aside."""
     trees = {name[:-3]: _parse(os.path.join(SRC, name))
              for name in sorted(os.listdir(SRC)) if name.endswith(".py")}
     in_src = sum((_references(t) for t in trees.values()),
@@ -63,4 +64,4 @@ def unreached_functions() -> list:
 
 
 def test_every_public_function_is_reached():
-    assert unreached_functions() == []
+    assert unreached_definitions() == []
