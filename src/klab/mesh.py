@@ -154,6 +154,9 @@ class SimplicialMesh:
         ordered = np.sort(self.elements, axis=1)
         if (ordered[:, 1:] == ordered[:, :-1]).any():
             raise MeshFormatError("element with a repeated node")
+        unused = np.setdiff1d(np.arange(n), self.elements)
+        if len(unused):  # its row of every matrix would be empty
+            raise MeshFormatError(f"node {unused[0] + 1} belongs to no element")
         if len(self.boundary_facets):
             if self.boundary_facets.min() < 0 or self.boundary_facets.max() >= n:
                 raise MeshFormatError("boundary facet references a node out of range")
@@ -211,58 +214,81 @@ class ElementPattern:
                               kept[self.indptr]), shape=self.shape)
 
 
-def element_pattern(elements: np.ndarray, num_nodes: int) -> ElementPattern:
-    """The ElementPattern of the simplices ``elements`` on num_nodes nodes.
-
-    Built from the distinct element edges, found by one np.unique: row r
-    holds, in increasing column order, the lower ends of the edges whose
-    upper end is r, then r itself, then the upper ends of the edges whose
-    lower end is r. Raises MeshSizeError when the pattern has more
-    entries than int32 positions can address.
+def element_edges(elements: np.ndarray, num_nodes: int):
+    """The distinct edges of the simplices ``elements`` on num_nodes nodes:
+    their (low, high) node pairs in lexicographic order, and the (E, m)
+    int32 edge id of every element edge, column c being local pair c of
+    np.triu_indices(k, 1). One argsort ranks the int64 keys
+    low * num_nodes + high; its order is walked in chunks of
+    kernels.BLOCK positions, so no sorted copy or int64 inverse is made.
     """
     elements = np.asarray(elements, dtype=np.int64)
     n, k = num_nodes, elements.shape[1]
-    first, second = np.triu_indices(k, 1)
-    a, b = elements[:, first], elements[:, second]
-    forward = a < b
-    keys = np.minimum(a, b)
-    keys *= n
-    keys += np.maximum(a, b)
-    del a, b  # not held through np.unique, the peak of this function
-    edges, edge_of = np.unique(keys.ravel(), return_inverse=True)
-    edge_of = edge_of.reshape(keys.shape)
-    low_end, high_end = np.divmod(edges, n)
+    keys = np.empty((len(elements), k * (k - 1) // 2), dtype=np.int64)
+    for c, (i, j) in enumerate(zip(*np.triu_indices(k, 1))):
+        a, b = elements[:, i], elements[:, j]
+        keys[:, c] = np.minimum(a, b) * n + np.maximum(a, b)
+    keys = keys.ravel()
+    order = np.argsort(keys)
+    new = np.ones(len(keys), dtype=bool)  # sorted position starts an edge
+    for start in range(1, len(keys), kernels.BLOCK):
+        chunk = keys[order[start - 1:start + kernels.BLOCK]]
+        new[start:start + kernels.BLOCK] = chunk[1:] != chunk[:-1]
+    edges = keys[order[new]]
+    del keys  # freed before the ids are formed
+    new[:1] = False  # cumsum(new) - 1 without another int32 temporary
+    edge_of = np.empty(len(new), dtype=np.int32)
+    edge_of[order] = np.cumsum(new, dtype=np.int32)
+    return (np.column_stack(np.divmod(edges, n)),
+            edge_of.reshape(len(elements), -1))
+
+
+def element_pattern(elements: np.ndarray, num_nodes: int) -> ElementPattern:
+    """The ElementPattern of the simplices ``elements`` on num_nodes nodes.
+
+    Built from the distinct element edges (element_edges): row r holds,
+    in increasing column order, the lower ends of the edges whose upper
+    end is r, then r itself, then the upper ends of the edges whose lower
+    end is r. Raises MeshSizeError when the pattern has more entries than
+    int32 positions can address. Every node must belong to an element,
+    as SimplicialMesh.validate requires.
+    """
+    elements = np.asarray(elements, dtype=np.int64)
+    n, k = num_nodes, elements.shape[1]
+    pairs, edge_of = element_edges(elements, n)
+    low_end, high_end = pairs[:, 0], pairs[:, 1]
     below = np.bincount(high_end, minlength=n)
     above = np.bincount(low_end, minlength=n)
-    used = np.zeros(n, dtype=bool)
-    used[elements.ravel()] = True
     indptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(below + used + above, out=indptr[1:])
+    np.cumsum(below + 1 + above, out=indptr[1:])
     nnz = int(indptr[-1])
     if nnz > PATTERN_NNZ_MAX:
         raise MeshSizeError(f"a pattern of {nnz} entries does not fit int32 "
                             "positions")
     diagonal = indptr[:-1] + below
-    # edges is sorted by (lower, upper) end, so the edges of one lower
+    # pairs is sorted by (lower, upper) end, so the edges of one lower
     # end are contiguous and in column order; a stable sort by the upper
-    # end does the same for the other side.
-    edge_ids = np.arange(len(edges))
-    upper = diagonal[low_end] + 1 + edge_ids - (np.cumsum(above) - above)[low_end]
+    # end does the same for the other side. Every position fits int32.
+    edge_ids = np.arange(len(pairs))
+    upper = (diagonal[low_end] + 1 + edge_ids
+             - (np.cumsum(above) - above)[low_end]).astype(np.int32)
     by_high = np.argsort(high_end, kind="stable")
-    lower = np.empty(len(edges), dtype=np.int64)
+    lower = np.empty(len(pairs), dtype=np.int32)
     lower[by_high] = (indptr[high_end[by_high]] + edge_ids
                       - (np.cumsum(below) - below)[high_end[by_high]])
     indices = np.empty(nnz, dtype=np.int32)
-    indices[diagonal[used]] = np.flatnonzero(used)
+    indices[diagonal] = np.arange(n)
     indices[upper] = high_end
     indices[lower] = low_end
+    del pairs, low_end, high_end, edge_ids, by_high  # not held with slot
     slot = np.empty((len(elements), k, k), dtype=np.int32)
     for i in range(k):
         slot[:, i, i] = diagonal[elements[:, i]]
-    for m, (i, j) in enumerate(zip(first, second)):
-        up, down = upper[edge_of[:, m]], lower[edge_of[:, m]]
-        slot[:, i, j] = np.where(forward[:, m], up, down)
-        slot[:, j, i] = np.where(forward[:, m], down, up)
+    for c, (i, j) in enumerate(zip(*np.triu_indices(k, 1))):
+        forward = elements[:, i] < elements[:, j]
+        up, down = upper[edge_of[:, c]], lower[edge_of[:, c]]
+        slot[:, i, j] = np.where(forward, up, down)
+        slot[:, j, i] = np.where(forward, down, up)
     return ElementPattern((n, n), indptr.astype(np.int32), indices, slot)
 
 

@@ -35,7 +35,7 @@ from . import kernels
 from .config import SINGULAR_NODE_TOL
 from .errors import GeometryError, NonpositiveWeightError
 from .geometry import Polyhedron
-from .mesh import SimplicialMesh
+from .mesh import SimplicialMesh, element_edges
 
 DEFAULT_S1 = 0.25
 # Mesh nodes through which rho1 is relaxed at an arbitrary point; nodes
@@ -210,27 +210,16 @@ def romega_field(domain: Polyhedron,
     return w
 
 
-def _edge_pairs(elements: np.ndarray) -> np.ndarray:
-    """Mesh edges as (low, high) node pairs in lexicographic order."""
-    k = elements.shape[1]
-    local = [(i, j) for i in range(k) for j in range(i + 1, k)]
-    pairs = np.asarray(elements, dtype=np.int64)[:, local].reshape(-1, 2)
-    return np.unique(np.sort(pairs, axis=1), axis=0)
-
-
 def _node_rho1(domain: Polyhedron, mesh: SimplicialMesh, w: RomegaField) -> np.ndarray:
     """Multi-source Dijkstra to the singular edges in the 1/rho0_s metric."""
     nodes = mesh.nodes
-    pairs = _edge_pairs(mesh.elements)
+    pairs, _ = element_edges(mesh.elements, len(nodes))
     mids = 0.5 * (nodes[pairs[:, 0]] + nodes[pairs[:, 1]])
     lengths = np.linalg.norm(nodes[pairs[:, 1]] - nodes[pairs[:, 0]], axis=1)
     costs = lengths / w.rho0(mids)
-    n = len(nodes)
-    graph = sp.coo_matrix(
-        (np.concatenate([costs, costs]),
-         (np.concatenate([pairs[:, 0], pairs[:, 1]]),
-          np.concatenate([pairs[:, 1], pairs[:, 0]]))),
-        shape=(n, n)).tocsr()
+    # dijkstra(directed=False) walks each edge both ways
+    graph = sp.csr_matrix((costs, (pairs[:, 0], pairs[:, 1])),
+                          shape=(len(nodes), len(nodes)))
     sources = np.where(EtaField(domain).on_singular_set(nodes))[0]
     if not len(sources):
         raise GeometryError("mesh has no nodes on the singular edges")

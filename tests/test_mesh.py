@@ -468,6 +468,21 @@ def test_read_mesh_rejects_repeated_node(tmp_path):
         meshmod.read_mesh(p)
 
 
+def test_read_mesh_rejects_unused_node(tmp_path, lshape):
+    """A node that no element uses has no equation of its own: the
+    stiffness matrix would be singular, so reading it is a format error
+    naming the node."""
+    p = tmp_path / "unused.txt"
+    meshmod.write_mesh(p, meshmod.build_mesh(lshape, 0.25))
+    lines = p.read_text().splitlines()
+    at = lines.index("NODES 65")
+    lines[at] = "NODES 66"
+    lines.insert(at + 66, "66 0.5 0.5")
+    p.write_text("\n".join(lines) + "\n")
+    with pytest.raises(MeshFormatError, match="node 66 belongs to no element"):
+        meshmod.read_mesh(p)
+
+
 def test_node_cap(square):
     with pytest.raises(MeshSizeError):
         meshmod.build_mesh(square, 1e-5)

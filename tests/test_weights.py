@@ -238,6 +238,8 @@ def test_romega_requires_mesh_in_3d(box):
 
 
 def test_edge_pairs_match_sorted_set(l_prism, lshape_mesh):
+    """mesh.element_edges gives the distinct (low, high) edges in sorted
+    order and, for every element edge, the row of its pair."""
     for elements in (meshmod.build_mesh(l_prism, 0.25).elements,
                      lshape_mesh.elements):
         pairs = set()
@@ -246,8 +248,13 @@ def test_edge_pairs_match_sorted_set(l_prism, lshape_mesh):
                 for j in range(i + 1, len(row)):
                     a, b = int(row[i]), int(row[j])
                     pairs.add((a, b) if a < b else (b, a))
-        assert np.array_equal(weights._edge_pairs(elements),
-                              np.array(sorted(pairs), dtype=np.int64))
+        got, edge_of = meshmod.element_edges(elements, elements.max() + 1)
+        assert np.array_equal(got, np.array(sorted(pairs), dtype=np.int64))
+        assert edge_of.dtype == np.int32
+        first, second = np.triu_indices(elements.shape[1], 1)
+        ends = np.sort(np.stack([elements[:, first], elements[:, second]],
+                                axis=-1), axis=-1)
+        assert np.array_equal(got[edge_of], ends)
 
 
 def _rho1_reference(w, pts, k):
