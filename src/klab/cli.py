@@ -64,6 +64,10 @@ def _mesh_for(args: argparse.Namespace,
               domain: Polyhedron) -> meshmod.SimplicialMesh:
     if args.mesh_path is None:
         return _make_mesh(domain, args.h, args.kappa, args.levels)
+    given = [f"--{name}" for name in ("h", "kappa", "levels")
+             if getattr(args, name) is not None]
+    if given:
+        raise SpecError(f"--mesh excludes {', '.join(given)}")
     m = meshmod.read_mesh(args.mesh_path)
     if m.dimension != domain.dimension:
         raise SpecError(f"--mesh is {m.dimension}D but the domain is "
@@ -532,7 +536,7 @@ def _add_mesh_args(p, with_mesh_file: bool = True, min_levels: int = 0):
                         "refinements)")
     if with_mesh_file:
         p.add_argument("--mesh", dest="mesh_path", default=None,
-                       help="use an existing mesh file instead of --h")
+                       help="a mesh file in place of --h, --kappa and --levels")
 
 
 def build_parser() -> argparse.ArgumentParser:

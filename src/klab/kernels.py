@@ -36,7 +36,7 @@ BACKEND = "numpy"
 
 # Elements per block in the element kernels and in femcore's assembly
 # and quadrature loops, query points per block in the distance kernels,
-# sorted edge keys per chunk in mesh.element_edges.
+# sorted face keys per chunk in mesh.element_faces.
 # A per-coordinate temporary then holds at most BLOCK doubles (64 kB) in
 # the element kernels and S * BLOCK in the distance kernels: about
 # 0.8 MB with the 12 singular edges of a polyhedron. For the distance

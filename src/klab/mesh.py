@@ -7,6 +7,9 @@ reproducible byte for byte. Each mesh builds the CSR sparsity pattern of
 its P1 matrices once, on first use (SimplicialMesh.pattern), and every
 assembly on it sums its element blocks into that pattern.
 
+The pattern, refinement, the derived boundary and the mesh-file check
+number edges and facets through one ranking, element_faces.
+
 Refinement is nested (edge-midpoint subdivision: quadrisection of
 triangles, octasection of tetrahedra), and a refined mesh carries the
 P1 prolongation of each level it came from, the hierarchy multigrid
@@ -149,6 +152,8 @@ class SimplicialMesh:
             raise MeshSizeError(f"{n} nodes exceeds the cap {DEFAULT_NODE_CAP}")
         if self.elements.ndim != 2 or self.elements.shape[1] != self.dimension + 1:
             raise MeshFormatError("element arity does not match dimension")
+        if not self.num_elements:
+            raise MeshFormatError("mesh has no elements")
         if self.elements.min(initial=0) < 0 or self.elements.max(initial=-1) >= n:
             raise MeshFormatError("element references a node out of range")
         ordered = np.sort(self.elements, axis=1)
@@ -214,39 +219,46 @@ class ElementPattern:
                               kept[self.indptr]), shape=self.shape)
 
 
-def element_edges(elements: np.ndarray, num_nodes: int):
-    """The distinct edges of the simplices ``elements`` on num_nodes nodes:
-    their (low, high) node pairs in lexicographic order, and the (E, m)
-    int32 edge id of every element edge, column c being local pair c of
-    np.triu_indices(k, 1). One argsort ranks the int64 keys
-    low * num_nodes + high; its order is walked in chunks of
-    kernels.BLOCK positions, so no sorted copy or int64 inverse is made.
+def element_faces(elements: np.ndarray, num_nodes: int, size: int):
+    """The distinct ``size``-node faces of the simplices ``elements`` on
+    num_nodes nodes, rows of ascending ids in lexicographic order, and
+    the (E, C(k, size)) int32 face id of every element face, column c
+    being combination c of itertools.combinations(range(k), size).
+
+    One argsort ranks the int64 keys (ascending ids as digits in base
+    num_nodes; MeshSizeError when num_nodes ** size overflows int64) and
+    its order is walked in chunks of kernels.BLOCK positions, so no
+    sorted copy or int64 inverse is made.
     """
     elements = np.asarray(elements, dtype=np.int64)
-    n, k = num_nodes, elements.shape[1]
-    keys = np.empty((len(elements), k * (k - 1) // 2), dtype=np.int64)
-    for c, (i, j) in enumerate(zip(*np.triu_indices(k, 1))):
-        a, b = elements[:, i], elements[:, j]
-        keys[:, c] = np.minimum(a, b) * n + np.maximum(a, b)
+    n = num_nodes
+    if n ** size > np.iinfo(np.int64).max:
+        raise MeshSizeError(f"{n} nodes are too many to key {size}-node faces")
+    local = list(itertools.combinations(range(elements.shape[1]), size))
+    keys = np.empty((len(elements), len(local)), dtype=np.int64)
+    for c, columns in enumerate(local):
+        keys[:, c] = np.ravel_multi_index(
+            np.sort(elements[:, columns], axis=1).T, (n,) * size)
     keys = keys.ravel()
     order = np.argsort(keys)
-    new = np.ones(len(keys), dtype=bool)  # sorted position starts an edge
+    new = np.ones(len(keys), dtype=bool)  # sorted position starts a face
     for start in range(1, len(keys), kernels.BLOCK):
         chunk = keys[order[start - 1:start + kernels.BLOCK]]
         new[start:start + kernels.BLOCK] = chunk[1:] != chunk[:-1]
-    edges = keys[order[new]]
+    distinct = keys[order[new]]
     del keys  # freed before the ids are formed
     new[:1] = False  # cumsum(new) - 1 without another int32 temporary
-    edge_of = np.empty(len(new), dtype=np.int32)
-    edge_of[order] = np.cumsum(new, dtype=np.int32)
-    return (np.column_stack(np.divmod(edges, n)),
-            edge_of.reshape(len(elements), -1))
+    face_of = np.empty(len(new), dtype=np.int32)
+    face_of[order] = np.cumsum(new, dtype=np.int32)
+    del order, new
+    faces = np.column_stack(np.unravel_index(distinct, (n,) * size))
+    return faces, face_of.reshape(len(elements), len(local))
 
 
 def element_pattern(elements: np.ndarray, num_nodes: int) -> ElementPattern:
     """The ElementPattern of the simplices ``elements`` on num_nodes nodes.
 
-    Built from the distinct element edges (element_edges): row r holds,
+    Built from the distinct element edges (element_faces): row r holds,
     in increasing column order, the lower ends of the edges whose upper
     end is r, then r itself, then the upper ends of the edges whose lower
     end is r. Raises MeshSizeError when the pattern has more entries than
@@ -255,7 +267,7 @@ def element_pattern(elements: np.ndarray, num_nodes: int) -> ElementPattern:
     """
     elements = np.asarray(elements, dtype=np.int64)
     n, k = num_nodes, elements.shape[1]
-    pairs, edge_of = element_edges(elements, n)
+    pairs, edge_of = element_faces(elements, n, 2)
     low_end, high_end = pairs[:, 0], pairs[:, 1]
     below = np.bincount(high_end, minlength=n)
     above = np.bincount(low_end, minlength=n)
@@ -284,7 +296,7 @@ def element_pattern(elements: np.ndarray, num_nodes: int) -> ElementPattern:
     slot = np.empty((len(elements), k, k), dtype=np.int32)
     for i in range(k):
         slot[:, i, i] = diagonal[elements[:, i]]
-    for c, (i, j) in enumerate(zip(*np.triu_indices(k, 1))):
+    for c, (i, j) in enumerate(itertools.combinations(range(k), 2)):
         forward = elements[:, i] < elements[:, j]
         up, down = upper[edge_of[:, c]], lower[edge_of[:, c]]
         slot[:, i, j] = np.where(forward, up, down)
@@ -305,25 +317,11 @@ def _oriented(dimension: int, nodes: np.ndarray, elements: np.ndarray) -> np.nda
 
 def derive_boundary_facets(elements: np.ndarray) -> np.ndarray:
     """Facets that belong to exactly one simplex: rows of ascending node
-    ids, in lexicographic order.
-
-    Each facet is encoded as one int64 key, (a n + b) n + c for its
-    sorted ids a <= b <= c below n; keys order like the rows, so one sort
-    and count finds the facets seen once.
-    """
+    ids, in lexicographic order (element_faces)."""
     elements = np.asarray(elements, dtype=np.int64)
-    k = elements.shape[1]
-    n = int(elements.max(initial=-1)) + 1
-    if n ** (k - 1) > np.iinfo(np.int64).max:
-        raise MeshSizeError(f"{n} nodes are too many to key the facets")
-    facets = np.sort(np.concatenate([np.delete(elements, drop, axis=1)
-                                     for drop in range(k)]), axis=1)
-    key = facets[:, 0].copy()
-    for column in facets[:, 1:].T:
-        key *= n
-        key += column
-    _, first, count = np.unique(key, return_index=True, return_counts=True)
-    return facets[first[count == 1]]
+    facets, facet_of = element_faces(elements, int(elements.max(initial=-1)) + 1,
+                                     elements.shape[1] - 1)
+    return facets[np.bincount(facet_of.ravel(), minlength=len(facets)) == 1]
 
 
 # ---------------------------------------------------------------------
@@ -508,13 +506,12 @@ def refine(mesh: SimplicialMesh, levels: int = 1,
     return out
 
 
-# Local edges in the order children and facets name their midpoints.
-_REFINE_EDGES = {2: ((0, 1), (1, 2), (2, 0)),
-                 3: ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))}
 # Children as local indices into (vertices, edge midpoints): 0..dim are
-# the parent's vertices, dim + 1 + e the midpoint of local edge e.
+# the parent's vertices, dim + 1 + c the midpoint of local edge c in
+# itertools.combinations order, the column order of element_faces.
 _CHILDREN = {
-    2: ((0, 3, 5), (3, 1, 4), (5, 4, 2), (3, 4, 5)),
+    1: ((0, 2), (2, 1)),
+    2: ((0, 3, 4), (3, 1, 5), (4, 5, 2), (3, 5, 4)),
     3: ((0, 4, 5, 6), (4, 1, 7, 8), (5, 7, 2, 9), (6, 8, 9, 3),
         (4, 5, 6, 8), (4, 5, 7, 8), (5, 6, 8, 9), (5, 7, 8, 9)),
 }
@@ -524,47 +521,39 @@ def _refine_once(dim, nodes, elements, facets):
     """One edge-midpoint subdivision of elements and boundary facets.
 
     Midpoints are numbered after the parent's nodes in the order their
-    edges are first met walking the elements, so parents keep their
-    indices and the numbering is deterministic. Facets reuse the
-    midpoints of their element edges. Returns the new nodes, elements
-    and facets, and the (M, 2) parent edge (a, b), a < b, of each
-    midpoint in numbering order.
+    edges are first met walking the elements (a triangle's edges as
+    (0, 1), (1, 2), (2, 0)), so parents keep their indices and the
+    numbering is deterministic. Facets, refined as simplices of one
+    dimension less, reuse the midpoints of their element edges. Returns
+    the new nodes, elements and facets, and the (M, 2) parent edge
+    (a, b), a < b, of each midpoint in numbering order.
     """
     nodes = np.asarray(nodes, dtype=float)
     elements = np.asarray(elements, dtype=np.int64)
     facets = np.asarray(facets, dtype=np.int64)
     n = len(nodes)
-    local = list(_REFINE_EDGES[dim])
-    pairs = np.sort(elements[:, local].reshape(-1, 2), axis=1)
-    keys = pairs[:, 0] * n + pairs[:, 1]
-    # np.unique's first indices come from a stable sort, so ranking the
-    # distinct edges by them reproduces the order of first appearance.
-    uniq, first, inverse = np.unique(keys, return_index=True,
-                                     return_inverse=True)
-    order = np.argsort(first)
-    rank = np.empty(len(uniq), dtype=np.int64)
-    rank[order] = np.arange(len(uniq))
-    a, b = pairs[first[order]].T
-    new_nodes = np.concatenate([nodes, 0.5 * (nodes[a] + nodes[b])])
+    pairs, edge_of = element_faces(elements, n, 2)
+    walk = edge_of[:, [0, 2, 1]] if dim == 2 else edge_of
+    first = np.full(len(pairs), walk.size, dtype=np.int64)
+    np.minimum.at(first, walk.ravel(), np.arange(walk.size))
+    order = np.argsort(first)  # the first positions are distinct
+    rank = np.empty(len(pairs), dtype=np.int64)
+    rank[order] = np.arange(n, n + len(pairs))
+    parents = pairs[order]
+    new_nodes = np.concatenate([nodes, nodes[parents].mean(axis=1)])
+    children = np.concatenate([elements, rank[edge_of]], axis=1)[
+        :, np.array(_CHILDREN[dim])].reshape(-1, dim + 1)
 
-    vertex_mid = np.concatenate(
-        [elements, n + rank[inverse].reshape(len(elements), len(local))],
-        axis=1)
-    children = vertex_mid[:, np.array(_CHILDREN[dim])].reshape(-1, dim + 1)
-
-    f_local = [(0, 1)] if dim == 2 else list(_REFINE_EDGES[2])
-    f_pairs = np.sort(facets[:, f_local].reshape(-1, 2), axis=1)
-    f_keys = f_pairs[:, 0] * n + f_pairs[:, 1]
-    if not np.isin(f_keys, uniq).all():
+    keys = pairs[:, 0] * n + pairs[:, 1]  # ascending, as pairs are sorted
+    ends = np.sort(facets[:, list(itertools.combinations(range(dim), 2))],
+                   axis=2)
+    f_keys = ends[..., 0] * n + ends[..., 1]
+    pos = np.searchsorted(keys, f_keys)
+    if (keys.take(pos, mode="clip") != f_keys).any():
         raise GeometryError("a boundary facet edge is not an element edge")
-    pos = np.searchsorted(uniq, f_keys)
-    f_mid = np.concatenate(
-        [facets, n + rank[pos].reshape(len(facets), len(f_local))], axis=1)
-    if dim == 2:
-        new_facets = f_mid[:, np.array(((0, 2), (2, 1)))].reshape(-1, 2)
-    else:
-        new_facets = f_mid[:, np.array(_CHILDREN[2])].reshape(-1, 3)
-    return new_nodes, children, new_facets, np.column_stack([a, b])
+    new_facets = np.concatenate([facets, rank[pos]], axis=1)[
+        :, np.array(_CHILDREN[dim - 1])].reshape(-1, dim)
+    return new_nodes, children, new_facets, parents
 
 
 def _prolongation(n_coarse: int, parents: np.ndarray) -> sp.csr_matrix:
@@ -694,8 +683,9 @@ def _number(text: str, kind):
 
 def read_mesh(path) -> SimplicialMesh:
     """Mesh from a write_mesh file. Raises MeshFormatError on malformed
-    or non-finite numbers and when the BOUNDARY facets are not the
-    facets owned by one element (derive_boundary_facets)."""
+    or non-finite numbers, on a mesh with no elements, when BOUNDARY
+    lists a facet twice and when its facets are not the facets owned by
+    one element (derive_boundary_facets)."""
     with open(path, "r", encoding="utf-8") as fh:
         raw = [ln.strip() for ln in fh if ln.strip()]
     cursor = 0
@@ -764,8 +754,12 @@ def read_mesh(path) -> SimplicialMesh:
 
     mesh = SimplicialMesh(dim, nodes, elements, facets, grading=grading)
     mesh.validate()
-    if not np.array_equal(np.unique(np.sort(facets, axis=1), axis=0),
-                          derive_boundary_facets(elements)):
+    listed, listed_of = element_faces(facets, mesh.num_nodes, dim)
+    repeated = np.bincount(listed_of.ravel(), minlength=len(listed)) > 1
+    if repeated.any():
+        facet = " ".join(str(v + 1) for v in listed[repeated.argmax()])
+        raise MeshFormatError(f"BOUNDARY lists facet {facet} more than once")
+    if not np.array_equal(listed, derive_boundary_facets(elements)):
         raise MeshFormatError("BOUNDARY facets are not the facets that "
                               "belong to exactly one element")
     return mesh

@@ -35,7 +35,7 @@ from . import kernels
 from .config import SINGULAR_NODE_TOL
 from .errors import GeometryError, NonpositiveWeightError
 from .geometry import Polyhedron
-from .mesh import SimplicialMesh, element_edges
+from .mesh import SimplicialMesh, element_faces
 
 DEFAULT_S1 = 0.25
 # Mesh nodes through which rho1 is relaxed at an arbitrary point; nodes
@@ -213,7 +213,7 @@ def romega_field(domain: Polyhedron,
 def _node_rho1(domain: Polyhedron, mesh: SimplicialMesh, w: RomegaField) -> np.ndarray:
     """Multi-source Dijkstra to the singular edges in the 1/rho0_s metric."""
     nodes = mesh.nodes
-    pairs, _ = element_edges(mesh.elements, len(nodes))
+    pairs, _ = element_faces(mesh.elements, len(nodes), 2)
     mids = 0.5 * (nodes[pairs[:, 0]] + nodes[pairs[:, 1]])
     lengths = np.linalg.norm(nodes[pairs[:, 1]] - nodes[pairs[:, 0]], axis=1)
     costs = lengths / w.rho0(mids)

@@ -353,11 +353,15 @@ ONE_TRIANGLE = ("KLABMESH 1\nDIM 2\nNODES 3\n1 0.0 0.0\n2 1.0 0.0\n"
     ("\nEND", "\nGRADING a b c\nEND"),
     ("BOUNDARY 3\n1 2\n2 3\n1 3", "BOUNDARY 0"),
     ("BOUNDARY 3\n1 2\n2 3\n1 3", "BOUNDARY 2\n1 2\n2 3"),
+    ("BOUNDARY 3\n1 2\n2 3\n1 3", "BOUNDARY 4\n1 2\n2 3\n1 3\n3 1"),
+    ("NODES 3\n1 0.0 0.0\n2 1.0 0.0\n3 0.0 1.0\nELEMENTS 1\n1 1 2 3\n"
+     "BOUNDARY 3\n1 2\n2 3\n1 3", "NODES 0\nELEMENTS 0\nBOUNDARY 0"),
 ], ids=["count", "id", "coordinate", "nan-coordinate", "grading",
-        "no-boundary", "missing-facet"])
+        "no-boundary", "missing-facet", "repeated-facet", "empty"])
 def test_malformed_mesh_file_exit_code(tmp_path, old, new):
-    """A mesh file with an unparsable or non-finite number, or whose
-    BOUNDARY is not the boundary of its elements, is invalid input."""
+    """A mesh file with an unparsable or non-finite number, with no
+    elements, or whose BOUNDARY is not the boundary of its elements,
+    each listed once, is invalid input."""
     assert old in ONE_TRIANGLE
     bad = tmp_path / "bad.txt"
     bad.write_text(ONE_TRIANGLE.replace(old, new, 1))
@@ -386,6 +390,32 @@ def test_mesh_of_wrong_dimension_exit_code(tmp_path, argv, mesh_domain):
     res = run_cli(*argv, "--mesh", tmp_path / "mesh.txt", "--out", tmp_path)
     assert res.returncode == 2, res.stderr
     assert "--mesh is" in res.stderr and "Traceback" not in res.stderr
+
+
+@pytest.mark.parametrize("argv", [
+    ["poincare", "--domain", "l_shape.json", "--levels", "1"],
+    ["window-probe", "--domain", "l_shape.json", "--a-grid", "0,0.5",
+     "--h", "0.5"],
+    ["weights", "dump", "--domain", "l_shape.json", "--levels", "2",
+     "--h", "0.01", "--kappa", "0.3"],
+    ["weights", "certify", "--domain", "l_shape.json", "--kappa", "0.5"],
+    ["norm", "--domain", "l_shape.json", "--expr", "x", "--h", "0.25"],
+], ids=["poincare", "window-probe", "weights-dump", "weights-certify",
+        "norm"])
+def test_mesh_with_mesh_options_exit_code(tmp_path, argv):
+    """--h, --kappa and --levels make a mesh, so beside a --mesh file,
+    which they would leave unchanged, they are invalid input."""
+    from klab import geometry
+
+    domain = geometry.load_domain(problem_path("l_shape.json"))
+    meshmod.write_mesh(tmp_path / "mesh.txt",
+                       meshmod.build_mesh(domain, 0.5))
+    given = [o for o in ("--h", "--kappa", "--levels") if o in argv]
+    argv = [problem_path(a) if a.endswith(".json") else a for a in argv]
+    res = run_cli(*argv, "--mesh", tmp_path / "mesh.txt", "--out", tmp_path)
+    assert res.returncode == 2, res.stderr
+    assert f"--mesh excludes {', '.join(given)}" in res.stderr
+    assert "Traceback" not in res.stderr
 
 
 BAD_DOMAINS = {

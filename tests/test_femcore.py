@@ -339,11 +339,11 @@ def test_constructive_kappa_builds_the_pattern_once(lshape, lshape_mesh,
 
 
 def test_pattern_guards_int32_positions(square_mesh, monkeypatch):
+    nnz = len(square_mesh.pattern.indices)  # built before the cap drops
     monkeypatch.setattr(meshmod, "PATTERN_NNZ_MAX", 100)
     with pytest.raises(MeshSizeError, match="int32"):
         meshmod.element_pattern(square_mesh.elements, square_mesh.num_nodes)
-    monkeypatch.setattr(meshmod, "PATTERN_NNZ_MAX",
-                        len(square_mesh.pattern.indices))
+    monkeypatch.setattr(meshmod, "PATTERN_NNZ_MAX", nnz)
     pattern = meshmod.element_pattern(square_mesh.elements,
                                       square_mesh.num_nodes)
     assert np.array_equal(pattern.slot, square_mesh.pattern.slot)

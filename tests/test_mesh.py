@@ -2,6 +2,7 @@
 
 import functools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -270,6 +271,22 @@ def test_refine_rejects_facet_off_the_elements(square):
     facets = np.vstack([m.boundary_facets, [[0, far]]])
     with pytest.raises(GeometryError):
         meshmod._refine_once(2, m.nodes, m.elements, facets)
+
+
+def test_refine_holds_a_bounded_transient(box):
+    """The last level of refine(build_mesh(box, 0.5), 3) peaks within
+    2.4 times the arrays it returns: the edges are ranked by
+    element_faces (one argsort, int32 ids), not by np.unique's sorted
+    copy and int64 inverse over every element edge."""
+    m = meshmod.refine(meshmod.build_mesh(box, 0.5), 2)
+    tracemalloc.start()
+    try:
+        out = meshmod._refine_once(3, m.nodes, m.elements, m.boundary_facets)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(out[1]) == 24576
+    assert peak <= 2.4 * sum(a.nbytes for a in out)
 
 
 # -- grading -----------------------------------------------------------

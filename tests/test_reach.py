@@ -1,5 +1,6 @@
 """Every public library function and class is reached by the package or
-the acceptance battery, not only by its own unit tests."""
+the acceptance battery, and every private function and method by the
+package, not only by its own unit tests."""
 
 import ast
 import collections
@@ -16,9 +17,10 @@ def _parse(path):
         return ast.parse(fh.read(), filename=path)
 
 
-def _public_defs(tree):
-    """(qualified name, node) of the public module-level functions and
-    classes and the public methods of a module."""
+def _definitions(tree):
+    """(qualified name, node) of the module-level functions and classes
+    and the methods of a module; special methods such as __init__, which
+    Python calls by itself, are left out."""
     for node in tree.body:
         items = [("", node)]
         if isinstance(node, ast.ClassDef):
@@ -26,7 +28,7 @@ def _public_defs(tree):
                       if isinstance(item, ast.FunctionDef)]
         for prefix, item in items:
             if (isinstance(item, (ast.FunctionDef, ast.ClassDef))
-                    and not item.name.startswith("_")):
+                    and not item.name.startswith("__")):
                 yield prefix + item.name, item
 
 
@@ -44,8 +46,8 @@ def _references(tree) -> collections.Counter:
 
 def unreached_definitions() -> list:
     """module.name of each public function, method or class that no
-    package module and no acceptance test refers to, its own definition
-    aside."""
+    package module and no acceptance test refers to, and of each private
+    one that no package module refers to, its own definition aside."""
     trees = {name[:-3]: _parse(os.path.join(SRC, name))
              for name in sorted(os.listdir(SRC)) if name.endswith(".py")}
     in_src = sum((_references(t) for t in trees.values()),
@@ -53,9 +55,10 @@ def unreached_definitions() -> list:
     acceptance = _references(_parse(ACCEPTANCE))
     missing = []
     for module, tree in trees.items():
-        for qualname, node in _public_defs(tree):
+        for qualname, node in _definitions(tree):
             label = f"{module}.{qualname}"
-            if label in ENTRY_POINTS or acceptance[node.name]:
+            if label in ENTRY_POINTS or (not node.name.startswith("_")
+                                         and acceptance[node.name]):
                 continue
             if in_src[node.name] > _references(node)[node.name]:
                 continue

@@ -1,5 +1,7 @@
 """Distance weights, smoothing, sampling and equivalence certification."""
 
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -238,23 +240,24 @@ def test_romega_requires_mesh_in_3d(box):
 
 
 def test_edge_pairs_match_sorted_set(l_prism, lshape_mesh):
-    """mesh.element_edges gives the distinct (low, high) edges in sorted
-    order and, for every element edge, the row of its pair."""
+    """mesh.element_faces gives the distinct faces of 2 nodes (edges) and
+    of d nodes (facets) as ascending rows in sorted order and, for every
+    element face in combinations order, the row of its face."""
     for elements in (meshmod.build_mesh(l_prism, 0.25).elements,
                      lshape_mesh.elements):
-        pairs = set()
-        for row in elements:
-            for i in range(len(row)):
-                for j in range(i + 1, len(row)):
-                    a, b = int(row[i]), int(row[j])
-                    pairs.add((a, b) if a < b else (b, a))
-        got, edge_of = meshmod.element_edges(elements, elements.max() + 1)
-        assert np.array_equal(got, np.array(sorted(pairs), dtype=np.int64))
-        assert edge_of.dtype == np.int32
-        first, second = np.triu_indices(elements.shape[1], 1)
-        ends = np.sort(np.stack([elements[:, first], elements[:, second]],
-                                axis=-1), axis=-1)
-        assert np.array_equal(got[edge_of], ends)
+        k = elements.shape[1]
+        for size in (2, k - 1):
+            local = list(itertools.combinations(range(k), size))
+            faces = {tuple(sorted(int(row[i]) for i in face))
+                     for row in elements for face in local}
+            got, face_of = meshmod.element_faces(elements,
+                                                 elements.max() + 1, size)
+            assert got.dtype == np.int64
+            assert np.array_equal(got, np.array(sorted(faces)))
+            assert face_of.dtype == np.int32
+            assert face_of.shape == (len(elements), len(local))
+            assert np.array_equal(got[face_of],
+                                  np.sort(elements[:, local], axis=-1))
 
 
 def _rho1_reference(w, pts, k):
