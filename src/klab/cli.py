@@ -341,7 +341,8 @@ def _cmd_weights_dump(args: argparse.Namespace) -> int:
 def _cmd_weights_certify(args: argparse.Namespace) -> int:
     domain = geometry.load_domain(args.domain)
     m = None
-    if args.mesh_path is not None or args.h is not None:
+    if any(v is not None for v in (args.mesh_path, args.h, args.kappa,
+                                   args.levels)):
         m = _mesh_for(args, domain)
     rep = weights.certify_equivalence(domain, mesh=m, n=args.samples)
     payload = rep.as_dict()
@@ -464,9 +465,18 @@ def _cmd_window_probe(args: argparse.Namespace) -> int:
     payload = probe.as_dict()
     payload["mesh"] = _mesh_summary(m)
     path = report.write_json(_out_path(args, "window_probe.json"), payload)
-    header = ["a", "indicator", "stable", "solve_ok", "response_norm"]
-    rows = [[e["a"], e["indicator"], e["stable"], e["solve_ok"],
-             e.get("response_norm")] for e in probe.entries]
+    # A certified entry carries its Lax-Milgram bound, every other one
+    # the norm of its sparse LU solve (None when that failed).
+    header = ["a", "indicator", "stable", "response", "provenance"]
+    rows = []
+    for e in probe.entries:
+        if "response_bound" in e:
+            response, provenance = e["response_bound"], e["provenance"]
+        else:
+            response = e["response_norm"]
+            provenance = "direct_lu" if e["solve_ok"] else "failed"
+        rows.append([e["a"], e["indicator"], e["stable"], response,
+                     provenance])
     print(report.render_table(header, rows))
     print(f"stable window: [{probe.window['lower']!r}, "
           f"{probe.window['upper']!r}]")

@@ -26,7 +26,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import femcore, geometry, kernels, sobolev, weights
-from .errors import ConvergenceError, InadmissibleIndexError
+from .errors import (ConvergenceError, InadmissibleIndexError,
+                     NumericalError)
 from .femcore import FemField
 from .geometry import Polyhedron
 from .mesh import SimplicialMesh, free_prolongations
@@ -249,6 +250,7 @@ class WindowReport:
     entries: list
     threshold: float
     indicator_zero: float
+    response_zero: dict
     acrit_estimate: dict
     predicted_edge: float | None
     window: dict
@@ -259,11 +261,16 @@ class WindowReport:
                 "entries": [dict(e) for e in self.entries],
                 "threshold": self.threshold,
                 "indicator_zero": self.indicator_zero,
+                "response_zero": dict(self.response_zero),
                 "acrit_estimate": dict(self.acrit_estimate),
                 "predicted_edge": None if self.predicted_edge is None
                 else {"value": self.predicted_edge, "provenance": "analytic"},
                 "window": dict(self.window),
                 "bracket": dict(self.bracket) if self.bracket else None}
+
+
+def _energy_norm(x: np.ndarray, k_mat) -> float:
+    return math.sqrt(max(kernels.neumaier_dot(x, k_mat @ x), 0.0))
 
 
 def weight_window_probe(domain: Polyhedron, mesh: SimplicialMesh,
@@ -278,10 +285,22 @@ def weight_window_probe(domain: Polyhedron, mesh: SimplicialMesh,
     metric. It equals 1 - a^2 lambda_max(M, K) exactly, so one
     eigensolve of (M, K), which also gives acrit = lambda_max^(-1/2),
     yields every indicator; it is 1 at a = 0 and a value <= 0 marks an
-    indefinite K - a^2 M (energy breakdown). A point is stable when the
-    indicator stays above threshold times its a = 0 value and the
-    conjugated solve against the fixed source, femcore.solve's sparse
-    LU for every a, succeeds.
+    indefinite K - a^2 M (energy breakdown).
+
+    Since x^T B_a x >= indicator * x^T K x, an a whose indicator is
+    positive and at least threshold times its a = 0 value is certified
+    by Lax-Milgram: B_a is invertible and the response to the fixed
+    source f obeys norm(B_a^-1 f, K) <= norm(K^-1 f, K) / indicator.
+    The one solve of K at a = 0 (femcore.solve's conjugate gradients,
+    preconditioned by multigrid on the same hierarchy as the
+    eigensolve) gives response_zero; a certified entry carries that
+    bound as response_bound and is stable, with no solve of its own.
+    Every other a solves B_a by femcore.solve's sparse LU and reports
+    response_norm, solve_residual and solve_ok; it is stable when its
+    indicator is at least the threshold and that solve succeeds, which
+    a positive threshold rules out. When the a = 0 solve fails, the
+    entries it would have certified carry solve_ok False and its
+    failure as solve_note, and are not stable.
     """
     a_values = [float(a) for a in a_values]
     for a in a_values:
@@ -291,10 +310,11 @@ def weight_window_probe(domain: Polyhedron, mesh: SimplicialMesh,
     free = mesh.free_nodes()
     k_ff = k_mat[free][:, free].tocsr()
     m_ff = m_mat[free][:, free].tocsr()
+    hierarchy = free_prolongations(mesh.prolongations, free)
 
     lam_max, _, eig_info = femcore.generalized_eig_extreme(
-        m_ff, k_ff, which="max",
-        hierarchy=free_prolongations(mesh.prolongations, free))
+        m_ff, k_ff, which="max", hierarchy=hierarchy)
+    del m_ff
     acrit = 1.0 / math.sqrt(lam_max)
     acrit_note = {"value": acrit, "eigenvalue": lam_max,
                   "iterations": eig_info["iterations"],
@@ -303,7 +323,20 @@ def weight_window_probe(domain: Polyhedron, mesh: SimplicialMesh,
     if f is None:
         def f(points):
             return np.ones(len(points))
-    f_vec = femcore.assemble_load(mesh, f, degree=LOAD_DEGREE)
+    f_free = femcore.assemble_load(mesh, f, degree=LOAD_DEGREE)[free]
+
+    try:
+        x, info = femcore.solve(k_ff, f_free, hierarchy=hierarchy)
+        response_zero = {"value": _energy_norm(x, k_ff),
+                         "method": info["method"],
+                         "iterations": info["iterations"],
+                         "residual": info["residual"], "converged": True}
+        zero_note = None
+    except NumericalError as exc:
+        zero_note = f"a = 0 solve: {exc}"
+        response_zero = {"value": None, "method": "cg", "iterations": None,
+                         "residual": getattr(exc, "residual", None),
+                         "converged": False, "note": zero_note}
 
     entries = []
     indicator_zero = 1.0
@@ -313,20 +346,28 @@ def weight_window_probe(domain: Polyhedron, mesh: SimplicialMesh,
         if indicator <= 0.0:
             entry["note"] = "energy breakdown: K - a^2 M is indefinite"
 
-        b_mat = combine_conjugate(parts, a)
-        b_ff = b_mat[free][:, free].tocsr()
-        try:
-            x, info = femcore.solve(b_ff, f_vec[free], symmetric=False)
-            response = math.sqrt(max(kernels.neumaier_dot(x, k_ff @ x), 0.0))
-            entry.update(solve_ok=True, response_norm=response,
-                         solve_residual=info["residual"])
-        except ConvergenceError as exc:
+        certified = 0.0 < indicator and indicator >= threshold * indicator_zero
+        if certified and zero_note is None:
+            entry.update(response_bound=response_zero["value"] / indicator,
+                         provenance="Lax-Milgram")
+        elif certified:
             entry.update(solve_ok=False, response_norm=None,
-                         solve_residual=None,
-                         solve_note=f"conjugated solve: {exc}")
+                         solve_residual=None, solve_note=zero_note)
+        else:
+            b_ff = combine_conjugate(parts, a)[free][:, free].tocsr()
+            try:
+                x, info = femcore.solve(b_ff, f_free, symmetric=False)
+                entry.update(solve_ok=True,
+                             response_norm=_energy_norm(x, k_ff),
+                             solve_residual=info["residual"])
+            except ConvergenceError as exc:
+                entry.update(solve_ok=False, response_norm=None,
+                             solve_residual=None,
+                             solve_note=f"conjugated solve: {exc}")
 
+        # A certified entry has no solve_ok: Lax-Milgram implies it.
         entry["stable"] = (indicator >= threshold * indicator_zero
-                           and entry["solve_ok"])
+                           and entry.get("solve_ok", True))
         entries.append(entry)
 
     by_abs = sorted(entries, key=lambda e: abs(e["a"]))
@@ -344,6 +385,7 @@ def weight_window_probe(domain: Polyhedron, mesh: SimplicialMesh,
 
     return WindowReport(a_values=a_values, entries=entries,
                         threshold=threshold, indicator_zero=indicator_zero,
+                        response_zero=response_zero,
                         acrit_estimate=acrit_note,
                         predicted_edge=predicted_window_edge(domain),
                         window=window, bracket=bracket)

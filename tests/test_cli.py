@@ -256,6 +256,35 @@ def test_window_probe_command(tmp_path):
     payload = json.loads((tmp_path / "window_probe.json").read_text())
     assert payload["window"]["upper"] == 1.0
     assert payload["predicted_edge"]["value"] == pytest.approx(2.0)
+    assert payload["response_zero"]["converged"] is True
+    header, _, *rows = res.stdout.splitlines()[:5]
+    assert header.split() == ["a", "indicator", "stable", "response",
+                              "provenance"]
+    assert [row.split()[-1] for row in rows] == ["Lax-Milgram"] * 3
+
+
+def test_window_probe_failed_zero_solve_exits_0(tmp_path, monkeypatch,
+                                                capsys):
+    """A stalled a = 0 solve leaves the entries it would have certified
+    unstable and marked failed; the run still writes its report."""
+    from klab import cli, femcore
+    from klab.errors import ConvergenceError
+
+    def stalled(*args, **kwargs):
+        raise ConvergenceError("conjugate gradients stalled")
+
+    monkeypatch.setattr(femcore, "cg_solve", stalled)
+    code = cli.main(["window-probe", "--domain", problem_path("l_shape.json"),
+                     "--a-grid", "0,1.9", "--h", "0.25",
+                     "--out", str(tmp_path)])
+    out = capsys.readouterr().out
+    assert code == 0
+    rows = [line.split() for line in out.splitlines()[2:4]]
+    assert [(r[0], r[2], r[-1]) for r in rows] == [
+        ("0.0", "False", "failed"), ("1.9", "False", "direct_lu")]
+    payload = json.loads((tmp_path / "window_probe.json").read_text())
+    assert payload["response_zero"]["converged"] is False
+    assert payload["window"] == {"lower": -0.0, "upper": 0.0}
 
 
 def test_regularity_study_command(tmp_path):
@@ -390,6 +419,24 @@ def test_mesh_of_wrong_dimension_exit_code(tmp_path, argv, mesh_domain):
     res = run_cli(*argv, "--mesh", tmp_path / "mesh.txt", "--out", tmp_path)
     assert res.returncode == 2, res.stderr
     assert "--mesh is" in res.stderr and "Traceback" not in res.stderr
+
+
+@pytest.mark.parametrize("options", [
+    ["--kappa", "0.3", "--levels", "2"], ["--kappa", "0.3"],
+    ["--levels", "1"]], ids=["kappa-levels", "kappa", "levels"])
+def test_weights_certify_mesh_options_need_h(tmp_path, capsys, options):
+    """--kappa and --levels shape a mesh built from --h, so without --h
+    (or a mesh file) they are invalid input, as on every mesh
+    subcommand."""
+    from klab import cli
+
+    code = cli.main(["weights", "certify", "--domain",
+                     problem_path("l_shape.json"), *options,
+                     "--samples", "50", "--out", str(tmp_path)])
+    err = capsys.readouterr().err
+    assert code == 2, err
+    assert "this subcommand needs --h (or a mesh file)" in err
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize("argv", [

@@ -5,9 +5,12 @@ import math
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.sparse.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from klab import femcore, mesh as meshmod, poincare, sobolev, weights, wellposed
-from klab.errors import InadmissibleIndexError
+from klab.errors import ConvergenceError, InadmissibleIndexError
 from klab.sobolev import NormSpec
 from klab.wellposed import BvpProblem
 
@@ -281,3 +284,149 @@ def test_window_probe_assembles_stiffness_once(lshape, lshape_mesh,
     stiffness = _count_calls(monkeypatch, femcore, "assemble_stiffness")
     wellposed.weight_window_probe(lshape, lshape_mesh, (0.0, 0.5))
     assert len(stiffness) == 1
+
+
+# A grid on the graded L-shape below whose indicators (acrit is about
+# 0.91 on this mesh) are certified at |a| <= 0.8, in (0, threshold) at
+# 0.88 and negative at 1.0 and 1.9.
+CERTIFY_GRID = (0.0, -0.5, 0.8, 0.88, 1.0, 1.9)
+
+
+@pytest.fixture(scope="module")
+def graded_lshape_mesh(lshape):
+    grading = meshmod.default_grading(lshape, 0.25)
+    return meshmod.refine(meshmod.build_mesh(lshape, 0.125, grading=grading),
+                          1, grading=grading)
+
+
+def test_window_probe_certified_bound_holds(lshape, graded_lshape_mesh):
+    """At every certified a the response of B_a, solved by an explicit
+    sparse LU here, is at most the Lax-Milgram bound; the stable flags
+    and the bracket are the rule "indicator >= threshold and the LU
+    succeeds"."""
+    mesh = graded_lshape_mesh
+    rep = wellposed.weight_window_probe(lshape, mesh, CERTIFY_GRID)
+    parts = wellposed.conjugate_parts(lshape, mesh)
+    free = mesh.free_nodes()
+    k_ff = parts[0][free][:, free].tocsr()
+    f_free = femcore.assemble_load(mesh, lambda p: np.ones(len(p)),
+                                   degree=wellposed.LOAD_DEGREE)[free]
+    zero = rep.response_zero
+    assert zero["converged"] and zero["method"] == "cg"
+    assert zero["residual"] <= 1e-10 and zero["iterations"] >= 1
+    old_rule = []
+    for entry in rep.entries:
+        b_ff = wellposed.combine_conjugate(parts, entry["a"])[free][:, free]
+        x = scipy.sparse.linalg.splu(b_ff.tocsc()).solve(f_free)
+        response = math.sqrt(x @ (k_ff @ x))
+        if "response_bound" in entry:
+            assert entry["provenance"] == "Lax-Milgram"
+            assert entry["response_bound"] == pytest.approx(
+                zero["value"] / entry["indicator"], rel=1e-15)
+            assert response <= entry["response_bound"] * (1.0 + 1e-9)
+        else:
+            assert entry["response_norm"] == pytest.approx(response,
+                                                           rel=1e-9)
+        old_rule.append(entry["indicator"] >= 0.1)
+    assert [e["stable"] for e in rep.entries] == old_rule
+    assert rep.window == {"lower": -0.8, "upper": 0.8}
+    assert rep.bracket == {"last_stable": 0.8, "first_unstable": 0.88}
+
+
+def test_window_probe_factors_only_uncertified(lshape, graded_lshape_mesh,
+                                               monkeypatch):
+    """One full-size factorization and one combined B_a per uncertified
+    a; the certified ones reuse the a = 0 solve. Smaller factors are the
+    coarse solves of the multigrid V-cycles."""
+    free = graded_lshape_mesh.free_nodes()
+    sizes, combined = [], []
+    factor, combine = femcore._factor, wellposed.combine_conjugate
+
+    def counting_factor(matrix):
+        sizes.append(matrix.shape[0])
+        return factor(matrix)
+
+    def counting_combine(parts, a):
+        combined.append(a)
+        return combine(parts, a)
+
+    monkeypatch.setattr(femcore, "_factor", counting_factor)
+    monkeypatch.setattr(wellposed, "combine_conjugate", counting_combine)
+    rep = wellposed.weight_window_probe(lshape, graded_lshape_mesh,
+                                        CERTIFY_GRID)
+    uncertified = [e["a"] for e in rep.entries if "response_bound" not in e]
+    assert uncertified == [0.88, 1.0, 1.9]
+    assert combined == uncertified
+    assert sizes.count(len(free)) == len(uncertified)
+    assert max(s for s in sizes if s != len(free)) < len(free)
+
+
+def test_window_probe_below_threshold_still_solves(lshape,
+                                                   graded_lshape_mesh):
+    rep = wellposed.weight_window_probe(lshape, graded_lshape_mesh,
+                                        (0.0, 0.88))
+    low = rep.entries[1]
+    assert 0.0 < low["indicator"] < rep.threshold
+    assert low["solve_ok"] and low["solve_residual"] < 1e-10
+    assert low["response_norm"] > 0.0 and not low["stable"]
+    assert "response_bound" not in low and "note" not in low
+    assert rep.bracket == {"last_stable": 0.0, "first_unstable": 0.88}
+
+
+def test_window_probe_failed_zero_solve_certifies_nothing(
+        lshape, graded_lshape_mesh, monkeypatch):
+    """A failed a = 0 solve is reported, not raised: the entries it
+    would have certified are unstable and carry its failure."""
+    def stalled(*args, **kwargs):
+        raise ConvergenceError("conjugate gradients stalled", residual=0.5)
+
+    monkeypatch.setattr(femcore, "cg_solve", stalled)
+    rep = wellposed.weight_window_probe(lshape, graded_lshape_mesh,
+                                        (0.0, 0.5, 1.0))
+    zero = rep.response_zero
+    assert zero["value"] is None and zero["converged"] is False
+    assert zero["residual"] == 0.5
+    assert zero["note"] == "a = 0 solve: conjugate gradients stalled"
+    for entry in rep.entries[:2]:
+        assert not entry["stable"] and not entry["solve_ok"]
+        assert entry["response_norm"] is None
+        assert entry["solve_note"] == zero["note"]
+    assert rep.entries[2]["solve_ok"] and not rep.entries[2]["stable"]
+    assert rep.window == {"lower": -0.0, "upper": 0.0}
+    assert rep.as_dict()["response_zero"] == zero
+
+
+def _spd(draw_matrix, n, shift):
+    a = np.array(draw_matrix).reshape(n, n)
+    return a @ a.T + shift * np.eye(n)
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.integers(2, 6).flatmap(lambda n: st.tuples(
+    st.just(n),
+    *[st.lists(st.floats(-2.0, 2.0), min_size=n * n, max_size=n * n)
+      for _ in range(3)],
+    st.lists(st.floats(-1.0, 1.0), min_size=n, max_size=n))),
+    st.floats(0.0, 0.999), st.booleans())
+def test_lax_milgram_bound_of_conjugated_system(data, fraction, negative):
+    """For SPD K, PSD M, antisymmetric S and an a with
+    1 - a^2 lambda_max(M, K) > 0, the K-norm of (K + a S - a^2 M)^-1 f
+    is at most that of K^-1 f divided by 1 - a^2 lambda_max."""
+    n, k_entries, m_entries, s_entries, f = data
+    k = _spd(k_entries, n, 0.5)
+    m = _spd(m_entries, n, 0.0)
+    c = np.array(s_entries).reshape(n, n)
+    skew = c - c.T
+    f = np.array(f) + 1.0
+    lam_max = scipy.linalg.eigh(m, k, eigvals_only=True)[-1]
+    a = math.sqrt(fraction / lam_max) if lam_max > 0.0 else fraction
+    a = -a if negative else a
+    indicator = 1.0 - a * a * lam_max
+    assert indicator > 0.0
+
+    def k_norm(x):
+        return math.sqrt(x @ k @ x)
+
+    x = np.linalg.solve(k + a * skew - a * a * m, f)
+    x0 = np.linalg.solve(k, f)
+    assert k_norm(x) <= k_norm(x0) / indicator * (1.0 + 1e-9)
