@@ -40,6 +40,7 @@ from .geometry import Polyhedron
 from .sobolev import NormSpec
 
 DEFAULT_SEED = poincare.DEFAULT_SEED
+_NEEDS_H = "this subcommand needs --h (or a mesh file)"
 
 
 # ---------------------------------------------------------------------
@@ -50,7 +51,7 @@ DEFAULT_SEED = poincare.DEFAULT_SEED
 def _make_mesh(domain: Polyhedron, h: float, kappa: float | None,
                levels: int | None) -> meshmod.SimplicialMesh:
     if h is None:
-        raise SpecError("this subcommand needs --h (or a mesh file)")
+        raise SpecError(_NEEDS_H)
     grading = None
     if kappa is not None and kappa < 1.0:
         grading = meshmod.default_grading(domain, kappa)
@@ -324,7 +325,7 @@ def _cmd_weights_dump(args: argparse.Namespace) -> int:
     domain = geometry.load_domain(args.domain)
     m = _mesh_for(args, domain)
     eta = weights.eta_field(domain)(m.nodes)
-    rom = weights.romega_field(domain, mesh=m)(m.nodes)
+    rom = weights.romega_field(domain)(m.nodes)
     axes = "xyz"[:m.dimension]
     header = ["node_id", *axes, "eta", "r_omega"]
     rows = [[i, *m.nodes[i], eta[i], rom[i]] for i in range(m.num_nodes)]
@@ -340,11 +341,14 @@ def _cmd_weights_dump(args: argparse.Namespace) -> int:
 
 def _cmd_weights_certify(args: argparse.Namespace) -> int:
     domain = geometry.load_domain(args.domain)
-    m = None
-    if any(v is not None for v in (args.mesh_path, args.h, args.kappa,
-                                   args.levels)):
-        m = _mesh_for(args, domain)
-    rep = weights.certify_equivalence(domain, mesh=m, n=args.samples)
+    # r_omega needs no mesh: the mesh options are checked as on every
+    # mesh subcommand, and a mesh file is read for that, but none is built.
+    if args.mesh_path is not None:
+        _mesh_for(args, domain)
+    elif args.h is None and (args.kappa is not None
+                             or args.levels is not None):
+        raise SpecError(_NEEDS_H)
+    rep = weights.certify_equivalence(domain, n=args.samples)
     payload = rep.as_dict()
     path = report.write_json(_out_path(args, "weights_certify.json"), payload)
     print(f"equivalence on {args.samples} samples: "
@@ -391,7 +395,8 @@ def _cmd_poincare(args: argparse.Namespace) -> int:
         rows.append([term["label"], term["kind"], term["constant"],
                      term["provenance"], term["term"]])
     rows.append(["residual", "offset region", cert.poincare_constant,
-                 "eigensolve", cert.residual_term])
+                 payload["poincare_constant"]["provenance"],
+                 cert.residual_term])
     print(report.render_table(
         ["region", "kind", "constant", "provenance", "term"], rows))
     print(f"constructive kappa: {cert.constructive!r}")
@@ -583,7 +588,12 @@ def build_parser() -> argparse.ArgumentParser:
     _add_mesh_args(d)
     _add_out(d)
     d.set_defaults(func=_cmd_weights_dump)
-    c = wsub.add_parser("certify", help="sampled equivalence constants")
+    c = wsub.add_parser(
+        "certify", help="sampled equivalence constants",
+        description="Sampled bounds of r_omega / eta at interior Halton "
+                    "points. r_omega needs no mesh: --h, --kappa, --levels "
+                    "and --mesh are accepted and checked as on the other "
+                    "mesh subcommands, and unused.")
     c.add_argument("--domain", required=True)
     c.add_argument("--samples", type=_at_least(1), default=2048)
     _add_mesh_args(c)

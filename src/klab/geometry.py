@@ -77,6 +77,22 @@ class Polyhedron:
             out = np.minimum(out, self._face_distance(points, f))
         return out
 
+    def face_plane_distance(self, points: np.ndarray) -> np.ndarray:
+        """Distance to the nearest boundary face's plane (line in 2D): a
+        lower bound of boundary_distance, since a face lies in its plane."""
+        points = np.atleast_2d(np.asarray(points, dtype=float))
+        out = np.full(len(points), np.inf)
+        for f in self.boundary_faces:
+            cyc = self.vertices[list(f)]
+            if self.dimension == 2:
+                tangent = cyc[1] - cyc[0]
+                normal = np.array([-tangent[1], tangent[0]])
+                normal = normal / np.linalg.norm(normal)
+            else:
+                normal = _face_frame(cyc)[0]
+            out = np.minimum(out, np.abs((points - cyc[0]) @ normal))
+        return out
+
     def _face_distance(self, points, face: tuple[int, ...]) -> np.ndarray:
         cyc = self.vertices[list(face)]
         if self.dimension == 2:

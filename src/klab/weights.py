@@ -14,34 +14,31 @@ smoothing clamp rho_smooth is the C1 monotone function
 
 which satisfies rho / 2 <= rho_smooth(rho) <= rho everywhere, matches
 value and slope at rho = s, and has slope 1/2 + s^2 / (2 rho^2) bounded
-between 1/2 and 1. In 2D r_omega is the smoothed corner distance. In 3D
-it is a product rho0_s * rho1_s where rho0 is the distance to the
-vertex set and rho1 is the geodesic distance to the singular edges in
-the metric scaled by 1 / rho0_s, computed by multi-source Dijkstra on
-the mesh edge graph; rho1 is dimensionless, of the order of the angle
-subtended at the nearest vertex. The product is equivalent to eta with
-constants certified by sampling.
+between 1/2 and 1. In 2D r_omega is the smoothed corner distance, so
+1/2 <= r_omega / eta <= 1. In 3D it is the closed form
+
+    r_omega = rho_smooth(rho0, s0) * rho_smooth(t, s1),   t = eta / rho0,
+
+where rho0 is the distance to the vertex set and t is taken as 0 at the
+vertices. The vertices lie on the singular edges, so eta <= rho0 and t
+lies in [0, 1]; near a vertex t is the sine of the angle to the nearest
+edge there. The clamp bounds on each factor give 1/4 <= r_omega / eta
+<= 1 on every domain, with no mesh; `certify_equivalence` samples the
+ratio to report where in that interval a domain lies.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.sparse.csgraph import dijkstra
 
 from . import kernels
 from .config import SINGULAR_NODE_TOL
 from .errors import GeometryError, NonpositiveWeightError
 from .geometry import Polyhedron
-from .mesh import SimplicialMesh, element_faces
 
 DEFAULT_S1 = 0.25
-# Mesh nodes through which rho1 is relaxed at an arbitrary point; nodes
-# tied in distance with the last of them are taken too, so the value does
-# not depend on how a search orders equidistant nodes.
-RHO1_NEIGHBOURS = 8
 
 
 def distance_to_vertices(domain: Polyhedron, points: np.ndarray) -> np.ndarray:
@@ -111,17 +108,12 @@ class RomegaField:
     """Regularized weight equivalent to the singular-set distance.
 
     2D: smoothed corner distance. 3D: product of the smoothed vertex
-    distance and the smoothed scaled geodesic distance to the singular
-    edges; the latter is carried on mesh nodes and extended to
-    arbitrary points by straight-segment estimates relaxed through
-    nearby nodes.
+    distance and the smoothed ratio t = eta / rho0 (0 at the vertices).
     """
 
     domain: Polyhedron
     s0: float
     s1: float | None = None
-    mesh: SimplicialMesh | None = None
-    node_rho1_raw: np.ndarray | None = field(default=None, repr=False)
 
     def rho0(self, points: np.ndarray) -> np.ndarray:
         return rho_smooth(distance_to_vertices(self.domain, points), self.s0)
@@ -134,99 +126,25 @@ class RomegaField:
         return self.rho0(pts) * self.rho1(pts)
 
     def rho1(self, points: np.ndarray) -> np.ndarray:
+        """rho_smooth(eta / rho0, s1), and 0 where rho0 is 0.
+
+        The vertices lie on the singular edges, so eta <= rho0 and the
+        ratio lies in [0, 1]: near a vertex it is the sine of the angle
+        to the nearest edge there.
+        """
         if self.domain.dimension == 2:
             raise ValueError("rho1 is defined for 3D domains only")
-        return rho_smooth(self._rho1_raw(points), self.s1)
-
-    def _segment_cost(self, starts: np.ndarray, ends: np.ndarray,
-                      samples: int = 8) -> np.ndarray:
-        """Approximate integral of ds / rho0_s along straight segments."""
-        t = (np.arange(samples) + 0.5) / samples
-        lengths = np.linalg.norm(ends - starts, axis=1)
-        cost = np.zeros(len(starts))
-        for tk in t:
-            mid = starts + tk * (ends - starts)
-            cost += 1.0 / self.rho0(mid)
-        return cost * lengths / samples
-
-    def _near_nodes(self, pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(point row, node) pairs: the RHO1_NEIGHBOURS nearest mesh nodes
-        of every point and every node tied with the last of them."""
-        # Imported here: scipy.spatial adds about 0.1 s to the start of
-        # every process, and only 3D weights need it.
-        from scipy.spatial import cKDTree
-
-        nodes = self.mesh.nodes
-        k = min(RHO1_NEIGHBOURS, len(nodes))
-        tree = cKDTree(nodes)
-        rows, near = [], []
-        todo = np.arange(len(pts))
-        width = min(k + 1, len(nodes))
-        while True:
-            # A list of ranks keeps the (P, width) shape, width 1 included.
-            dist, idx = tree.query(pts[todo], list(range(1, width + 1)))
-            keep = dist <= dist[:, k - 1:k]
-            # A point whose last column still ties is searched wider.
-            done = ~keep[:, -1] | (width == len(nodes))
-            r, c = np.nonzero(keep[done])
-            rows.append(todo[done][r])
-            near.append(idx[done][r, c])
-            todo = todo[~done]
-            if not len(todo):
-                return np.concatenate(rows), np.concatenate(near)
-            width = min(2 * width, len(nodes))
-
-    def _rho1_raw(self, points: np.ndarray) -> np.ndarray:
-        """Cheapest of the straight path to the nearest edge point and
-        the straight paths to nearby nodes plus their Dijkstra cost.
-
-        0 where rho0 is 0: a vertex lies on the singular edges, and the
-        path from it to itself would cost 0 * inf.
-        """
         pts = np.atleast_2d(np.asarray(points, dtype=float))
-        out = np.zeros(len(pts))
-        away = self.rho0(pts) > 0.0
-        pts = pts[away]
-        segs = self.domain.singular_segments()
-        _, nearest, _ = kernels.nearest_on_segments(pts, segs[:, 0], segs[:, 1])
-        best = self._segment_cost(pts, nearest)
-        rows, near = self._near_nodes(pts)
-        via = np.full(len(pts), np.inf)
-        np.minimum.at(via, rows, self.node_rho1_raw[near] + self._segment_cost(
-            pts[rows], self.mesh.nodes[near]))
-        out[away] = np.minimum(best, via)
-        return out
+        rho0 = distance_to_vertices(self.domain, pts)
+        ratio = np.zeros(len(pts))
+        away = rho0 > 0.0
+        ratio[away] = EtaField(self.domain)(pts[away]) / rho0[away]
+        return rho_smooth(ratio, self.s1)
 
 
-def romega_field(domain: Polyhedron,
-                 mesh: SimplicialMesh | None = None) -> RomegaField:
-    s0 = default_smoothing_scale(domain)
-    if domain.dimension == 2:
-        return RomegaField(domain, s0=s0)
-    if mesh is None:
-        raise ValueError("3D regularized weight needs a mesh for the edge metric")
-    w = RomegaField(domain, s0=s0, s1=DEFAULT_S1, mesh=mesh)
-    w.node_rho1_raw = _node_rho1(domain, mesh, w)
-    return w
-
-
-def _node_rho1(domain: Polyhedron, mesh: SimplicialMesh, w: RomegaField) -> np.ndarray:
-    """Multi-source Dijkstra to the singular edges in the 1/rho0_s metric."""
-    nodes = mesh.nodes
-    pairs, _ = element_faces(mesh.elements, len(nodes), 2)
-    mids = 0.5 * (nodes[pairs[:, 0]] + nodes[pairs[:, 1]])
-    lengths = np.linalg.norm(nodes[pairs[:, 1]] - nodes[pairs[:, 0]], axis=1)
-    costs = lengths / w.rho0(mids)
-    # dijkstra(directed=False) walks each edge both ways
-    graph = sp.csr_matrix((costs, (pairs[:, 0], pairs[:, 1])),
-                          shape=(len(nodes), len(nodes)))
-    sources = np.where(EtaField(domain).on_singular_set(nodes))[0]
-    if not len(sources):
-        raise GeometryError("mesh has no nodes on the singular edges")
-    dist = dijkstra(graph, directed=False, indices=sources, min_only=True)
-    if np.any(~np.isfinite(dist)):
-        raise GeometryError("mesh edge graph is disconnected")
-    return dist
+def romega_field(domain: Polyhedron) -> RomegaField:
+    s1 = DEFAULT_S1 if domain.dimension == 3 else None
+    return RomegaField(domain, s0=default_smoothing_scale(domain), s1=s1)
 
 
 # ---------------------------------------------------------------------
@@ -277,19 +195,28 @@ def halton(n: int, dim: int, start: int = 1) -> np.ndarray:
 
 
 def sample_interior(domain: Polyhedron, n: int) -> np.ndarray:
-    """n Halton points farther than 1e-9 from the boundary."""
+    """The first n Halton points of the bounding box that lie in the
+    domain farther than 1e-9 from its boundary; GeometryError when the
+    first 400 n points hold fewer."""
     lo = domain.vertices.min(axis=0)
     hi = domain.vertices.max(axis=0)
-    out: list = []
-    start = 1
-    while len(out) < n:
-        cand = lo + halton(4 * n, domain.dimension, start=start) * (hi - lo)
-        start += 4 * n
-        keep = domain.contains(cand) & (domain.boundary_distance(cand) > 1e-9)
-        out.extend(cand[keep][: n - len(out)])
+    out = [np.empty((0, domain.dimension))]
+    found, start = 0, 1
+    while found < n:
         if start > 400 * n:
             raise GeometryError("interior sampling failed; domain volume too small")
-    return np.array(out)
+        count = min(2 * (n - found), 400 * n + 1 - start)
+        cand = lo + halton(count, domain.dimension, start=start) * (hi - lo)
+        start += count
+        keep = domain.contains(cand)
+        # A face lies in its plane, so only a point within 1e-8 of a face
+        # plane can lie within 1e-9 of the boundary.
+        near = np.flatnonzero(keep)
+        near = near[domain.face_plane_distance(cand[near]) <= 1e-8]
+        keep[near] = domain.boundary_distance(cand[near]) > 1e-9
+        out.append(cand[keep][: n - found])
+        found += len(out[-1])
+    return np.concatenate(out)
 
 
 @dataclass
@@ -316,10 +243,9 @@ class EquivalenceReport:
         }
 
 
-def certify_equivalence(domain: Polyhedron, mesh: SimplicialMesh | None = None,
-                        n: int = 2048) -> EquivalenceReport:
+def certify_equivalence(domain: Polyhedron, n: int = 2048) -> EquivalenceReport:
     """Sampled bounds c_low <= r_omega / eta <= c_high on the interior."""
-    weight = romega_field(domain, mesh=mesh)
+    weight = romega_field(domain)
     pts = sample_interior(domain, n)
     eta = EtaField(domain)(pts)
     w = weight(pts)

@@ -1,6 +1,7 @@
 """Mesh generation, grading, refinement and file round trips."""
 
 import functools
+import itertools
 import math
 import tracemalloc
 
@@ -549,3 +550,31 @@ def test_singular_node_mask(lshape, box):
         if hits >= 2:
             on_edge += 1
     assert maskb.sum() == on_edge
+
+
+def _element_faces_reference(elements, num_nodes, size):
+    """Faces keyed on np.sort-ed node ids, ranked by np.unique."""
+    local = list(itertools.combinations(range(elements.shape[1]), size))
+    rows = np.sort(elements[:, local], axis=-1).reshape(-1, size)
+    keys = np.ravel_multi_index(rows.T, (num_nodes,) * size)
+    distinct, inverse = np.unique(keys, return_inverse=True)
+    faces = np.column_stack(np.unravel_index(distinct, (num_nodes,) * size))
+    return faces, inverse.reshape(len(elements), len(local))
+
+
+@settings(deadline=None, max_examples=100)
+@given(st.integers(3, 4), st.integers(0, 12), st.integers(1, 60),
+       st.integers(0, 2 ** 32 - 1))
+def test_element_faces_matches_sorted_keys(k, extra, count, seed):
+    """The compare-exchange network orders each face's ids as np.sort
+    does: faces and face ids agree with the reference for sizes 2 and 3,
+    on elements of k distinct ids in any order."""
+    num_nodes = k + extra
+    rng = np.random.default_rng(seed)
+    elements = np.array([rng.choice(num_nodes, k, replace=False)
+                         for _ in range(count)])
+    for size in (2, 3):
+        faces, face_of = meshmod.element_faces(elements, num_nodes, size)
+        want, want_of = _element_faces_reference(elements, num_nodes, size)
+        assert np.array_equal(faces, want)
+        assert np.array_equal(face_of, want_of)

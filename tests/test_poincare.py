@@ -14,6 +14,8 @@ from klab import (femcore, geometry, kernels, mesh as meshmod, poincare,
 from klab.errors import DecompositionError, MeshSizeError
 from klab.sobolev import NormSpec
 
+from conftest import problem_path
+
 
 def test_sector_constant_analytic():
     assert poincare.sector_constant(math.pi / 2) == pytest.approx(0.25)
@@ -29,7 +31,7 @@ def test_mesh_without_interior_nodes_rejected(square):
     coarse = meshmod.build_mesh(square, 1.0)
     assert coarse.boundary_node_mask().all()
     with pytest.raises(MeshSizeError, match="no interior nodes"):
-        poincare.domain_poincare_constant(coarse)
+        poincare.variational_kappa(square, coarse)
 
 
 @pytest.mark.parametrize("theta", [math.pi / 2, math.pi, 1.5 * math.pi])
@@ -94,6 +96,22 @@ def test_build_decomposition_box(box):
         assert r.cap.dofs > 0
     d = dec.as_dict()
     assert len(d["regions"]) == 44
+
+
+@pytest.mark.parametrize("name", ["lshape", "box", "fichera"])
+def test_check_decomposition_reports_overlap(name):
+    """A copy of a region overlaps the region, and of the regions that
+    claim a foreign sample the check names the first."""
+    dom, regions = _regions(name)
+    twin = dataclasses.replace(regions[0], label="twin")
+    eps = dom.min_edge_length() / 4.0
+    decomp = poincare.Decomposition(
+        domain=dom, epsilon=eps, delta=eps / 2.0, regions=regions + [twin],
+        eta_min_bound=eps, trials=1, samples=200, seed=1)
+    with pytest.raises(DecompositionError,
+                       match=f"{regions[0].label} and twin overlap"):
+        poincare._check_decomposition(dom, decomp, 200,
+                                      np.random.default_rng(1))
 
 
 def _polar_reference(rel, n1, n2):
@@ -214,6 +232,10 @@ def test_region_membership_matches_full_array_formula(name, rotate, seed):
             region.label
         for i in alone:
             assert region.contains(pts[i:i + 1])[0] == got[i], region.label
+        # the overlap check tests only the points in this ball
+        centre, radius = region.bounding_ball()
+        assert np.all(np.linalg.norm(pts[got] - centre, axis=1)
+                      <= radius * (1.0 + 1e-12)), region.label
         if isinstance(region, poincare.WedgeRegion):
             want, _ = _polar_reference(pts - region.origin, region.n1,
                                        region.n2)
@@ -262,13 +284,24 @@ def test_random_zero_trace_fields_deterministic(square_mesh):
         assert np.any(ua.values != 0.0)
 
 
-def test_domain_poincare_constant(square_mesh):
-    c_p, its = poincare.domain_poincare_constant(square_mesh)
-    exact = 1.0 / (2.0 * math.pi ** 2)
-    # conforming elements underestimate the constant
-    assert c_p <= exact
-    assert c_p == pytest.approx(exact, rel=0.05)
-    assert its >= 1
+@pytest.mark.parametrize("name", ["square.json", "l_shape.json", "box.json",
+                                  "l_prism.json", "fichera.json"])
+def test_domain_poincare_bound(name):
+    """The bounding-box constant is exact on the unit square and bounds
+    the discrete 1 / lambda_min(K, M) from above: conforming elements
+    underestimate the domain's constant, which the box's bounds."""
+    domain = geometry.load_domain(problem_path(name))
+    bound = poincare.domain_poincare_bound(domain)
+    if name == "square.json":
+        assert bound == pytest.approx(1.0 / (2.0 * math.pi ** 2), rel=1e-15)
+    m = meshmod.build_mesh(domain, 0.25)
+    free = m.free_nodes()
+    k_mat = femcore.assemble_stiffness(m)[free][:, free].tocsr()
+    m_mat = femcore.assemble_weighted_mass(m, lambda p: np.ones(len(p)),
+                                           degree=2)[free][:, free].tocsr()
+    lam, _, info = femcore.generalized_eig_extreme(k_mat, m_mat, which="min")
+    assert info["converged"]
+    assert bound >= 1.0 / lam
 
 
 def test_variational_kappa_rayleigh_sharp(lshape, lshape_mesh):
@@ -316,22 +349,22 @@ def test_constructive_kappa_certificate(lshape, lshape_mesh):
                 abs(entry["constant"] - entry["paper_factor"]))
     d = cert.as_dict()
     assert d["passed"] is True
-    assert d["poincare_constant"]["provenance"] == "eigensolve"
+    assert d["poincare_constant"] == {"value": cert.poincare_constant,
+                                      "provenance": "bounding box"}
 
 
 def test_constructive_kappa_assembles_stiffness_once(lshape, lshape_mesh,
                                                      monkeypatch):
-    """Both eigensolves share one stiffness matrix, with the same results
-    as the standalone calls that assemble their own."""
+    """The certificate assembles one stiffness matrix, for the variational
+    eigensolve, with the same results as the standalone calls."""
     calls = []
     assemble = femcore.assemble_stiffness
     monkeypatch.setattr(femcore, "assemble_stiffness",
                         lambda m: calls.append(1) or assemble(m))
     cert = poincare.constructive_kappa(lshape, lshape_mesh, samples=300)
     assert len(calls) == 1
-    c_p, its = poincare.domain_poincare_constant(lshape_mesh)
     var = poincare.variational_kappa(lshape, lshape_mesh)
-    assert (cert.poincare_constant, cert.poincare_iterations) == (c_p, its)
+    assert cert.poincare_constant == poincare.domain_poincare_bound(lshape)
     assert cert.variational == var.kappa
 
 

@@ -7,8 +7,10 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from klab import geometry, kernels, mesh as meshmod, weights
-from klab.errors import NonpositiveWeightError
+from klab import geometry, mesh as meshmod, weights
+from klab.errors import GeometryError, NonpositiveWeightError
+
+from conftest import problem_path
 
 
 def test_eta_square_oracle(square):
@@ -97,6 +99,30 @@ def test_romega_is_equivalent_to_eta_in_2d(name, x, y):
     assert 0.5 <= ratio <= 1.0 + 4.0 * np.finfo(float).eps
 
 
+_EQUIVALENCE_DOMAINS_3D = {name: geometry.build_polyhedron_3d(name)
+                           for name in ("box", "l_prism", "fichera")}
+
+
+@settings(deadline=None, max_examples=200)
+@given(st.sampled_from(sorted(_EQUIVALENCE_DOMAINS_3D)),
+       st.lists(st.floats(0.0, 1.0), min_size=3, max_size=3))
+def test_romega_is_equivalent_to_eta_in_3d(name, unit):
+    """r_omega = rho_smooth(rho0, s0) * rho_smooth(eta / rho0, s1), and
+    rho / 2 <= rho_smooth(rho) <= rho, so r_omega / eta lies in [1/4, 1]
+    at every interior point; r_omega is 0 at the vertices."""
+    domain = _EQUIVALENCE_DOMAINS_3D[name]
+    lo, hi = domain.vertices.min(axis=0), domain.vertices.max(axis=0)
+    p = (lo + np.array(unit) * (hi - lo))[None, :]
+    w = weights.romega_field(domain)
+    assert np.array_equal(w(domain.vertices), np.zeros(len(domain.vertices)))
+    assume(domain.contains(p)[0])
+    eta = weights.eta_field(domain)(p)[0]
+    assume(eta > 0.0)
+    ratio = w(p)[0] / eta
+    # a few roundings of the closed form may land ulps above eta
+    assert 0.25 <= ratio <= 1.0 + 4.0 * np.finfo(float).eps
+
+
 def test_rho_smooth_properties():
     scale = 0.25
     r = np.linspace(0.0, 3.0, 4001)
@@ -168,6 +194,35 @@ def test_sample_interior(lshape):
     assert np.array_equal(pts, again)
 
 
+def _sample_interior_reference(domain, n):
+    """Batches of 4 n Halton candidates, each tested with the exact
+    boundary distance."""
+    lo = domain.vertices.min(axis=0)
+    hi = domain.vertices.max(axis=0)
+    out: list = []
+    start = 1
+    while len(out) < n:
+        cand = lo + weights.halton(4 * n, domain.dimension,
+                                   start=start) * (hi - lo)
+        start += 4 * n
+        keep = domain.contains(cand) & (domain.boundary_distance(cand) > 1e-9)
+        out.extend(cand[keep][: n - len(out)])
+        if start > 400 * n:
+            raise GeometryError("interior sampling failed")
+    return np.array(out)
+
+
+@pytest.mark.parametrize("name", ["square.json", "l_shape.json", "box.json",
+                                  "l_prism.json", "fichera.json"])
+def test_sample_interior_matches_batch_loop(name):
+    """Only candidates near a face plane get the exact boundary distance,
+    and the batches are smaller, yet the points are the same."""
+    domain = geometry.load_domain(problem_path(name))
+    for n in (1, 17, 1000):
+        assert np.array_equal(weights.sample_interior(domain, n),
+                              _sample_interior_reference(domain, n))
+
+
 def test_certify_equivalence_2d_bounds(square, lshape):
     for dom in (square, lshape):
         rep = weights.certify_equivalence(dom, n=2048)
@@ -180,8 +235,7 @@ def test_certify_equivalence_2d_bounds(square, lshape):
 
 
 def test_certify_equivalence_3d(box):
-    m = meshmod.build_mesh(box, 0.25)
-    rep = weights.certify_equivalence(box, mesh=m, n=512)
+    rep = weights.certify_equivalence(box, n=512)
     assert 0.0 < rep.lower <= rep.upper
     assert rep.upper < 10.0
     assert rep.s1 is not None
@@ -195,8 +249,7 @@ def test_romega_2d_matches_smoothed_distance(lshape):
 
 
 def test_romega_3d_properties(box):
-    m = meshmod.build_mesh(box, 0.25)
-    w = weights.romega_field(box, mesh=m)
+    w = weights.romega_field(box)
     eta = weights.eta_field(box)
     pts = weights.sample_interior(box, 128)
     vals = w(pts)
@@ -220,7 +273,7 @@ def test_romega_3d_vanishes_at_vertices(l_prism):
     """r_omega is exactly 0 where rho0 is, and finite and positive
     elsewhere on the mesh, with no floating-point warning."""
     m = meshmod.build_mesh(l_prism, 0.25)
-    w = weights.romega_field(l_prism, mesh=m)
+    w = weights.romega_field(l_prism)
     assert np.array_equal(w(l_prism.vertices), np.zeros(len(l_prism.vertices)))
     assert np.array_equal(w.rho1(l_prism.vertices),
                           np.zeros(len(l_prism.vertices)))
@@ -232,11 +285,6 @@ def test_romega_3d_vanishes_at_vertices(l_prism):
     # the vertices do not change the value anywhere else
     away = m.nodes[~at_vertex]
     assert np.array_equal(vals[~at_vertex], w(away))
-
-
-def test_romega_requires_mesh_in_3d(box):
-    with pytest.raises(ValueError):
-        weights.romega_field(box)
 
 
 def test_edge_pairs_match_sorted_set(l_prism, lshape_mesh):
@@ -259,37 +307,3 @@ def test_edge_pairs_match_sorted_set(l_prism, lshape_mesh):
             assert np.array_equal(got[face_of],
                                   np.sort(elements[:, local], axis=-1))
 
-
-def _rho1_reference(w, pts, k):
-    """Per-point relaxation through the k nearest nodes and their ties;
-    0 at the domain's vertices."""
-    segs = w.domain.singular_segments()
-    _, nearest, _ = kernels.nearest_on_segments(pts, segs[:, 0], segs[:, 1])
-    away = w.rho0(pts) > 0.0
-    best = np.zeros(len(pts))
-    best[away] = w._segment_cost(pts[away], nearest[away])
-    nodes = w.mesh.nodes
-    for i, p in enumerate(pts):
-        if not away[i]:
-            continue
-        d2 = np.einsum("nd,nd->n", nodes - p, nodes - p)
-        near = np.flatnonzero(d2 <= np.partition(d2, k - 1)[k - 1])
-        cand = w.node_rho1_raw[near] + w._segment_cost(
-            np.repeat(p[None, :], len(near), axis=0), nodes[near])
-        best[i] = min(best[i], float(cand.min()))
-    return best
-
-
-@pytest.mark.filterwarnings("error::RuntimeWarning")
-@pytest.mark.parametrize("k", [8, 1])
-def test_rho1_batched_matches_point_loop(l_prism, monkeypatch, k):
-    monkeypatch.setattr(weights, "RHO1_NEIGHBOURS", k)
-    m = meshmod.build_mesh(l_prism, 0.25)
-    w = weights.romega_field(l_prism, mesh=m)
-    # Halton samples, and the nodes themselves, where equidistant
-    # neighbours tie with the k-th nearest one.
-    for pts in (weights.sample_interior(l_prism, 1500), m.nodes):
-        got = w._rho1_raw(pts)
-        want = _rho1_reference(w, pts, k)
-        assert np.array_equal(got, want)
-    assert w._rho1_raw(np.empty((0, 3))).shape == (0,)
