@@ -325,7 +325,7 @@ def _cmd_weights_dump(args: argparse.Namespace) -> int:
     domain = geometry.load_domain(args.domain)
     m = _mesh_for(args, domain)
     eta = weights.eta_field(domain)(m.nodes)
-    rom = weights.romega_field(domain)(m.nodes)
+    rom = weights.romega_field(domain)(m.nodes, eta=eta)
     axes = "xyz"[:m.dimension]
     header = ["node_id", *axes, "eta", "r_omega"]
     rows = [[i, *m.nodes[i], eta[i], rom[i]] for i in range(m.num_nodes)]

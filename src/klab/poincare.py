@@ -542,8 +542,13 @@ class KappaCertificate:
     passed: bool | None
 
     def as_dict(self) -> dict:
+        # The window probe's pencil is the variational one, so its acrit
+        # is lambda_max^(-1/2) with lambda_max <= constructive - 1.
         return {"constructive_kappa": self.constructive,
                 "variational_kappa": self.variational,
+                "acrit_lower_bound": {
+                    "value": (self.constructive - 1.0) ** -0.5,
+                    "provenance": "constructive"},
                 "eta_min": {"value": self.eta_min,
                             "offset_bound": self.eta_min_bound,
                             "sampled": self.eta_min_sampled,
@@ -644,8 +649,8 @@ class VariationalKappa:
     dofs: int
 
 
-def variational_kappa(domain: Polyhedron,
-                      mesh: SimplicialMesh) -> VariationalKappa:
+def variational_kappa(domain: Polyhedron, mesh: SimplicialMesh,
+                      stiffness=None, mass=None) -> VariationalKappa:
     """Smallest kappa with norm(u, K11)^2 <= kappa * energy, discrete.
 
     Computed as 1 + lambda_max of the 1/eta^2 weighted mass against the
@@ -653,12 +658,16 @@ def variational_kappa(domain: Polyhedron,
     one the order-1 index-1 norm itself integrates, so the inequality
     with the returned kappa is a sharp Rayleigh bound for every
     zero-trace field on this mesh, not just an asymptotic statement.
+    ``stiffness`` and ``mass`` are assemble_stiffness(mesh) and
+    sobolev.k11_mass(domain, mesh) when the caller has them already.
     """
     free = mesh.free_nodes()
-    k_free = femcore.assemble_stiffness(mesh)[free][:, free].tocsr()
-    m_mat = sobolev.k11_mass(domain, mesh)
+    k_free = (femcore.assemble_stiffness(mesh) if stiffness is None
+              else stiffness)[free][:, free].tocsr()
+    m_free = (sobolev.k11_mass(domain, mesh) if mass is None
+              else mass)[free][:, free].tocsr()
     lam, _, info = femcore.generalized_eig_extreme(
-        m_mat[free][:, free].tocsr(), k_free, which="max",
+        m_free, k_free, which="max",
         hierarchy=free_prolongations(mesh.prolongations, free))
     return VariationalKappa(kappa=1.0 + lam, eigenvalue=lam,
                             iterations=info["iterations"], dofs=len(free))

@@ -215,16 +215,19 @@ def k11_mass(domain: Polyhedron, mesh: SimplicialMesh):
     return sum(parts[1:], parts[0]).tocsr()
 
 
-def k11_form(domain: Polyhedron, mesh: SimplicialMesh, stiffness=None):
+def k11_form(domain: Polyhedron, mesh: SimplicialMesh, stiffness=None,
+             mass=None):
     """Gram matrix of the order-1 index-1 norm, split-degree quadrature.
 
     This is the quadratic form k_norm evaluates for NormSpec(1, 1):
-    stiffness plus the k11_mass weighted mass. ``stiffness`` is
-    ``assemble_stiffness(mesh)`` when the caller has it already.
+    stiffness plus the k11_mass weighted mass. ``stiffness`` and
+    ``mass`` are given when the caller has them already.
     """
     if stiffness is None:
         stiffness = femcore.assemble_stiffness(mesh)
-    return (stiffness + k11_mass(domain, mesh)).tocsr()
+    if mass is None:
+        mass = k11_mass(domain, mesh)
+    return (stiffness + mass).tocsr()
 
 
 def minimal_extension(domain: Polyhedron, mesh: SimplicialMesh, g,

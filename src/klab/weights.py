@@ -115,30 +115,31 @@ class RomegaField:
     s0: float
     s1: float | None = None
 
-    def rho0(self, points: np.ndarray) -> np.ndarray:
-        return rho_smooth(distance_to_vertices(self.domain, points), self.s0)
-
-    def __call__(self, points: np.ndarray) -> np.ndarray:
+    def __call__(self, points: np.ndarray, eta=None) -> np.ndarray:
+        """r_omega at points. ``eta`` is ``EtaField(domain)(points)``
+        when the caller has it already, so each distance is measured once.
+        """
         pts = np.atleast_2d(np.asarray(points, dtype=float))
+        if eta is None:
+            eta = EtaField(self.domain)(pts)
         if self.domain.dimension == 2:
-            return self.rho0(pts)
+            # The singular set is the vertex set: eta is rho0.
+            return rho_smooth(eta, self.s0)
+        rho0 = distance_to_vertices(self.domain, pts)
         # Both factors are 0 at a vertex.
-        return self.rho0(pts) * self.rho1(pts)
+        return rho_smooth(rho0, self.s0) * self.rho1(rho0, eta)
 
-    def rho1(self, points: np.ndarray) -> np.ndarray:
-        """rho_smooth(eta / rho0, s1), and 0 where rho0 is 0.
+    def rho1(self, rho0: np.ndarray, eta: np.ndarray) -> np.ndarray:
+        """rho_smooth(eta / rho0, s1), and 0 where rho0 is 0, from the
+        vertex and singular distances rho0 and eta of the same points.
 
         The vertices lie on the singular edges, so eta <= rho0 and the
         ratio lies in [0, 1]: near a vertex it is the sine of the angle
         to the nearest edge there.
         """
-        if self.domain.dimension == 2:
-            raise ValueError("rho1 is defined for 3D domains only")
-        pts = np.atleast_2d(np.asarray(points, dtype=float))
-        rho0 = distance_to_vertices(self.domain, pts)
-        ratio = np.zeros(len(pts))
+        ratio = np.zeros(len(rho0))
         away = rho0 > 0.0
-        ratio[away] = EtaField(self.domain)(pts[away]) / rho0[away]
+        ratio[away] = eta[away] / rho0[away]
         return rho_smooth(ratio, self.s1)
 
 
@@ -248,7 +249,7 @@ def certify_equivalence(domain: Polyhedron, n: int = 2048) -> EquivalenceReport:
     weight = romega_field(domain)
     pts = sample_interior(domain, n)
     eta = EtaField(domain)(pts)
-    w = weight(pts)
+    w = weight(pts, eta=eta)
     if np.any(w <= 0.0):
         raise NonpositiveWeightError("regularized weight is nonpositive at a sample")
     ratio = w / eta

@@ -12,7 +12,8 @@ Conjugation by a power of the singular distance replaces B with
               = B(u, v) + a * [u q . grad v - v q . grad u]
                         - a^2 * integral of |q|^2 u v,    q = grad w / w,
 
-expanded by the product rule at quadrature points. The family is the
+expanded by the product rule at quadrature points; for w = eta the
+last integral is the 1/eta^2 mass sobolev.k11_mass. The family is the
 operator side of the shifted-index solution theory: B_a stays coercive
 while |a| is below the first singular exponent, and the weight-window
 probe measures exactly where the discrete coercivity degrades.
@@ -25,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import femcore, geometry, kernels, sobolev, weights
+from . import femcore, geometry, kernels, poincare, sobolev, weights
 from .errors import (ConvergenceError, InadmissibleIndexError,
                      NumericalError)
 from .femcore import FemField
@@ -90,19 +91,13 @@ def conjugate_parts(domain: Polyhedron, mesh: SimplicialMesh):
     """Component matrices (K, skew, M) of the conjugated family.
 
     B_a = K + a * skew - a^2 * M with skew = G^T - G for the
-    convection matrix G of q = grad eta / eta, and M the |q|^2 weighted
-    mass. The singular distance eta has |q| = 1 / eta.
+    convection matrix G of q = grad eta / eta, and M the |q|^2 = 1/eta^2
+    mass sobolev.k11_mass, the matrix of poincare.variational_kappa.
     """
     k_mat = femcore.assemble_stiffness(mesh)
-    q_fn = weights.eta_field(domain).grad_over_value
-
-    def q_sq(points):
-        q = np.asarray(q_fn(points), dtype=float)
-        return np.einsum("nd,nd->n", q, q)
-
-    g_mat = femcore.assemble_gradvec(mesh, q_fn, degree=5)
-    m_mat = femcore.assemble_weighted_mass(mesh, q_sq, degree=5)
-    return k_mat, (g_mat.T - g_mat).tocsr(), m_mat
+    g_mat = femcore.assemble_gradvec(
+        mesh, weights.eta_field(domain).grad_over_value, degree=5)
+    return k_mat, (g_mat.T - g_mat).tocsr(), sobolev.k11_mass(domain, mesh)
 
 
 def _check_conjugation(a: float) -> None:
@@ -158,19 +153,18 @@ def solve_dirichlet(problem: BvpProblem) -> SolveReport:
     value sobolev.trace_norm_surrogate reports.
     """
     domain, mesh = problem.domain, problem.mesh
-    if problem.a == 0.0:
-        k_mat = b_mat = femcore.assemble_stiffness(mesh)
-    else:
-        _check_conjugation(problem.a)
-        parts = conjugate_parts(domain, mesh)
-        k_mat, b_mat = parts[0], combine_conjugate(parts, problem.a)
-        del parts
+    _check_conjugation(problem.a)
+    parts = (conjugate_parts(domain, mesh) if problem.a != 0.0
+             else (femcore.assemble_stiffness(mesh), None, None))
+    k_mat, m_mat = parts[0], parts[2]
+    b_mat = combine_conjugate(parts, problem.a)
+    del parts
     f_vec = _load_vector(problem)
     if problem.g is None:
         lift = np.zeros(mesh.num_nodes)
         g_surr = 0.0
     else:
-        form = sobolev.k11_form(domain, mesh, stiffness=k_mat)
+        form = sobolev.k11_form(domain, mesh, stiffness=k_mat, mass=m_mat)
         lift = sobolev.minimal_extension(domain, mesh, problem.g,
                                          form=form).values
         energy = float(kernels.neumaier_dot(lift, form @ lift))
@@ -180,7 +174,7 @@ def solve_dirichlet(problem: BvpProblem) -> SolveReport:
         del form
     # Every matrix of this solve is assembled, so the mesh's cached
     # pattern goes too.
-    del k_mat, mesh.pattern
+    del k_mat, m_mat, mesh.pattern
 
     free = mesh.free_nodes()
     rhs_full = f_vec - b_mat @ lift
@@ -285,7 +279,8 @@ def weight_window_probe(domain: Polyhedron, mesh: SimplicialMesh,
     metric. It equals 1 - a^2 lambda_max(M, K) exactly, so one
     eigensolve of (M, K), which also gives acrit = lambda_max^(-1/2),
     yields every indicator; it is 1 at a = 0 and a value <= 0 marks an
-    indefinite K - a^2 M (energy breakdown).
+    indefinite K - a^2 M (energy breakdown). M is sobolev.k11_mass, so
+    that eigensolve is poincare.variational_kappa's.
 
     Since x^T B_a x >= indicator * x^T K x, an a whose indicator is
     positive and at least threshold times its a = 0 value is certified
@@ -307,18 +302,13 @@ def weight_window_probe(domain: Polyhedron, mesh: SimplicialMesh,
         _check_conjugation(a)
     parts = conjugate_parts(domain, mesh)
     k_mat, _, m_mat = parts
+    var = poincare.variational_kappa(domain, mesh, k_mat, m_mat)
+    lam_max = var.eigenvalue
+    acrit_note = {"value": 1.0 / math.sqrt(lam_max), "eigenvalue": lam_max,
+                  "iterations": var.iterations, "provenance": "eigensolve"}
     free = mesh.free_nodes()
     k_ff = k_mat[free][:, free].tocsr()
-    m_ff = m_mat[free][:, free].tocsr()
     hierarchy = free_prolongations(mesh.prolongations, free)
-
-    lam_max, _, eig_info = femcore.generalized_eig_extreme(
-        m_ff, k_ff, which="max", hierarchy=hierarchy)
-    del m_ff
-    acrit = 1.0 / math.sqrt(lam_max)
-    acrit_note = {"value": acrit, "eigenvalue": lam_max,
-                  "iterations": eig_info["iterations"],
-                  "provenance": "eigensolve"}
 
     if f is None:
         def f(points):

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from klab import (femcore, geometry, kernels, mesh as meshmod, poincare,
-                  sobolev, sphere, weights)
+                  sobolev, sphere, weights, wellposed)
 from klab.errors import DecompositionError, MeshSizeError
 from klab.sobolev import NormSpec
 
@@ -379,6 +379,28 @@ def test_constructive_kappa_box(box, box_mesh):
             assert entry["cap"]["provenance"] == "eigensolve"
             assert entry["term"] == pytest.approx(
                 entry["constant"] / entry["c1"] ** 2)
+
+
+@pytest.mark.parametrize("name", ["l_shape", "square", "box", "l_prism",
+                                  "fichera"])
+def test_acrit_lower_bound_below_discrete_acrit(name):
+    """The certified kappa bounds the window probe's pencil, so
+    (kappa_c - 1)^(-1/2) is at most the discrete acrit (kappa_var -
+    1)^(-1/2), and in 2D at most the analytic edge min pi / theta."""
+    domain = geometry.load_domain(problem_path(f"{name}.json"))
+    mesh = meshmod.build_mesh(domain,
+                              0.125 if domain.dimension == 2 else 0.25)
+    decomp = poincare.build_decomposition(domain, samples=150, cap_levels=2)
+    cert = poincare.constructive_kappa(domain, mesh, decomposition=decomp,
+                                       samples=150)
+    bound = cert.as_dict()["acrit_lower_bound"]
+    assert bound["provenance"] == "constructive"
+    assert bound["value"] == (cert.constructive - 1.0) ** -0.5
+    assert 0.0 < bound["value"] <= (cert.variational - 1.0) ** -0.5
+    edge = wellposed.predicted_window_edge(domain)
+    assert (edge is None) == (domain.dimension == 3)
+    if edge is not None:
+        assert bound["value"] <= edge
 
 
 _WEDGE_TERM_KEYS = {"paper_factor", "paper_factor_discrepancy", "term"}

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from klab import geometry, mesh as meshmod, weights
+from klab import geometry, kernels, mesh as meshmod, weights
 from klab.errors import GeometryError, NonpositiveWeightError
 
 from conftest import problem_path
@@ -241,6 +241,32 @@ def test_certify_equivalence_3d(box):
     assert rep.s1 is not None
 
 
+@pytest.mark.parametrize("name", ["l_prism", "lshape"])
+def test_certify_equivalence_measures_each_distance_once(name, request,
+                                                         monkeypatch):
+    """eta, rho0 and the certify ratio share one kernel pass per distance
+    over the samples: one segment pass (eta) and one vertex pass (rho0)
+    in 3D, and one vertex pass in 2D, where eta is rho0."""
+    domain = request.getfixturevalue(name)
+    samples = weights.sample_interior(domain, 500)
+    calls = {"nearest_on_segments": 0, "nearest_points": 0}
+
+    def counting(kernel):
+        inner = getattr(kernels, kernel)
+
+        def count(points, *args):
+            calls[kernel] += np.array_equal(points, samples)
+            return inner(points, *args)
+        return count
+
+    for kernel in calls:
+        monkeypatch.setattr(kernels, kernel, counting(kernel))
+    rep = weights.certify_equivalence(domain, n=500)
+    assert rep.n_points == 500
+    assert calls == {"nearest_on_segments": int(domain.dimension == 3),
+                     "nearest_points": 1}
+
+
 def test_romega_2d_matches_smoothed_distance(lshape):
     w = weights.romega_field(lshape)
     pts = weights.sample_interior(lshape, 200)
@@ -275,8 +301,11 @@ def test_romega_3d_vanishes_at_vertices(l_prism):
     m = meshmod.build_mesh(l_prism, 0.25)
     w = weights.romega_field(l_prism)
     assert np.array_equal(w(l_prism.vertices), np.zeros(len(l_prism.vertices)))
-    assert np.array_equal(w.rho1(l_prism.vertices),
-                          np.zeros(len(l_prism.vertices)))
+    corners = l_prism.vertices
+    assert np.array_equal(
+        w.rho1(weights.distance_to_vertices(l_prism, corners),
+               weights.eta_field(l_prism)(corners)),
+        np.zeros(len(corners)))
     vals = w(m.nodes)
     at_vertex = weights.distance_to_vertices(l_prism, m.nodes) == 0.0
     assert at_vertex.sum() == len(l_prism.vertices)

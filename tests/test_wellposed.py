@@ -185,12 +185,9 @@ def test_window_probe_detects_breakdown(lshape, lshape_mesh):
 def test_window_probe_indicator_matches_dense_pencil(lshape, lshape_mesh):
     a_values = (0.0, 0.5, 0.66, 1.9)
     rep = wellposed.weight_window_probe(lshape, lshape_mesh, a_values)
-    eta = weights.eta_field(lshape)
     free = np.where(~lshape_mesh.boundary_node_mask())[0]
     k = femcore.assemble_stiffness(lshape_mesh)[free][:, free].toarray()
-    m = femcore.assemble_weighted_mass(
-        lshape_mesh, weights.power_weight(eta, -2.0),
-        degree=5)[free][:, free].toarray()
+    m = sobolev.k11_mass(lshape, lshape_mesh)[free][:, free].toarray()
     for a, entry in zip(a_values, rep.entries):
         dense = scipy.linalg.eigh(k - a * a * m, k, eigvals_only=True,
                                   subset_by_index=[0, 0])[0]
@@ -254,16 +251,18 @@ def _count_calls(monkeypatch, module, name):
 
 @pytest.mark.parametrize("a", [0.0, 0.3])
 def test_solve_dirichlet_builds_lift_once(lshape, lshape_mesh, monkeypatch, a):
-    """One stiffness assembly and one minimal extension per solve, and the
-    g surrogate is the trace surrogate's value bit for bit."""
+    """One stiffness assembly, one 1/eta^2 mass (shared by B_a and the
+    K(1, 1) form when a != 0) and one minimal extension per solve, and
+    the g surrogate is the trace surrogate's value bit for bit."""
     g = lambda p: np.sin(p[:, 0]) + p[:, 1] ** 2
     problem = BvpProblem(lshape, lshape_mesh, f=lambda p: np.ones(len(p)),
                          g=g, a=a)
     with monkeypatch.context() as mp:
         extensions = _count_calls(mp, sobolev, "minimal_extension")
         stiffness = _count_calls(mp, femcore, "assemble_stiffness")
+        masses = _count_calls(mp, sobolev, "k11_mass")
         rep = wellposed.solve_dirichlet(problem)
-    assert (len(extensions), len(stiffness)) == (1, 1)
+    assert (len(extensions), len(stiffness), len(masses)) == (1, 1, 1)
     surrogate = sobolev.trace_norm_surrogate(lshape, lshape_mesh, g).value
     assert rep.norms["g_surrogate"] == surrogate
     boundary = lshape_mesh.boundary_node_mask()
@@ -281,15 +280,36 @@ def test_solve_dirichlet_rejects_exponent_before_assembly(
 
 def test_window_probe_assembles_stiffness_once(lshape, lshape_mesh,
                                                monkeypatch):
+    """K and the 1/eta^2 mass are assembled once each, and the probe's
+    one eigensolve is the variational kappa's."""
     stiffness = _count_calls(monkeypatch, femcore, "assemble_stiffness")
+    masses = _count_calls(monkeypatch, sobolev, "k11_mass")
+    eigensolves = _count_calls(monkeypatch, femcore,
+                               "generalized_eig_extreme")
     wellposed.weight_window_probe(lshape, lshape_mesh, (0.0, 0.5))
-    assert len(stiffness) == 1
+    assert (len(stiffness), len(masses), len(eigensolves)) == (1, 1, 1)
+
+
+@pytest.mark.parametrize("name", ["lshape", "box"])
+def test_window_probe_acrit_is_variational_kappa(name, request):
+    """The probe and the certificate solve one pencil (k11_mass, K): the
+    probe's eigenvalue is variational_kappa's bit for bit, and acrit is
+    (kappa - 1)^(-1/2)."""
+    domain = request.getfixturevalue(name)
+    mesh = (request.getfixturevalue("lshape_mesh") if name == "lshape"
+            else meshmod.refine(meshmod.build_mesh(domain, 0.5), 1))
+    acrit = wellposed.weight_window_probe(domain, mesh,
+                                          (0.0, 0.5)).acrit_estimate
+    var = poincare.variational_kappa(domain, mesh)
+    assert acrit["eigenvalue"] == var.eigenvalue
+    assert acrit["iterations"] == var.iterations
+    assert acrit["value"] == 1.0 / math.sqrt(var.eigenvalue)
 
 
 # A grid on the graded L-shape below whose indicators (acrit is about
-# 0.91 on this mesh) are certified at |a| <= 0.8, in (0, threshold) at
-# 0.88 and negative at 1.0 and 1.9.
-CERTIFY_GRID = (0.0, -0.5, 0.8, 0.88, 1.0, 1.9)
+# 0.93 on this mesh) are certified at |a| <= 0.8, in (0, threshold) at
+# 0.9 and negative at 1.0 and 1.9.
+CERTIFY_GRID = (0.0, -0.5, 0.8, 0.9, 1.0, 1.9)
 
 
 @pytest.fixture(scope="module")
@@ -330,7 +350,7 @@ def test_window_probe_certified_bound_holds(lshape, graded_lshape_mesh):
         old_rule.append(entry["indicator"] >= 0.1)
     assert [e["stable"] for e in rep.entries] == old_rule
     assert rep.window == {"lower": -0.8, "upper": 0.8}
-    assert rep.bracket == {"last_stable": 0.8, "first_unstable": 0.88}
+    assert rep.bracket == {"last_stable": 0.8, "first_unstable": 0.9}
 
 
 def test_window_probe_factors_only_uncertified(lshape, graded_lshape_mesh,
@@ -355,7 +375,7 @@ def test_window_probe_factors_only_uncertified(lshape, graded_lshape_mesh,
     rep = wellposed.weight_window_probe(lshape, graded_lshape_mesh,
                                         CERTIFY_GRID)
     uncertified = [e["a"] for e in rep.entries if "response_bound" not in e]
-    assert uncertified == [0.88, 1.0, 1.9]
+    assert uncertified == [0.9, 1.0, 1.9]
     assert combined == uncertified
     assert sizes.count(len(free)) == len(uncertified)
     assert max(s for s in sizes if s != len(free)) < len(free)
@@ -364,13 +384,13 @@ def test_window_probe_factors_only_uncertified(lshape, graded_lshape_mesh,
 def test_window_probe_below_threshold_still_solves(lshape,
                                                    graded_lshape_mesh):
     rep = wellposed.weight_window_probe(lshape, graded_lshape_mesh,
-                                        (0.0, 0.88))
+                                        (0.0, 0.9))
     low = rep.entries[1]
     assert 0.0 < low["indicator"] < rep.threshold
     assert low["solve_ok"] and low["solve_residual"] < 1e-10
     assert low["response_norm"] > 0.0 and not low["stable"]
     assert "response_bound" not in low and "note" not in low
-    assert rep.bracket == {"last_stable": 0.0, "first_unstable": 0.88}
+    assert rep.bracket == {"last_stable": 0.0, "first_unstable": 0.9}
 
 
 def test_window_probe_failed_zero_solve_certifies_nothing(
