@@ -470,18 +470,16 @@ def _cmd_window_probe(args: argparse.Namespace) -> int:
     payload = probe.as_dict()
     payload["mesh"] = _mesh_summary(m)
     path = report.write_json(_out_path(args, "window_probe.json"), payload)
-    # A certified entry carries its Lax-Milgram bound, every other one
-    # the norm of its sparse LU solve (None when that failed).
+    # A certified entry carries its Lax-Milgram bound; one the failed
+    # a = 0 solve left uncertified reads "failed", and every other one
+    # is decided by its indicator alone and has no response.
     header = ["a", "indicator", "stable", "response", "provenance"]
     rows = []
     for e in probe.entries:
-        if "response_bound" in e:
-            response, provenance = e["response_bound"], e["provenance"]
-        else:
-            response = e["response_norm"]
-            provenance = "direct_lu" if e["solve_ok"] else "failed"
-        rows.append([e["a"], e["indicator"], e["stable"], response,
-                     provenance])
+        provenance = e.get("provenance",
+                           "failed" if "solve_ok" in e else "indicator")
+        rows.append([e["a"], e["indicator"], e["stable"],
+                     e.get("response_bound"), provenance])
     print(report.render_table(header, rows))
     print(f"stable window: [{probe.window['lower']!r}, "
           f"{probe.window['upper']!r}]")

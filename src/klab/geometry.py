@@ -126,24 +126,26 @@ class Polyhedron:
         return float(d.min())
 
     def min_singular_separation(self) -> float:
-        """Smallest positive distance between non-incident singular faces."""
+        """Smallest positive distance between non-incident singular faces.
+
+        In 3D the distance of two segments that share no vertex is
+        attained at an endpoint of one of them, which the vertex loop
+        measures exactly, or at the feet of their common perpendicular.
+        """
         if self.dimension == 2:
             return self.min_vertex_separation()
         best = self.min_vertex_separation()
         segs = self.singular_segments()
         for vi, v in enumerate(self.vertices):
-            incident = {tuple(sorted(e)) for e in self.edges if vi in e}
-            others = np.array([s for k, s in enumerate(segs)
-                               if tuple(sorted(self.edges[k])) not in incident])
+            others = segs[~(self.edges == vi).any(axis=1)]
             if len(others):
                 d, _, _ = kernels.nearest_on_segments(v[None, :], others[:, 0], others[:, 1])
                 best = min(best, float(d.min()))
-        for i in range(len(segs)):
-            for j in range(i + 1, len(segs)):
-                if set(self.edges[i]) & set(self.edges[j]):
-                    continue
-                d = _segment_segment_distance(segs[i], segs[j])
-                best = min(best, d)
+        i, j = np.triu_indices(len(segs), 1)
+        apart = ~(self.edges[i][:, :, None] == self.edges[j][:, None, :]).any(axis=(1, 2))
+        if apart.any():
+            d = _common_perpendicular(segs[i[apart]], segs[j[apart]])
+            best = min(best, float(d.min()))
         return best
 
     def vertex_clearance(self) -> float:
@@ -540,11 +542,23 @@ def _segments_intersect(a1, a2, b1, b2) -> bool:
     return False
 
 
-def _segment_segment_distance(s1, s2) -> float:
-    t = np.linspace(0.0, 1.0, 33)
-    pts1 = s1[0] + t[:, None] * (s1[1] - s1[0])
-    d1, _, _ = kernels.nearest_on_segments(pts1, s2[None, 0], s2[None, 1])
-    return float(d1.min())
+def _common_perpendicular(s1, s2) -> np.ndarray:
+    """Length of the common perpendicular of each pair of (S, 2, n)
+    segments, inf where the lines are parallel or a foot falls outside
+    either open segment (Lumelsky, Inform. Process. Lett. 1985). Where
+    it is finite it is the distance of the two segments; elsewhere that
+    distance is attained at an endpoint."""
+    u, v = s1[:, 1] - s1[:, 0], s2[:, 1] - s2[:, 0]
+    w = s1[:, 0] - s2[:, 0]
+    uu, uv, vv = (u * u).sum(1), (u * v).sum(1), (v * v).sum(1)
+    uw, vw = (u * w).sum(1), (v * w).sum(1)
+    denom = uu * vv - uv * uv
+    with np.errstate(divide="ignore", invalid="ignore"):
+        s = (uv * vw - vv * uw) / denom
+        t = (uu * vw - uv * uw) / denom
+        gap = w + s[:, None] * u - t[:, None] * v
+    inside = (denom > 0.0) & (0.0 < s) & (s < 1.0) & (0.0 < t) & (t < 1.0)
+    return np.where(inside, np.sqrt((gap * gap).sum(1)), np.inf)
 
 
 # ---------------------------------------------------------------------

@@ -27,8 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import femcore, geometry, kernels, poincare, sobolev, weights
-from .errors import (ConvergenceError, InadmissibleIndexError,
-                     NumericalError)
+from .errors import InadmissibleIndexError, NumericalError
 from .femcore import FemField
 from .geometry import Polyhedron
 from .mesh import SimplicialMesh, free_prolongations
@@ -263,10 +262,6 @@ class WindowReport:
                 "bracket": dict(self.bracket) if self.bracket else None}
 
 
-def _energy_norm(x: np.ndarray, k_mat) -> float:
-    return math.sqrt(max(kernels.neumaier_dot(x, k_mat @ x), 0.0))
-
-
 def weight_window_probe(domain: Polyhedron, mesh: SimplicialMesh,
                         a_values, threshold: float = 0.1,
                         f=None) -> WindowReport:
@@ -282,27 +277,27 @@ def weight_window_probe(domain: Polyhedron, mesh: SimplicialMesh,
     indefinite K - a^2 M (energy breakdown). M is sobolev.k11_mass, so
     that eigensolve is poincare.variational_kappa's.
 
-    Since x^T B_a x >= indicator * x^T K x, an a whose indicator is
-    positive and at least threshold times its a = 0 value is certified
-    by Lax-Milgram: B_a is invertible and the response to the fixed
-    source f obeys norm(B_a^-1 f, K) <= norm(K^-1 f, K) / indicator.
-    The one solve of K at a = 0 (femcore.solve's conjugate gradients,
-    preconditioned by multigrid on the same hierarchy as the
-    eigensolve) gives response_zero; a certified entry carries that
+    Since x^T B_a x >= indicator * x^T K x, an a whose indicator is at
+    least the threshold (which must be positive and finite) is
+    certified by Lax-Milgram: B_a is invertible and the response to
+    the fixed source f obeys norm(B_a^-1 f, K) <= norm(K^-1 f, K) /
+    indicator. The one solve of K at a = 0 (femcore.solve's conjugate
+    gradients, preconditioned by multigrid on the same hierarchy as
+    the eigensolve) gives response_zero; a certified entry carries that
     bound as response_bound and is stable, with no solve of its own.
-    Every other a solves B_a by femcore.solve's sparse LU and reports
-    response_norm, solve_residual and solve_ok; it is stable when its
-    indicator is at least the threshold and that solve succeeds, which
-    a positive threshold rules out. When the a = 0 solve fails, the
-    entries it would have certified carry solve_ok False and its
+    An a below the threshold is unstable and carries its indicator
+    alone; no B_a is assembled or solved. When the a = 0 solve fails,
+    the entries it would have certified carry solve_ok False and its
     failure as solve_note, and are not stable.
     """
+    if not 0.0 < threshold < math.inf:  # NaN fails too
+        raise ValueError(f"threshold {threshold} must be positive and finite")
     a_values = [float(a) for a in a_values]
     for a in a_values:
         _check_conjugation(a)
-    parts = conjugate_parts(domain, mesh)
-    k_mat, _, m_mat = parts
-    var = poincare.variational_kappa(domain, mesh, k_mat, m_mat)
+    k_mat = femcore.assemble_stiffness(mesh)
+    var = poincare.variational_kappa(domain, mesh, k_mat,
+                                     sobolev.k11_mass(domain, mesh))
     lam_max = var.eigenvalue
     acrit_note = {"value": 1.0 / math.sqrt(lam_max), "eigenvalue": lam_max,
                   "iterations": var.iterations, "provenance": "eigensolve"}
@@ -317,7 +312,8 @@ def weight_window_probe(domain: Polyhedron, mesh: SimplicialMesh,
 
     try:
         x, info = femcore.solve(k_ff, f_free, hierarchy=hierarchy)
-        response_zero = {"value": _energy_norm(x, k_ff),
+        energy = kernels.neumaier_dot(x, k_ff @ x)
+        response_zero = {"value": math.sqrt(max(energy, 0.0)),
                          "method": info["method"],
                          "iterations": info["iterations"],
                          "residual": info["residual"], "converged": True}
@@ -329,35 +325,18 @@ def weight_window_probe(domain: Polyhedron, mesh: SimplicialMesh,
                          "converged": False, "note": zero_note}
 
     entries = []
-    indicator_zero = 1.0
     for a in a_values:
         indicator = 1.0 - (a * a) * lam_max
         entry = {"a": a, "indicator": indicator, "indicator_converged": True}
         if indicator <= 0.0:
             entry["note"] = "energy breakdown: K - a^2 M is indefinite"
-
-        certified = 0.0 < indicator and indicator >= threshold * indicator_zero
+        certified = indicator >= threshold
         if certified and zero_note is None:
             entry.update(response_bound=response_zero["value"] / indicator,
                          provenance="Lax-Milgram")
         elif certified:
-            entry.update(solve_ok=False, response_norm=None,
-                         solve_residual=None, solve_note=zero_note)
-        else:
-            b_ff = combine_conjugate(parts, a)[free][:, free].tocsr()
-            try:
-                x, info = femcore.solve(b_ff, f_free, symmetric=False)
-                entry.update(solve_ok=True,
-                             response_norm=_energy_norm(x, k_ff),
-                             solve_residual=info["residual"])
-            except ConvergenceError as exc:
-                entry.update(solve_ok=False, response_norm=None,
-                             solve_residual=None,
-                             solve_note=f"conjugated solve: {exc}")
-
-        # A certified entry has no solve_ok: Lax-Milgram implies it.
-        entry["stable"] = (indicator >= threshold * indicator_zero
-                           and entry.get("solve_ok", True))
+            entry.update(solve_ok=False, solve_note=zero_note)
+        entry["stable"] = certified and zero_note is None
         entries.append(entry)
 
     by_abs = sorted(entries, key=lambda e: abs(e["a"]))
@@ -374,7 +353,7 @@ def weight_window_probe(domain: Polyhedron, mesh: SimplicialMesh,
     window = {"lower": -edge, "upper": edge}
 
     return WindowReport(a_values=a_values, entries=entries,
-                        threshold=threshold, indicator_zero=indicator_zero,
+                        threshold=threshold, indicator_zero=1.0,
                         response_zero=response_zero,
                         acrit_estimate=acrit_note,
                         predicted_edge=predicted_window_edge(domain),

@@ -281,7 +281,7 @@ def test_window_probe_failed_zero_solve_exits_0(tmp_path, monkeypatch,
     assert code == 0
     rows = [line.split() for line in out.splitlines()[2:4]]
     assert [(r[0], r[2], r[-1]) for r in rows] == [
-        ("0.0", "False", "failed"), ("1.9", "False", "direct_lu")]
+        ("0.0", "False", "failed"), ("1.9", "False", "indicator")]
     payload = json.loads((tmp_path / "window_probe.json").read_text())
     assert payload["response_zero"]["converged"] is False
     assert payload["window"] == {"lower": -0.0, "upper": 0.0}

@@ -4,8 +4,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from klab import geometry
+from klab import geometry, kernels
 from klab.config import GEOM_TOL
 from klab.errors import GeometryError
 
@@ -208,9 +210,36 @@ def test_box_distance_to_singular_set(box):
     assert d[0] == pytest.approx(math.hypot(0.5, 0.5))
 
 
-def test_min_singular_separation(lshape, box):
+def test_min_singular_separation(lshape, box, l_prism, fichera):
     assert lshape.min_singular_separation() == pytest.approx(1.0)
-    assert box.min_singular_separation() > 0.0
+    for domain in (box, l_prism, fichera):
+        assert domain.min_singular_separation() == 1.0
+
+
+@settings(deadline=None, max_examples=100)
+@given(st.lists(st.floats(-1.0, 1.0), min_size=12, max_size=12))
+def test_segment_distance_is_closed_form(coords):
+    """The common perpendicular, or else the nearest endpoint-segment
+    distance, is the distance of two segments: at most the minimum over
+    a 4,097-point scan of one segment, and within that scan's error,
+    which is O(h^2) away from an intersection."""
+    s1, s2 = np.array(coords).reshape(2, 2, 3)
+    u = s1[1] - s1[0]
+    length = float(np.linalg.norm(u))
+    assume(length > 0.05 and np.linalg.norm(s2[1] - s2[0]) > 0.05)
+    ends = [kernels.nearest_on_segments(p, q[:1], q[1:])[0].min()
+            for p, q in ((s1, s2), (s2, s1))]
+    closed = min(geometry._common_perpendicular(s1[None], s2[None])[0],
+                 *ends)
+    t = np.linspace(0.0, 1.0, 4097)
+    scan = kernels.nearest_on_segments(s1[0] + t[:, None] * u,
+                                       s2[:1], s2[1:])[0].min()
+    h = t[1]
+    error = length * h / 2.0
+    if closed > 0.0:
+        error = min(error, (length * h) ** 2 / (8.0 * closed))
+    assert closed <= scan + 1e-12
+    assert scan - closed <= error + 1e-12
 
 
 # -- domain files ------------------------------------------------------

@@ -1,6 +1,7 @@
 """Every public library function and class is reached by the package or
 the acceptance battery, and every private function and method by the
-package, not only by its own unit tests."""
+package, not only by its own unit tests; and no package module reads or
+sets the environment, so the package has no runtime knob."""
 
 import ast
 import collections
@@ -68,3 +69,21 @@ def unreached_definitions() -> list:
 
 def test_every_public_function_is_reached():
     assert unreached_definitions() == []
+
+
+ENVIRONMENT = {"environ", "getenv", "putenv"}
+
+
+def test_package_reads_no_environment():
+    """No os.environ, os.getenv or os.putenv, as an attribute or as a
+    name imported from os, in any package module."""
+    found = []
+    for name in sorted(os.listdir(SRC)):
+        if not name.endswith(".py"):
+            continue
+        for node in ast.walk(_parse(os.path.join(SRC, name))):
+            if isinstance(node, ast.Attribute) and node.attr in ENVIRONMENT:
+                found.append(f"{name}:{node.lineno} {node.attr}")
+            elif isinstance(node, ast.alias) and node.name in ENVIRONMENT:
+                found.append(f"{name} imports {node.name}")
+    assert found == []
