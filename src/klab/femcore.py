@@ -6,12 +6,13 @@ integrate blow up at the boundary of some elements), matrix assembly
 for weighted stiffness and mass forms, and the solvers. solve is the one
 entry for linear systems: cg_solve for SPD ones, else one SuperLU factor
 (_factor, which every factorization goes through). The solvers run on
-the nested hierarchy that mesh refinement records: v_cycle is a
-geometric multigrid V-cycle on it (Bramble, Pasciak and Xu 1990),
-cg_solve is conjugate gradients preconditioned by that V-cycle (Jacobi
-without a hierarchy), and generalized_eig_extreme is LOBPCG
-(Knyazev 2001) preconditioned by it (by one SuperLU factor or Jacobi
-without a hierarchy). Both solvers report iterations and residuals.
+the nested hierarchy that mesh refinement records, restricted to the
+free nodes (SimplicialMesh.free_hierarchy): v_cycle is a geometric
+multigrid V-cycle on it (Bramble, Pasciak and Xu 1990). cg_solve is
+conjugate gradients and generalized_eig_extreme is LOBPCG
+(Knyazev 2001), both preconditioned by one rule, _preconditioner: that
+V-cycle when there is a hierarchy, else one SuperLU factor or Jacobi.
+Both solvers report iterations and residuals.
 Assembly and every whole-mesh quadrature run one block of
 kernels.BLOCK elements at a time (element_blocks), so their quadrature
 points, weight values and element matrices never span the whole mesh.
@@ -39,10 +40,10 @@ from .errors import (ConvergenceError, IndefiniteOperatorError,
 from .mesh import SimplicialMesh
 
 MAX_DEGREE = 5
-# Average nonzeros per row up to which an eigensolve without a hierarchy
-# is preconditioned by a SuperLU factor: P1 has 6-7 in 2D and on
-# surfaces, where the factor is cheap, and about 14 in 3D, where its
-# fill-in costs far more than the iterations. Above it the V-cycle
+# Average nonzeros per row up to which a solve or an eigensolve without
+# a hierarchy is preconditioned by a SuperLU factor: P1 has 6-7 in 2D
+# and on surfaces, where the factor is cheap, and about 14 in 3D, where
+# its fill-in costs far more than the iterations. Above it the V-cycle
 # smooths with a smaller Jacobi damping.
 LU_MAX_ROW_NNZ = 10
 # Smallest pencil scipy's lobpcg iterates on for one eigenvector.
@@ -334,15 +335,6 @@ def assemble_load(mesh: SimplicialMesh, fun, degree: int = 2) -> np.ndarray:
 # ---------------------------------------------------------------------
 
 
-def split_dirichlet(matrix: sp.csr_matrix, constrained: np.ndarray):
-    """Row/column split into free-free and free-constrained blocks."""
-    free = np.where(~constrained)[0]
-    fixed = np.where(constrained)[0]
-    a_ff = matrix[free][:, free].tocsr()
-    a_fc = matrix[free][:, fixed].tocsr()
-    return a_ff, a_fc, free, fixed
-
-
 def _factor(matrix):
     """One SuperLU factor of a sparse matrix; ConvergenceError when the
     factorization fails (an exactly singular matrix)."""
@@ -356,7 +348,7 @@ def v_cycle(matrix, hierarchy=()):
     """Symmetric multigrid V-cycle for an SPD matrix: apply(r) ~ A^-1 r.
 
     hierarchy holds the prolongations between the free nodes of nested
-    levels, coarse first (mesh.free_prolongations), the last one ending
+    levels, coarse first (mesh.free_hierarchy), the last one ending
     at the matrix's rows. Coarse operators are the Galerkin products
     P^T A P. Each level smooths with 2 damped Jacobi sweeps before the
     coarse correction and 2 after it; the coarsest level is solved by
@@ -393,13 +385,24 @@ def v_cycle(matrix, hierarchy=()):
     return apply
 
 
+def _preconditioner(matrix, hierarchy=()):
+    """apply(r) ~ matrix^-1 r for an SPD matrix, the one rule of cg_solve
+    and generalized_eig_extreme: the v_cycle on hierarchy when one is
+    given, else one SuperLU factor for at most LU_MAX_ROW_NNZ nonzeros
+    per row (2D and surface systems), else Jacobi."""
+    if hierarchy or matrix.nnz <= LU_MAX_ROW_NNZ * matrix.shape[0]:
+        return v_cycle(matrix, hierarchy)
+    inv_diag = 1.0 / matrix.diagonal()
+    return lambda r: inv_diag * r
+
+
 def cg_solve(matrix, rhs, tol: float = 1e-10, maxiter: int | None = None,
              hierarchy: tuple = ()) -> tuple[np.ndarray, dict]:
     """Preconditioned conjugate gradients for SPD systems.
 
-    The preconditioner is the multigrid v_cycle on hierarchy when one is
-    given (mesh.free_prolongations of the system's free nodes) and
-    Jacobi otherwise. Stops when the residual is at most tol times the
+    The preconditioner is _preconditioner's: the multigrid v_cycle on
+    hierarchy when one is given (mesh.free_hierarchy), else one SuperLU
+    factor or Jacobi. Stops when the residual is at most tol times the
     right-hand side's norm. Raises IndefiniteOperatorError on negative
     curvature and ConvergenceError if the residual target is not met.
     """
@@ -409,13 +412,7 @@ def cg_solve(matrix, rhs, tol: float = 1e-10, maxiter: int | None = None,
     diag = np.asarray(matrix.diagonal(), dtype=float)
     if np.any(diag <= 0.0):
         raise IndefiniteOperatorError("operator has a nonpositive diagonal entry")
-    if hierarchy:
-        precondition = v_cycle(matrix, hierarchy)
-    else:
-        inv_diag = 1.0 / diag
-
-        def precondition(r):
-            return inv_diag * r
+    precondition = _preconditioner(matrix, hierarchy)
     x = np.zeros(n)
     r = np.array(rhs, dtype=float)
     rhs_norm = math.sqrt(max(kernels.neumaier_dot(rhs, rhs), 0.0))
@@ -493,12 +490,12 @@ def generalized_eig_extreme(a_mat, b_mat, which: str = "min",
     which="min" gives the smallest eigenvalue and needs A SPD;
     which="max" the largest. Both matrices must be symmetric and B
     positive definite. The SPD matrix named by which (A for "min", B
-    for "max") preconditions the iteration (Knyazev 2001): the v_cycle
-    on hierarchy when one is given (mesh.free_prolongations), else one
-    SuperLU factor for at most LU_MAX_ROW_NNZ nonzeros per row (2D and
-    surface pencils), else Jacobi. The start vector is fixed, so
-    results are deterministic. A pencil of fewer than LOBPCG_MIN_SIZE
-    unknowns is solved densely by scipy.linalg.eigh, in 0 iterations.
+    for "max") preconditions the iteration (Knyazev 2001) by
+    _preconditioner's rule: the v_cycle on hierarchy when one is given
+    (mesh.free_hierarchy), else one SuperLU factor or Jacobi. The start
+    vector is fixed, so results are deterministic. A pencil of fewer
+    than LOBPCG_MIN_SIZE unknowns is solved densely by scipy.linalg.eigh,
+    in 0 iterations.
 
     Converged means the relative residual
     norm(A x - lambda B x) / (|lambda| norm(B x)) is at most tol; the
@@ -524,14 +521,8 @@ def generalized_eig_extreme(a_mat, b_mat, which: str = "min",
                                     check_finite=False)
         lam, x, residual, _ = _rayleigh(a_mat, b_mat, vecs[:, 0])
     else:
-        solved = a_mat if which == "min" else b_mat
-        if hierarchy or solved.nnz <= LU_MAX_ROW_NNZ * n:
-            precondition = v_cycle(solved, hierarchy)
-        else:
-            inv_diag = 1.0 / solved.diagonal()
-
-            def precondition(r):
-                return inv_diag * r
+        precondition = _preconditioner(a_mat if which == "min" else b_mat,
+                                       hierarchy)
 
         def apply(r):
             nonlocal iterations

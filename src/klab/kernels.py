@@ -19,8 +19,9 @@ it is the inner product of every conjugate-gradient iteration, where an
 exact sum of the products would cost more than the solve itself. Both
 are deterministic on a fixed platform.
 
-The distance kernels keep one (S, P) array per coordinate and add the
-coordinates one after another, so no (P, S, d) temporary is formed.
+The distance kernels keep one (S, P) array per coordinate and sum the
+coordinates in einsum's order (``_einsum_sum``), so no (P, S, d)
+temporary is formed.
 They run over blocks of BLOCK query points, which bounds each (S, P)
 temporary at S * BLOCK doubles, and measure each block only against the
 targets that can be nearest to one of its points (exact pruning by
@@ -257,23 +258,22 @@ def _squared_distances(pt, seg_a, seg_d, dd):
     ``pt`` holds the points one coordinate per row (d, P); ``seg_a`` and
     ``seg_d`` (segment starts and directions; ``seg_d`` None for point
     targets) are (d, S, 1) and ``dd`` = |seg_d|^2 is (S, 1). Each
-    coordinate gives one (S, P) array, and the coordinates are summed one
-    after another: t = sum_k (p_k - a_k) d_k / |d|^2 clamped to [0, 1], then
-    sum_k (p_k - (a_k + t d_k))^2. Rows run over the points, so every
-    operation streams over P contiguous values.
+    coordinate gives one (S, P) array, and the coordinates are summed in
+    einsum's order (``_einsum_sum``): t = sum_k (p_k - a_k) d_k / |d|^2
+    clamped to [0, 1], then sum_k (p_k - (a_k + t d_k))^2. Rows run over
+    the points, so every operation streams over P contiguous values.
     """
     t = None
     if seg_d is not None:
+        terms = []
         for k in range(len(pt)):
             term = np.subtract(pt[k], seg_a[k])
             term *= seg_d[k]
-            if t is None:
-                t = term
-            else:
-                t += term
+            terms.append(term)
+        t = _einsum_sum(terms)
         t /= dd
         np.clip(t, 0.0, 1.0, out=t)
-    d2 = None
+    terms = []
     for k in range(len(pt)):
         if t is None:
             diff = np.subtract(pt[k], seg_a[k])
@@ -282,11 +282,8 @@ def _squared_distances(pt, seg_a, seg_d, dd):
             diff += seg_a[k]
             np.subtract(pt[k], diff, out=diff)
         diff *= diff
-        if d2 is None:
-            d2 = diff
-        else:
-            d2 += diff
-    return d2, t
+        terms.append(diff)
+    return _einsum_sum(terms), t
 
 
 def _candidates(pt, seg_a, seg_d, dd, seg_lo, seg_hi):
@@ -345,9 +342,7 @@ def _nearest(points, seg_a, seg_b):
         seg_lo = seg_hi = seg_a
     else:
         dirs = (seg_b - seg_a).T[:, :, None].copy()
-        dd = dirs[0] * dirs[0]
-        for k in range(1, dim):
-            dd = dd + dirs[k] * dirs[k]
+        dd = _einsum_sum([dirs[k] * dirs[k] for k in range(dim)])
         dd = np.where(dd > 0.0, dd, 1.0)  # degenerate segments act as points
         seg_lo = np.minimum(seg_a, seg_b)
         seg_hi = np.maximum(seg_a, seg_b)

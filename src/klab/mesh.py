@@ -12,11 +12,14 @@ number edges and facets through one ranking, element_faces.
 
 Refinement is nested (edge-midpoint subdivision: quadrisection of
 triangles, octasection of tetrahedra), and a refined mesh carries the
-P1 prolongation of each level it came from, the hierarchy multigrid
-solvers run on. Grading toward corner singularities is a radial map
-applied inside disjoint vertex collars; the grading parameters travel
-with the mesh so that further refinement can undo the map, refine the
-underlying ungraded mesh, and reapply it.
+P1 prolongation of each level it came from. The mesh owns its
+zero-trace space: its free (interior) nodes and those prolongations
+restricted to them, the hierarchy multigrid solvers run on, each built
+once, on first use (SimplicialMesh.free_nodes and .free_hierarchy).
+Grading toward corner singularities is a radial map applied inside
+disjoint vertex collars; the grading parameters travel with the mesh so
+that further refinement can undo the map, refine the underlying
+ungraded mesh, and reapply it.
 """
 
 from __future__ import annotations
@@ -115,13 +118,35 @@ class SimplicialMesh:
             mask[self.boundary_facets.ravel()] = True
         return mask
 
+    @functools.cached_property
     def free_nodes(self) -> np.ndarray:
-        """Interior (zero-trace) node indices in increasing order;
-        MeshSizeError when the mesh is too coarse to have any."""
+        """Interior (zero-trace) node indices in increasing order, the
+        unknowns of every Dirichlet system on this mesh, computed on first
+        use and read-only; MeshSizeError when the mesh is too coarse to
+        have any."""
         free = np.where(~self.boundary_node_mask())[0]
         if not len(free):
             raise MeshSizeError("mesh has no interior nodes")
+        free.flags.writeable = False
         return free
+
+    @functools.cached_property
+    def free_hierarchy(self) -> tuple:
+        """The prolongations between the free nodes of each level, coarse
+        first, built on first use: the multigrid hierarchy of every
+        Dirichlet system on this mesh, empty without prolongations.
+
+        Refinement keeps the parent's node numbers and boundary, so the
+        free nodes of the coarser level are free[free < n_coarse]; a
+        midpoint's weight on a constrained end is dropped.
+        """
+        free = self.free_nodes
+        out = []
+        for p in reversed(self.prolongations):
+            coarse = free[free < p.shape[1]]
+            out.append(p[free][:, coarse].tocsr())
+            free = coarse
+        return tuple(reversed(out))
 
     def element_volumes(self) -> np.ndarray:
         return kernels.simplex_volumes(self.nodes, self.elements)
@@ -571,22 +596,6 @@ def _prolongation(n_coarse: int, parents: np.ndarray) -> sp.csr_matrix:
     cols = np.concatenate([np.arange(n_coarse), parents[:, 0], parents[:, 1]])
     vals = np.concatenate([np.ones(n_coarse), np.full(2 * m, 0.5)])
     return sp.csr_matrix((vals, (rows, cols)), shape=(n_coarse + m, n_coarse))
-
-
-def free_prolongations(prolongations: tuple, free: np.ndarray) -> tuple:
-    """The prolongations between the free nodes of each level, coarse first.
-
-    free lists the finest level's free (interior) nodes in increasing
-    order. Refinement keeps the parent's node numbers and boundary, so
-    the free nodes of the coarser level are free[free < n_coarse];
-    a midpoint's weight on a constrained end is dropped.
-    """
-    out = []
-    for p in reversed(prolongations):
-        coarse = free[free < p.shape[1]]
-        out.append(p[free][:, coarse].tocsr())
-        free = coarse
-    return tuple(reversed(out))
 
 
 def _apply_grading(mesh: SimplicialMesh, spec: GradingSpec) -> SimplicialMesh:

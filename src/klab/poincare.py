@@ -35,7 +35,7 @@ from . import femcore, geometry, kernels, sobolev, sphere, weights
 from .errors import DecompositionError, DegenerateLinkError
 from .femcore import FemField
 from .geometry import Polyhedron
-from .mesh import SimplicialMesh, free_prolongations
+from .mesh import SimplicialMesh
 
 DEFAULT_SEED = 20240917
 # (eps, delta) halvings build_decomposition tries before it gives up
@@ -338,7 +338,9 @@ class Decomposition:
 
     Every interior point with eta below eta_min_bound lies in some
     region, so eta >= eta_min_bound holds on the residual set; the
-    bound is delta in 3D and epsilon in 2D.
+    bound is delta in 3D and epsilon in 2D. eta_min_sampled is the
+    smallest eta over the interior samples outside every region (inf
+    when there are none), set by the coverage check.
     """
 
     domain: Polyhedron
@@ -349,6 +351,7 @@ class Decomposition:
     trials: int
     samples: int
     seed: int
+    eta_min_sampled: float = math.inf
 
     def by_kind(self, kind: str) -> list:
         return [r for r in self.regions if r.kind == kind]
@@ -448,15 +451,14 @@ def _check_decomposition(domain: Polyhedron, decomp: Decomposition,
                 f"{region.label} and {decomp.regions[j].label} overlap")
 
     interior = weights.sample_interior(domain, samples)
-    close = eta(interior) < decomp.eta_min_bound * (1.0 - 1e-6)
-    if close.any():
-        pts = interior[close]
-        covered = np.zeros(len(pts), dtype=bool)
-        for region in decomp.regions:
-            covered |= region.contains(pts)
-        if not covered.all():
-            raise DecompositionError(
-                "points near the singular set escape every region")
+    outside = np.ones(len(interior), dtype=bool)
+    for region in decomp.regions:
+        outside &= ~region.contains(interior)
+    eta_outside = eta(interior[outside])
+    if (eta_outside < decomp.eta_min_bound * (1.0 - 1e-6)).any():
+        raise DecompositionError(
+            "points near the singular set escape every region")
+    decomp.eta_min_sampled = float(eta_outside.min(initial=math.inf))
 
 
 def build_decomposition(domain: Polyhedron, samples: int = 1000,
@@ -516,11 +518,11 @@ def gradient_energy(u: FemField) -> float:
 def random_zero_trace_fields(mesh: SimplicialMesh, n_fields: int,
                              rng: np.random.Generator) -> list:
     """Unit-scale random nodal fields vanishing on the boundary."""
-    free = ~mesh.boundary_node_mask()
+    free = mesh.free_nodes
     out = []
     for _ in range(n_fields):
         vals = np.zeros(mesh.num_nodes)
-        vals[free] = rng.standard_normal(int(free.sum()))
+        vals[free] = rng.standard_normal(len(free))
         out.append(FemField(mesh, vals))
     return out
 
@@ -583,14 +585,15 @@ def constructive_kappa(domain: Polyhedron, mesh: SimplicialMesh,
 
     kappa = 1 + sum of regional constants (against the radial weight,
     corrected by c1 for balls) + C_P / eta_min^2 for the residual set,
-    with C_P the bounding-box bound of domain_poincare_bound.
+    with C_P the bounding-box bound of domain_poincare_bound and eta_min
+    the smaller of the decomposition's eta_min_bound and eta_min_sampled.
+    samples and seed build the decomposition when none is given.
     The variational constant is computed on the same mesh and the
     certificate fails if it exceeds the constructive one beyond the
     documented discretization slack.
     """
     decomp = decomposition or build_decomposition(domain, samples=samples,
                                                   seed=seed)
-    eta = weights.eta_field(domain)
 
     region_terms = []
     total = 0.0
@@ -615,13 +618,7 @@ def constructive_kappa(domain: Polyhedron, mesh: SimplicialMesh,
         region_terms.append(entry)
         total += term
 
-    interior = weights.sample_interior(domain, samples)
-    outside = np.ones(len(interior), dtype=bool)
-    for region in decomp.regions:
-        outside &= ~region.contains(interior)
-    sampled_min = float(eta(interior[outside]).min()) if outside.any() \
-        else math.inf
-    eta_min = min(decomp.eta_min_bound, sampled_min)
+    eta_min = min(decomp.eta_min_bound, decomp.eta_min_sampled)
 
     c_p = domain_poincare_bound(domain)
     residual = c_p / eta_min ** 2
@@ -633,8 +630,8 @@ def constructive_kappa(domain: Polyhedron, mesh: SimplicialMesh,
 
     return KappaCertificate(
         constructive=kappa, variational=var.kappa, eta_min=eta_min,
-        eta_min_bound=decomp.eta_min_bound, eta_min_sampled=sampled_min,
-        poincare_constant=c_p,
+        eta_min_bound=decomp.eta_min_bound,
+        eta_min_sampled=decomp.eta_min_sampled, poincare_constant=c_p,
         residual_term=residual, region_terms=region_terms,
         decomposition=decomp.as_dict(), slack=slack, passed=passed)
 
@@ -650,7 +647,7 @@ class VariationalKappa:
 
 
 def variational_kappa(domain: Polyhedron, mesh: SimplicialMesh,
-                      stiffness=None, mass=None) -> VariationalKappa:
+                      k_free=None, m_free=None) -> VariationalKappa:
     """Smallest kappa with norm(u, K11)^2 <= kappa * energy, discrete.
 
     Computed as 1 + lambda_max of the 1/eta^2 weighted mass against the
@@ -658,16 +655,16 @@ def variational_kappa(domain: Polyhedron, mesh: SimplicialMesh,
     one the order-1 index-1 norm itself integrates, so the inequality
     with the returned kappa is a sharp Rayleigh bound for every
     zero-trace field on this mesh, not just an asymptotic statement.
-    ``stiffness`` and ``mass`` are assemble_stiffness(mesh) and
+    ``k_free`` and ``m_free`` are the free-free blocks (on
+    mesh.free_nodes) of assemble_stiffness(mesh) and
     sobolev.k11_mass(domain, mesh) when the caller has them already.
     """
-    free = mesh.free_nodes()
-    k_free = (femcore.assemble_stiffness(mesh) if stiffness is None
-              else stiffness)[free][:, free].tocsr()
-    m_free = (sobolev.k11_mass(domain, mesh) if mass is None
-              else mass)[free][:, free].tocsr()
+    free = mesh.free_nodes
+    if k_free is None:
+        k_free = femcore.assemble_stiffness(mesh)[free][:, free].tocsr()
+    if m_free is None:
+        m_free = sobolev.k11_mass(domain, mesh)[free][:, free].tocsr()
     lam, _, info = femcore.generalized_eig_extreme(
-        m_free, k_free, which="max",
-        hierarchy=free_prolongations(mesh.prolongations, free))
+        m_free, k_free, which="max", hierarchy=mesh.free_hierarchy)
     return VariationalKappa(kappa=1.0 + lam, eigenvalue=lam,
                             iterations=info["iterations"], dofs=len(free))

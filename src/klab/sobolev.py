@@ -29,7 +29,7 @@ from .config import OVERFLOW_GUARD
 from .errors import InadmissibleIndexError, NonpositiveWeightError
 from .femcore import FemField
 from .geometry import Polyhedron
-from .mesh import SimplicialMesh, free_prolongations
+from .mesh import SimplicialMesh
 
 _AXES = "xyz"
 
@@ -235,23 +235,24 @@ def minimal_extension(domain: Polyhedron, mesh: SimplicialMesh, g,
     """Field with the given boundary values and least K(1, 1) energy.
 
     ``form`` is ``k11_form(domain, mesh)`` when the caller has it already.
-    The solve is preconditioned by multigrid on the mesh's refinement
-    hierarchy when it has one.
+    The free values x solve A[free, free] x = -A[free, :] g0, with g0
+    the boundary values of g and 0 at the free nodes, preconditioned by
+    multigrid on the mesh's free-node hierarchy when it has one.
     """
     if callable(g):
         g_nodes = np.asarray(g(mesh.nodes), dtype=float)
     else:
         g_nodes = np.asarray(g, dtype=float)
     a_mat = form if form is not None else k11_form(domain, mesh)
-    constrained = mesh.boundary_node_mask()
-    a_ff, a_fc, free, fixed = femcore.split_dirichlet(a_mat, constrained)
-    rhs = -a_fc @ g_nodes[fixed]
-    x_f, _ = femcore.solve(
-        a_ff, rhs, tol=1e-12,
-        hierarchy=free_prolongations(mesh.prolongations, free))
+    free = mesh.free_nodes
     values = np.array(g_nodes, dtype=float)
-    values[free] = x_f
-    values[fixed] = g_nodes[fixed]
+    values[free] = 0.0
+    # The free rows are sliced twice, so that they are freed before the
+    # solve rather than held through it.
+    rhs = -(a_mat[free] @ values)
+    a_ff = a_mat[free][:, free].tocsr()
+    values[free], _ = femcore.solve(a_ff, rhs, tol=1e-12,
+                                    hierarchy=mesh.free_hierarchy)
     return FemField(mesh, values)
 
 

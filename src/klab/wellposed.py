@@ -30,7 +30,7 @@ from . import femcore, geometry, kernels, poincare, sobolev, weights
 from .errors import InadmissibleIndexError, NumericalError
 from .femcore import FemField
 from .geometry import Polyhedron
-from .mesh import SimplicialMesh, free_prolongations
+from .mesh import SimplicialMesh
 from .sobolev import NormSpec
 
 SIGN_CONVENTIONS = ("laplace", "minus_laplace")
@@ -175,13 +175,13 @@ def solve_dirichlet(problem: BvpProblem) -> SolveReport:
     # pattern goes too.
     del k_mat, m_mat, mesh.pattern
 
-    free = mesh.free_nodes()
+    free = mesh.free_nodes
     rhs_full = f_vec - b_mat @ lift
     rhs = rhs_full[free]
     b_ff = b_mat[free][:, free].tocsr()
 
     symmetric = problem.a == 0.0
-    hierarchy = free_prolongations(mesh.prolongations, free) if symmetric else ()
+    hierarchy = mesh.free_hierarchy if symmetric else ()
     x, info = femcore.solve(b_ff, rhs, tol=problem.solver_tol,
                             hierarchy=hierarchy, symmetric=symmetric)
 
@@ -282,8 +282,9 @@ def weight_window_probe(domain: Polyhedron, mesh: SimplicialMesh,
     certified by Lax-Milgram: B_a is invertible and the response to
     the fixed source f obeys norm(B_a^-1 f, K) <= norm(K^-1 f, K) /
     indicator. The one solve of K at a = 0 (femcore.solve's conjugate
-    gradients, preconditioned by multigrid on the same hierarchy as
-    the eigensolve) gives response_zero; a certified entry carries that
+    gradients, preconditioned by the same rule and on the same
+    mesh.free_hierarchy as the eigensolve, with the same free-free
+    block of K) gives response_zero; a certified entry carries that
     bound as response_bound and is stable, with no solve of its own.
     An a below the threshold is unstable and carries its indicator
     alone; no B_a is assembled or solved. When the a = 0 solve fails,
@@ -295,15 +296,14 @@ def weight_window_probe(domain: Polyhedron, mesh: SimplicialMesh,
     a_values = [float(a) for a in a_values]
     for a in a_values:
         _check_conjugation(a)
-    k_mat = femcore.assemble_stiffness(mesh)
-    var = poincare.variational_kappa(domain, mesh, k_mat,
-                                     sobolev.k11_mass(domain, mesh))
+    free = mesh.free_nodes
+    k_ff = femcore.assemble_stiffness(mesh)[free][:, free].tocsr()
+    var = poincare.variational_kappa(
+        domain, mesh, k_ff,
+        sobolev.k11_mass(domain, mesh)[free][:, free].tocsr())
     lam_max = var.eigenvalue
     acrit_note = {"value": 1.0 / math.sqrt(lam_max), "eigenvalue": lam_max,
                   "iterations": var.iterations, "provenance": "eigensolve"}
-    free = mesh.free_nodes()
-    k_ff = k_mat[free][:, free].tocsr()
-    hierarchy = free_prolongations(mesh.prolongations, free)
 
     if f is None:
         def f(points):
@@ -311,7 +311,7 @@ def weight_window_probe(domain: Polyhedron, mesh: SimplicialMesh,
     f_free = femcore.assemble_load(mesh, f, degree=LOAD_DEGREE)[free]
 
     try:
-        x, info = femcore.solve(k_ff, f_free, hierarchy=hierarchy)
+        x, info = femcore.solve(k_ff, f_free, hierarchy=mesh.free_hierarchy)
         energy = kernels.neumaier_dot(x, k_ff @ x)
         response_zero = {"value": math.sqrt(max(energy, 0.0)),
                          "method": info["method"],
@@ -405,21 +405,21 @@ def conjugation_lipschitz(domain: Polyhedron, mesh: SimplicialMesh,
     """Max-row-sum Lipschitz estimate of a -> B_a over a grid.
 
     Reports max over consecutive grid pairs of
-    norm(B_a1 - B_a2, inf) / |a1 - a2|.
+    norm(B_a1 - B_a2, inf) / |a1 - a2|, in closed form: B_a2 - B_a1 =
+    (a2 - a1) * (skew - (a1 + a2) * M), so each rate is the max row sum
+    of |skew - (a1 + a2) * M|.
     """
     a_grid = sorted(float(a) for a in a_grid)
     if len(a_grid) < 2:
         raise ValueError("need at least two grid points")
-    parts = conjugate_parts(domain, mesh)
-    mats = [combine_conjugate(parts, a) for a in a_grid]
+    for a in a_grid:
+        _check_conjugation(a)
+    _, skew, m_mat = conjugate_parts(domain, mesh)
     pairs = []
     worst = 0.0
-    for i in range(len(a_grid) - 1):
-        diff = (mats[i + 1] - mats[i]).tocsr()
-        num = float(np.abs(diff).sum(axis=1).max())
-        rate = num / (a_grid[i + 1] - a_grid[i])
-        pairs.append({"a_low": a_grid[i], "a_high": a_grid[i + 1],
-                      "rate": rate})
+    for lo, hi in zip(a_grid, a_grid[1:]):
+        rate = float(np.abs(skew - (lo + hi) * m_mat).sum(axis=1).max())
+        pairs.append({"a_low": lo, "a_high": hi, "rate": rate})
         worst = max(worst, rate)
     return {"norm": "max_row_sum", "grid": a_grid, "pairs": pairs,
             "lipschitz": worst}

@@ -374,14 +374,20 @@ def test_load_vector(square_mesh):
     assert u @ b == pytest.approx(0.5, rel=1e-12)
 
 
+def _free_block(matrix, mesh):
+    """The free-free block of a matrix on the mesh's free nodes."""
+    return matrix[mesh.free_nodes][:, mesh.free_nodes].tocsr()
+
+
 def test_dirichlet_solve_reproduces_affine(square_mesh):
     k = femcore.assemble_stiffness(square_mesh)
     g = lambda p: 0.25 + p[:, 0] - 2.0 * p[:, 1]
     exact = femcore.interpolate(square_mesh, g).values
-    constrained = square_mesh.boundary_node_mask()
-    a_ff, a_fc, free, fixed = femcore.split_dirichlet(k, constrained)
-    rhs = -a_fc @ exact[fixed]
-    x, info = femcore.cg_solve(a_ff, rhs, tol=1e-13)
+    free = square_mesh.free_nodes
+    g0 = exact.copy()
+    g0[free] = 0.0
+    rhs = -(k[free] @ g0)
+    x, info = femcore.cg_solve(_free_block(k, square_mesh), rhs, tol=1e-13)
     u = exact.copy()
     u[free] = x
     assert np.abs(u - exact).max() < 1e-10
@@ -427,9 +433,7 @@ def test_generalized_eig_dirichlet_laplacian(square_mesh):
     k = femcore.assemble_stiffness(square_mesh)
     m = femcore.assemble_weighted_mass(square_mesh,
                                        lambda p: np.ones(len(p)), degree=5)
-    constrained = square_mesh.boundary_node_mask()
-    k_ff, _, _, _ = femcore.split_dirichlet(k, constrained)
-    m_ff, _, _, _ = femcore.split_dirichlet(m, constrained)
+    k_ff, m_ff = _free_block(k, square_mesh), _free_block(m, square_mesh)
     lam, _, _ = femcore.generalized_eig_extreme(k_ff, m_ff, which="min")
     # first Dirichlet eigenvalue of the unit square is 2 pi^2; P1 on
     # h = 1/8 overestimates by O(h^2)
@@ -441,7 +445,7 @@ def test_solve_reports_method_and_true_residual(square_mesh):
     """CG for SPD systems, one LU otherwise; a singular LU is a
     ConvergenceError."""
     k = femcore.assemble_stiffness(square_mesh)
-    k_ff, _, _, _ = femcore.split_dirichlet(k, square_mesh.boundary_node_mask())
+    k_ff = _free_block(k, square_mesh)
     rhs = np.linspace(1.0, 2.0, k_ff.shape[0])
     for symmetric, method in ((True, "cg"), (False, "direct_lu")):
         x, info = femcore.solve(k_ff, rhs, tol=1e-12, symmetric=symmetric)
@@ -471,9 +475,7 @@ def _count_splu(monkeypatch):
 def _dirichlet_pencil(mesh):
     k = femcore.assemble_stiffness(mesh)
     m = femcore.assemble_weighted_mass(mesh, lambda p: np.ones(len(p)))
-    constrained = mesh.boundary_node_mask()
-    return (femcore.split_dirichlet(k, constrained)[0],
-            femcore.split_dirichlet(m, constrained)[0])
+    return _free_block(k, mesh), _free_block(m, mesh)
 
 
 def test_eigensolve_factors_2d_pencil_once(monkeypatch, lshape_mesh):
@@ -500,9 +502,8 @@ def test_eigensolve_iterates_on_dense_3d_pencil(monkeypatch, box):
 
 def _free_system(mesh):
     """K_ff, the free nodes and the free-node hierarchy of a mesh."""
-    free = np.where(~mesh.boundary_node_mask())[0]
-    k_ff = femcore.assemble_stiffness(mesh)[free][:, free].tocsr()
-    return k_ff, free, meshmod.free_prolongations(mesh.prolongations, free)
+    k_ff = _free_block(femcore.assemble_stiffness(mesh), mesh)
+    return k_ff, mesh.free_nodes, mesh.free_hierarchy
 
 
 @pytest.mark.parametrize("case", ["graded_lshape", "box"])
@@ -520,8 +521,33 @@ def test_vcycle_cg_matches_direct_solve(case, lshape, box):
     want = scipy.sparse.linalg.spsolve(k_ff.tocsc(), rhs)
     assert np.abs(x - want).max() <= 1e-10 * np.abs(want).max()
     assert info["iterations"] <= 30 and info["residual"] <= 1e-12
-    _, jacobi = femcore.cg_solve(k_ff, rhs, tol=1e-12)
-    assert jacobi["iterations"] > 3 * info["iterations"]
+    # without a hierarchy a 3D system runs Jacobi, a 2D one its factor
+    _, plain = femcore.cg_solve(k_ff, rhs, tol=1e-12)
+    if case == "box":
+        assert plain["iterations"] > 3 * info["iterations"]
+    else:
+        assert plain["iterations"] == 1
+
+
+@pytest.mark.parametrize("case", ["lshape", "box"])
+def test_cg_without_hierarchy_factors_2d_iterates_3d(case, monkeypatch,
+                                                    lshape_mesh, box):
+    """Without a hierarchy CG on a 2D system factors it once and
+    converges in 1 iteration; on a 3D one, denser than LU_MAX_ROW_NNZ,
+    it runs Jacobi and factors nothing."""
+    mesh = lshape_mesh if case == "lshape" else meshmod.build_mesh(box, 0.125)
+    k_ff = _free_block(femcore.assemble_stiffness(mesh), mesh)
+    rhs = np.linspace(1.0, 2.0, k_ff.shape[0])
+    calls = _count_splu(monkeypatch)
+    x, info = femcore.cg_solve(k_ff, rhs, tol=1e-12)
+    assert np.linalg.norm(rhs - k_ff @ x) <= 1e-12 * np.linalg.norm(rhs)
+    if case == "lshape":
+        assert calls == [k_ff.nnz / k_ff.shape[0]]
+        assert calls[0] <= femcore.LU_MAX_ROW_NNZ
+        assert info["iterations"] == 1
+    else:
+        assert k_ff.nnz > femcore.LU_MAX_ROW_NNZ * k_ff.shape[0]
+        assert calls == [] and info["iterations"] > 10
 
 
 def _weighted_pencil(domain, mesh):

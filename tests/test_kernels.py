@@ -217,6 +217,10 @@ def test_distance_kernels_match_reference_on_grid(case):
         assert g.tobytes() == w.tobytes()
 
 
+_SEG_A = np.array([[0.7890625, 0.0, 0.25111814]])
+_SEG_B = np.array([[0.01473222, 0.28655412, 0.25]])
+
+
 def _ulps(got, want, extent):
     """|got - want| in units in the last place of max(|want|, extent)."""
     return np.abs(got - want) / np.spacing(np.maximum(np.abs(want), extent))
@@ -236,6 +240,10 @@ def _ulps(got, want, extent):
           np.array([[0.0, 0.0, 0.0], [0.0, 0.0, 0.0], [0.0, 1.0, 0.0]]),
           np.array([[0.0, 0.0, 0.0], [0.0, -0.9127555772777217, 0.0],
                     [0.0, -0.9127555772777217, 0.0]])))
+# A point on the segment: with t's numerator summed as (x0 + x1) + x2,
+# not in einsum's order (x0 + x2) + x1, t is 2 ulps off and the distance
+# 2.06 ulps of the extent above the reference's 0.
+@example((1, _SEG_A + 0.7335750000000001 * (_SEG_B - _SEG_A), _SEG_A, _SEG_B))
 def test_distance_kernels_match_reference(case):
     """On arbitrary coordinates distances and nearest points move only
     with the summation order: by at most 2 units in the last place of the

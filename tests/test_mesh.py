@@ -255,7 +255,11 @@ def test_hierarchy_extends_and_is_not_written(tmp_path, lshape):
 def test_free_prolongations_restrict_nested_free_nodes(square):
     m = meshmod.refine(meshmod.build_mesh(square, 0.5), 2)
     free = np.where(~m.boundary_node_mask())[0]
-    hierarchy = meshmod.free_prolongations(m.prolongations, free)
+    assert np.array_equal(m.free_nodes, free)
+    hierarchy = m.free_hierarchy
+    # both are built once per mesh, and the cached free nodes are read-only
+    assert m.free_nodes is m.free_nodes and hierarchy is m.free_hierarchy
+    assert not m.free_nodes.flags.writeable
     # square at h 0.5 has 1 interior node, then 9, then 49
     assert [p.shape for p in hierarchy] == [(9, 1), (49, 9)]
     for full, p in zip(m.prolongations, hierarchy):

@@ -295,7 +295,7 @@ def test_domain_poincare_bound(name):
     if name == "square.json":
         assert bound == pytest.approx(1.0 / (2.0 * math.pi ** 2), rel=1e-15)
     m = meshmod.build_mesh(domain, 0.25)
-    free = m.free_nodes()
+    free = m.free_nodes
     k_mat = femcore.assemble_stiffness(m)[free][:, free].tocsr()
     m_mat = femcore.assemble_weighted_mass(m, lambda p: np.ones(len(p)),
                                            degree=2)[free][:, free].tocsr()
@@ -351,6 +351,28 @@ def test_constructive_kappa_certificate(lshape, lshape_mesh):
     assert d["passed"] is True
     assert d["poincare_constant"] == {"value": cert.poincare_constant,
                                       "provenance": "bounding box"}
+
+
+def test_certificate_samples_the_interior_once(lshape, lshape_mesh,
+                                               monkeypatch):
+    """The coverage check draws the interior samples once, and the
+    smallest eta outside every region it stores is the certificate's
+    sampled eta_min; the report carries it only there."""
+    draws = []
+    sample = weights.sample_interior
+    monkeypatch.setattr(weights, "sample_interior",
+                        lambda *args: draws.append(args) or sample(*args))
+    dec = poincare.build_decomposition(lshape, samples=300)
+    cert = poincare.constructive_kappa(lshape, lshape_mesh, decomposition=dec,
+                                       samples=300)
+    assert draws == [(lshape, 300)]
+    interior = sample(lshape, 300)
+    outside = ~np.any([r.contains(interior) for r in dec.regions], axis=0)
+    eta = weights.eta_field(lshape)
+    assert dec.eta_min_sampled == eta(interior[outside]).min()
+    assert cert.eta_min_sampled == dec.eta_min_sampled
+    assert cert.eta_min == min(dec.eta_min_bound, dec.eta_min_sampled)
+    assert "eta_min_sampled" not in dec.as_dict()
 
 
 def test_constructive_kappa_assembles_stiffness_once(lshape, lshape_mesh,

@@ -1,6 +1,8 @@
 """Dirichlet solves, conjugated operators and the stability window."""
 
+import dataclasses
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -314,6 +316,76 @@ def test_window_probe_acrit_is_variational_kappa(name, request):
     assert acrit["value"] == 1.0 / math.sqrt(var.eigenvalue)
 
 
+class _CountedRows:
+    """A prolongation that records each row restriction taken of it."""
+
+    def __init__(self, p, calls):
+        self.p, self.calls, self.shape = p, calls, p.shape
+
+    def __getitem__(self, rows):
+        self.calls.append(self.shape)
+        return self.p[rows]
+
+
+@pytest.mark.parametrize("caller", ["probe", "solve"])
+def test_zero_trace_setup_restricts_hierarchy_once(lshape, caller):
+    """The probe (its eigensolve and its a = 0 CG) and a Dirichlet solve
+    with boundary data (its lift and its CG) restrict each prolongation
+    of the mesh to the free nodes once."""
+    refined = meshmod.refine(meshmod.build_mesh(lshape, 0.25), 2)
+    calls = []
+    mesh = dataclasses.replace(refined, prolongations=tuple(
+        _CountedRows(p, calls) for p in refined.prolongations))
+    if caller == "probe":
+        wellposed.weight_window_probe(lshape, mesh, (0.0, 0.5))
+    else:
+        wellposed.solve_dirichlet(BvpProblem(
+            lshape, mesh, f=lambda p: np.ones(len(p)),
+            g=lambda p: p[:, 0] ** 2))
+    assert sorted(calls) == sorted(p.shape for p in refined.prolongations)
+
+
+class _CountedCsr(scipy.sparse.csr_matrix):
+    """A CSR matrix that records the slices taken of it in its slices
+    list, when it has one; the matrices slicing makes have none."""
+
+    slices = None
+
+    def __getitem__(self, key):
+        if self.slices is not None:
+            self.slices.append(1)
+        return super().__getitem__(key)
+
+
+def test_window_probe_slices_stiffness_once_and_frees_it(lshape,
+                                                         monkeypatch):
+    """The probe slices K to the free nodes once and holds no full K
+    during its eigensolve and its a = 0 CG."""
+    mesh = meshmod.refine(meshmod.build_mesh(lshape, 0.25), 1)
+    assemble = femcore.assemble_stiffness
+    slices, alive = [], []
+
+    def counted_stiffness(*args, **kwargs):
+        k_mat = _CountedCsr(assemble(*args, **kwargs))
+        k_mat.slices = slices
+        alive.append(weakref.ref(k_mat))
+        return k_mat
+
+    def without_full_k(inner):
+        def check(*args, **kwargs):
+            assert [ref() for ref in alive] == [None]
+            return inner(*args, **kwargs)
+        return check
+
+    monkeypatch.setattr(femcore, "assemble_stiffness", counted_stiffness)
+    for name in ("generalized_eig_extreme", "cg_solve"):
+        monkeypatch.setattr(femcore, name,
+                            without_full_k(getattr(femcore, name)))
+    rep = wellposed.weight_window_probe(lshape, mesh, (0.0, 0.5))
+    assert rep.response_zero["converged"]
+    assert slices == [1]
+
+
 # A grid on the graded L-shape below whose indicators (acrit is about
 # 0.93 on this mesh) are certified at |a| <= 0.8, in (0, threshold) at
 # 0.9 and negative at 1.0 and 1.9.
@@ -335,7 +407,7 @@ def test_window_probe_certified_bound_holds(lshape, graded_lshape_mesh):
     mesh = graded_lshape_mesh
     rep = wellposed.weight_window_probe(lshape, mesh, CERTIFY_GRID)
     parts = wellposed.conjugate_parts(lshape, mesh)
-    free = mesh.free_nodes()
+    free = mesh.free_nodes
     k_ff = parts[0][free][:, free].tocsr()
     f_free = femcore.assemble_load(mesh, lambda p: np.ones(len(p)),
                                    degree=wellposed.LOAD_DEGREE)[free]
@@ -366,7 +438,7 @@ def test_window_probe_factors_nothing_full_size(lshape, graded_lshape_mesh,
     """The probe assembles no skew part, combines no B_a and factors no
     full-size matrix, also where the indicator certifies nothing; the
     only factors are the coarse solves of the multigrid V-cycles."""
-    free = graded_lshape_mesh.free_nodes()
+    free = graded_lshape_mesh.free_nodes
     sizes = []
     factor = femcore._factor
 
