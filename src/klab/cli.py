@@ -198,12 +198,27 @@ def load_problem(path) -> dict:
     }
 
 
+def _exact_values(exact, exact_grad):
+    """Callable giving the (N, 1 + d) array of u and grad u at (N, d)
+    points (u alone without exact_grad). Compiled expressions join into
+    one VectorExpression, which evaluates the polar frame once a call."""
+    if isinstance(exact, expressions.Expression) and isinstance(
+            exact_grad, (expressions.VectorExpression, type(None))):
+        grads = () if exact_grad is None else exact_grad.components
+        return expressions.VectorExpression((exact, *grads))
+    fns = (exact,) if exact_grad is None else (exact, exact_grad)
+    return lambda points: np.column_stack(
+        [np.asarray(fn(points), dtype=float) for fn in fns])
+
+
 def _solution_errors(m: meshmod.SimplicialMesh, u: FemField, exact,
                      exact_grad, degree: int = 5) -> dict:
     """L2 and (when the gradient is known) full H1 error by quadrature,
-    one block of kernels.BLOCK elements at a time; the per-element
-    integrals reduce once by neumaier_sum."""
+    one block of kernels.BLOCK elements at a time, u and grad u from one
+    evaluation per block; the per-element integrals reduce once by
+    neumaier_sum."""
     rule = femcore.simplex_rule(m.dimension, degree)
+    exact_at = _exact_values(exact, exact_grad)
     l2 = np.empty(m.num_elements)
     semi = np.empty(m.num_elements)
     for block in femcore.element_blocks(m.num_elements):
@@ -213,11 +228,12 @@ def _solution_errors(m: meshmod.SimplicialMesh, u: FemField, exact,
         flat = pts.reshape(-1, m.dimension)
         nodal = u.values[els]
         uq = femcore.row_product(nodal, rule.bary.T)
-        exq = np.asarray(exact(flat), dtype=float).reshape(uq.shape)
+        values = exact_at(flat)
+        exq = values[:, 0].reshape(uq.shape)
         diff_sq = (uq - exq) ** 2
         l2[block] = np.einsum("e,q,eq->e", vols, rule.weights, diff_sq)
         if exact_grad is not None:
-            gq = np.asarray(exact_grad(flat), dtype=float).reshape(pts.shape)
+            gq = values[:, 1:].reshape(pts.shape)
             gu = np.einsum("ei,eid->ed", nodal, grads)[:, None, :]
             gdiff = gu - gq
             gsq = np.einsum("eqd,eqd->eq", gdiff, gdiff)

@@ -84,8 +84,29 @@ def polar_frame(domain: Polyhedron, vertex_idx: int) -> PolarFrame:
                       n2=tuple(float(c) for c in n2))
 
 
+def _env(points: np.ndarray, dim: int, polar: PolarFrame | None,
+         names) -> dict:
+    """Names bound at an (N, dim) point array: the coordinates, and r and
+    theta (one frame evaluation) when a polar frame is given and names
+    asks for either."""
+    pts = np.asarray(points, dtype=float)
+    if pts.ndim != 2 or pts.shape[1] != dim:
+        raise ExpressionError(
+            f"expected an (N, {dim}) point array, got shape {pts.shape}")
+    env = dict(_CONSTANTS)
+    for i in range(dim):
+        env[_AXES[i]] = pts[:, i]
+    if polar is not None and names & {"r", "theta"}:
+        env["r"], env["theta"] = polar.evaluate(pts)
+    return env
+
+
 class Expression:
-    """Parsed expression; calling it evaluates on an (N, d) point array."""
+    """Parsed expression; calling it evaluates on an (N, d) point array.
+
+    constant is the value of an expression that names no coordinate
+    (x, y, z, r or theta), else None.
+    """
 
     def __init__(self, source: str, dim: int, polar: PolarFrame | None = None):
         self.source = source
@@ -99,6 +120,12 @@ class Expression:
         self.names = frozenset(node.id for node in ast.walk(self._tree)
                                if isinstance(node, ast.Name))
         self._validate(self._tree)
+        # Parsing never warns: a value such as 1/0 or log(0) is an error
+        # only where a caller evaluates the expression.
+        self.constant = None
+        if not self.names & {*_AXES, "r", "theta"}:
+            with np.errstate(all="ignore"):
+                self.constant = float(self._eval(self._tree, _CONSTANTS))
 
     def _allowed_names(self):
         allowed = set(_CONSTANTS) | set(_AXES[:self.dim])
@@ -111,9 +138,14 @@ class Expression:
             if not isinstance(node.value, (int, float)):
                 raise ExpressionError(
                     f"only numeric literals are allowed, got {node.value!r}")
+            try:
+                float(node.value)
+            except OverflowError as exc:
+                raise ExpressionError(
+                    f"numeric literal in {self.source!r} is too large") from exc
             return
         if isinstance(node, ast.Name):
-            if node.id not in self._allowed_names() and node.id not in _FUNCTIONS:
+            if node.id not in self._allowed_names():
                 raise ExpressionError(
                     f"unknown name {node.id!r} in {self.source!r} "
                     f"(allowed: {sorted(self._allowed_names())})")
@@ -143,18 +175,6 @@ class Expression:
         raise ExpressionError(
             f"syntax {type(node).__name__} is not allowed in expressions")
 
-    def _env(self, points: np.ndarray) -> dict:
-        pts = np.asarray(points, dtype=float)
-        if pts.ndim != 2 or pts.shape[1] != self.dim:
-            raise ExpressionError(
-                f"expected an (N, {self.dim}) point array, got shape {pts.shape}")
-        env = dict(_CONSTANTS)
-        for i in range(self.dim):
-            env[_AXES[i]] = pts[:, i]
-        if self.polar is not None and self.names & {"r", "theta"}:
-            env["r"], env["theta"] = self.polar.evaluate(pts)
-        return env
-
     def _eval(self, node, env):
         if isinstance(node, ast.Constant):
             return float(node.value)
@@ -168,9 +188,11 @@ class Expression:
         return _FUNCTIONS[node.func.id](self._eval(node.args[0], env))
 
     def __call__(self, points: np.ndarray) -> np.ndarray:
-        env = self._env(points)
+        env = _env(points, self.dim, self.polar, self.names)
+        return self._values(env, len(env["x"]))
+
+    def _values(self, env: dict, n: int) -> np.ndarray:
         out = self._eval(self._tree, env)
-        n = len(np.asarray(points))
         return np.broadcast_to(np.asarray(out, dtype=float), (n,)).copy()
 
     def __repr__(self):
@@ -188,14 +210,24 @@ def parse_expression(text: str, dim: int,
 
 
 class VectorExpression:
-    """Tuple of expressions evaluated into an (N, k) array."""
+    """Tuple of expressions evaluated into an (N, k) array.
+
+    The components share the first one's dimension and polar frame
+    (parse_vector compiles them so); every component is evaluated on
+    one set of bound names, so the frame is evaluated at most once per
+    call.
+    """
 
     def __init__(self, components):
         self.components = tuple(components)
+        self.dim = self.components[0].dim
+        self.polar = self.components[0].polar
+        self.names = frozenset().union(*(c.names for c in self.components))
 
     def __call__(self, points: np.ndarray) -> np.ndarray:
-        cols = [comp(points) for comp in self.components]
-        return np.stack(cols, axis=1)
+        env = _env(points, self.dim, self.polar, self.names)
+        n = len(env["x"])
+        return np.stack([c._values(env, n) for c in self.components], axis=1)
 
 
 def parse_vector(texts, dim: int,

@@ -44,7 +44,10 @@ class BvpProblem:
     """Dirichlet problem data on a meshed domain.
 
     f and g may be callables of an (N, d) coordinate array, nodal
-    arrays, or None (zero). sign records how f is to be read:
+    arrays, or None (zero). An expression whose constant is 0 (such as
+    a problem file's "0") is stored as None, so zero data costs no load
+    assembly, data-norm quadrature or lift. sign records how f is to
+    be read:
     "minus_laplace" (the default) means f prescribes -Delta u = f,
     "laplace" means f prescribes Delta u = f (the load is then -f).
     """
@@ -63,6 +66,10 @@ class BvpProblem:
         if not self.solver_tol > 0.0:
             raise ValueError("solver tolerance must be positive")
         self.a = float(self.a)
+        if getattr(self.f, "constant", None) == 0.0:
+            self.f = None
+        if getattr(self.g, "constant", None) == 0.0:
+            self.g = None
 
 
 @dataclass
@@ -94,9 +101,14 @@ def conjugate_parts(domain: Polyhedron, mesh: SimplicialMesh):
     mass sobolev.k11_mass, the matrix of poincare.variational_kappa.
     """
     k_mat = femcore.assemble_stiffness(mesh)
+    return k_mat, _skew_part(domain, mesh), sobolev.k11_mass(domain, mesh)
+
+
+def _skew_part(domain: Polyhedron, mesh: SimplicialMesh):
+    """skew = G^T - G of the conjugated family (see conjugate_parts)."""
     g_mat = femcore.assemble_gradvec(
         mesh, weights.eta_field(domain).grad_over_value, degree=5)
-    return k_mat, (g_mat.T - g_mat).tocsr(), sobolev.k11_mass(domain, mesh)
+    return (g_mat.T - g_mat).tocsr()
 
 
 def _check_conjugation(a: float) -> None:
@@ -149,7 +161,11 @@ def solve_dirichlet(problem: BvpProblem) -> SolveReport:
     and the K(1, 1) form K + k11_mass once when there is boundary data:
     it gives the lift, the minimal extension of g, and the g surrogate,
     the energy of that lift in the same form, which is exactly the
-    value sobolev.trace_norm_surrogate reports.
+    value sobolev.trace_norm_surrogate reports. Absent (zero) f or g
+    costs no quadrature: its norm is 0. At a = 0 both norms of u have
+    index 1, so u_K0_1 is the order-0 term of the K(2, 1) norm, the
+    value a second k_norm call would return; at a != 0 it is that
+    second call.
     """
     domain, mesh = problem.domain, problem.mesh
     _check_conjugation(problem.a)
@@ -191,7 +207,10 @@ def solve_dirichlet(problem: BvpProblem) -> SolveReport:
 
     eta = weights.eta_field(domain)
     u_high = sobolev.k_norm(u, eta, NormSpec(mu=2, a=problem.a + 1.0))
-    u_base = sobolev.k_norm(u, eta, NormSpec(mu=0, a=1.0))
+    if problem.a == 0.0:
+        u_base = math.sqrt(max(u_high.terms["u"], 0.0))
+    else:
+        u_base = sobolev.k_norm(u, eta, NormSpec(mu=0, a=1.0)).value
     if problem.f is None:
         f_norm = 0.0
     else:
@@ -200,14 +219,14 @@ def solve_dirichlet(problem: BvpProblem) -> SolveReport:
         f_norm = sobolev.k_data_norm(domain, mesh, f_arg,
                                      a=problem.a - 1.0).value
 
-    denom = f_norm + g_surr + u_base.value
+    denom = f_norm + g_surr + u_base
     if denom == 0.0:
         ratio = None
         note = "undefined (zero data and zero solution)"
     else:
         ratio = u_high.value / denom
         note = _sign_note(problem)
-    norms = {"u_K2_a1": u_high.value, "u_K0_1": u_base.value,
+    norms = {"u_K2_a1": u_high.value, "u_K0_1": u_base,
              "f_K0_am1": f_norm, "g_surrogate": g_surr,
              "u_terms": dict(u_high.terms)}
     return SolveReport(solution=u, a=problem.a, residual=info["residual"],
@@ -407,14 +426,15 @@ def conjugation_lipschitz(domain: Polyhedron, mesh: SimplicialMesh,
     Reports max over consecutive grid pairs of
     norm(B_a1 - B_a2, inf) / |a1 - a2|, in closed form: B_a2 - B_a1 =
     (a2 - a1) * (skew - (a1 + a2) * M), so each rate is the max row sum
-    of |skew - (a1 + a2) * M|.
+    of |skew - (a1 + a2) * M|; the stiffness matrix is not assembled.
     """
     a_grid = sorted(float(a) for a in a_grid)
     if len(a_grid) < 2:
         raise ValueError("need at least two grid points")
     for a in a_grid:
         _check_conjugation(a)
-    _, skew, m_mat = conjugate_parts(domain, mesh)
+    skew = _skew_part(domain, mesh)
+    m_mat = sobolev.k11_mass(domain, mesh)
     pairs = []
     worst = 0.0
     for lo, hi in zip(a_grid, a_grid[1:]):

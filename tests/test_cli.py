@@ -212,6 +212,37 @@ def test_solve_conjugated_levels_use_direct_lu(tmp_path):
     assert "fitted" not in res.stdout
 
 
+@pytest.mark.parametrize("with_grad", [True, False])
+def test_solution_errors_evaluate_one_frame_per_block(monkeypatch, with_grad):
+    """The exact solution and its gradient cost one polar frame per
+    element block, and the errors equal, bit for bit, those of the same
+    functions passed as plain callables."""
+    from klab import cli, expressions, femcore, kernels
+
+    setup = cli.load_problem(problem_path("lshape_singular.json"))
+    m = meshmod.build_mesh(setup["domain"], 0.25)
+    u = femcore.interpolate(m, setup["exact"])
+    exact = setup["exact"]
+    grad = setup["exact_grad"] if with_grad else None
+    monkeypatch.setattr(kernels, "BLOCK", 64)
+    want = cli._solution_errors(
+        m, u, lambda p: exact(p),
+        None if grad is None else lambda p: grad(p))
+    calls = []
+    evaluate = expressions.PolarFrame.evaluate
+
+    def counted(self, points):
+        calls.append(len(points))
+        return evaluate(self, points)
+
+    monkeypatch.setattr(expressions.PolarFrame, "evaluate", counted)
+    got = cli._solution_errors(m, u, exact, grad)
+    assert len(calls) == len(femcore.element_blocks(m.num_elements))
+    assert {k: None if v is None else v.hex() for k, v in got.items()} == \
+        {k: None if v is None else v.hex() for k, v in want.items()}
+    assert (got["h1_error"] is None) is (grad is None)
+
+
 def test_failed_factorization_exits_3(tmp_path, monkeypatch, capsys):
     import scipy.sparse.linalg
 

@@ -1,9 +1,12 @@
 """Whitelisted expression parsing for problem files."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from klab import expressions, geometry
 from klab.errors import ExpressionError
@@ -71,6 +74,9 @@ def test_rejects_unknown_names():
         expressions.parse_expression("z", dim=2)
     with pytest.raises(ExpressionError):
         expressions.parse_expression("sinh(x)", dim=2)
+    # a function name is only allowed as the callee of a call
+    with pytest.raises(ExpressionError):
+        expressions.parse_expression("sin + 1", dim=2)
 
 
 def test_rejects_calls_and_attributes():
@@ -85,6 +91,8 @@ def test_rejects_malformed():
         expressions.parse_expression("2*(x", dim=2)
     with pytest.raises(ExpressionError):
         expressions.parse_expression("", dim=2)
+    with pytest.raises(ExpressionError):
+        expressions.parse_expression("1" + "0" * 400, dim=2)
 
 
 def test_vector_expression():
@@ -142,3 +150,70 @@ def test_polar_frame_evaluated_only_when_named(monkeypatch, lshape, text,
         want = (r ** (2.0 / 3.0) * np.sin(2.0 * theta / 3.0)
                 if "r" in text else theta)
     assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("text, want", [
+    ("0", 0.0), ("-0", 0.0), ("1-1", 0.0), ("0*pi", 0.0),
+    ("2*pi^2", 2.0 * math.pi ** 2), ("0*x", None), ("r", None),
+    ("theta - theta", None)])
+def test_constant_of_coordinate_free_trees(lshape, text, want):
+    """constant is the value of a tree that names no coordinate; "0*x"
+    and the polar names stay non-constant whatever they evaluate to."""
+    e = expressions.parse_expression(text, 2, expressions.polar_frame(lshape, 0))
+    assert e.constant == want
+    if want is not None:
+        assert type(e.constant) is float
+        assert np.array_equal(e(np.zeros((3, 2))), np.full(3, want))
+
+
+def test_parsing_constants_never_warns():
+    """A constant tree is evaluated at parse time with every floating
+    point warning silenced; the value is the one evaluation gives."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = {t: expressions.parse_expression(t, 2).constant
+               for t in ("1/0", "log(0)", "sqrt(-1)")}
+    assert got["1/0"] == math.inf and got["log(0)"] == -math.inf
+    assert math.isnan(got["sqrt(-1)"])
+
+
+_COMPONENTS = ["x*y + 1", "sin(pi*x) - y", "3.5", "0", "exp(-x^2 - y^2)"]
+_POLAR_COMPONENTS = ["r^(2/3)*sin(2*theta/3)", "theta",
+                     "-(2/3)*r^(-1/3)*sin(theta/3)", "r*x"]
+
+
+@settings(deadline=None, max_examples=40)
+@given(st.booleans(),
+       st.data(),
+       st.integers(1, 40),
+       st.integers(0, 2 ** 32 - 1))
+def test_vector_expression_evaluates_one_environment(lshape, with_frame, data,
+                                                     n, seed):
+    """Each column is its component's own call, bit for bit, and the
+    polar frame is evaluated once when any component names r or theta
+    (never otherwise); a point array that is not (N, 2) is rejected."""
+    texts = data.draw(st.lists(st.sampled_from(
+        _COMPONENTS + (_POLAR_COMPONENTS if with_frame else [])),
+        min_size=1, max_size=4))
+    frame = expressions.polar_frame(lshape, 0) if with_frame else None
+    comps = [expressions.parse_expression(t, 2, frame) for t in texts]
+    vec = expressions.VectorExpression(comps)
+    pts = np.random.default_rng(seed).uniform(-1.0, 1.0, size=(n, 2))
+    calls = []
+    evaluate = expressions.PolarFrame.evaluate
+
+    def counted(self, points):
+        calls.append(len(points))
+        return evaluate(self, points)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(expressions.PolarFrame, "evaluate", counted)
+        got = vec(pts)
+    polar = with_frame and any(t in _POLAR_COMPONENTS for t in texts)
+    assert calls == ([n] if polar else [])
+    assert got.shape == (n, len(comps))
+    for j, comp in enumerate(comps):
+        assert got[:, j].tobytes() == comp(pts).tobytes()
+    for bad in (pts[:, :1], pts.ravel(), np.zeros((n, 3))):
+        with pytest.raises(ExpressionError):
+            vec(bad)

@@ -11,10 +11,13 @@ import scipy.sparse.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from klab import femcore, mesh as meshmod, poincare, sobolev, weights, wellposed
+from klab import cli, expressions, femcore, mesh as meshmod, poincare, \
+    sobolev, weights, wellposed
 from klab.errors import ConvergenceError, InadmissibleIndexError
 from klab.sobolev import NormSpec
 from klab.wellposed import BvpProblem
+
+from conftest import problem_path
 
 
 def test_problem_validation(square, square_mesh):
@@ -247,6 +250,19 @@ def test_conjugation_lipschitz_regression(lshape, lshape_mesh):
         wellposed.conjugation_lipschitz(lshape, lshape_mesh, (0.5,))
 
 
+def test_conjugation_lipschitz_assembles_no_stiffness(lshape, lshape_mesh,
+                                                      monkeypatch):
+    """The closed form reads skew and M only; its rates are criterion
+    09's, bit for bit."""
+    stiffness = _count_calls(monkeypatch, femcore, "assemble_stiffness")
+    rep = wellposed.conjugation_lipschitz(lshape, lshape_mesh,
+                                          (0.0, 0.5, 1.0))
+    assert stiffness == []
+    assert [p["rate"] for p in rep["pairs"]] == [8.482470649171272,
+                                                 16.33915227900553]
+    assert rep["lipschitz"] == 16.33915227900553
+
+
 def _count_calls(monkeypatch, module, name):
     calls = []
     inner = getattr(module, name)
@@ -271,8 +287,11 @@ def test_solve_dirichlet_builds_lift_once(lshape, lshape_mesh, monkeypatch, a):
         extensions = _count_calls(mp, sobolev, "minimal_extension")
         stiffness = _count_calls(mp, femcore, "assemble_stiffness")
         masses = _count_calls(mp, sobolev, "k11_mass")
+        norms = _count_calls(mp, sobolev, "k_norm")
         rep = wellposed.solve_dirichlet(problem)
     assert (len(extensions), len(stiffness), len(masses)) == (1, 1, 1)
+    # at a = 0 the K(0, 1) norm is the order-0 term of the K(2, 1) norm
+    assert len(norms) == (1 if a == 0.0 else 2)
     surrogate = sobolev.trace_norm_surrogate(lshape, lshape_mesh, g).value
     assert rep.norms["g_surrogate"] == surrogate
     boundary = lshape_mesh.boundary_node_mask()
@@ -525,3 +544,49 @@ def test_lax_milgram_bound_of_conjugated_system(data, fraction, negative):
     x = np.linalg.solve(k + a * skew - a * a * m, f)
     x0 = np.linalg.solve(k, f)
     assert k_norm(x) <= k_norm(x0) / indicator * (1.0 + 1e-9)
+
+
+@pytest.mark.parametrize("a", [0.0, 0.3])
+@pytest.mark.parametrize("name, key, skipped", [
+    ("lshape_singular.json", "f", ((femcore, "assemble_load"),
+                                   (sobolev, "k_data_norm"))),
+    ("manufactured_square.json", "g", ((sobolev, "minimal_extension"),
+                                       (sobolev, "k11_form")))])
+def test_zero_data_costs_no_quadrature(monkeypatch, name, key, skipped, a):
+    """Data given as the expression "0" is read as absent: its load, data
+    norm or lift is never computed, and the report equals, bit for bit,
+    that of the problem built with None. lshape_singular's file gives f
+    as "0"; manufactured_square has no g, so "0" is added here."""
+    setup = cli.load_problem(problem_path(name))
+    if setup[key] is None:
+        setup[key] = expressions.parse_expression("0", 2)
+    assert setup[key].constant == 0.0
+    mesh = meshmod.build_mesh(setup["domain"], 0.25)
+    data = {"f": setup["f"], "g": setup["g"]}
+    problem = BvpProblem(setup["domain"], mesh, a=a, **data)
+    assert getattr(problem, key) is None
+    with monkeypatch.context() as mp:
+        calls = [_count_calls(mp, module, fn) for module, fn in skipped]
+        rep = wellposed.solve_dirichlet(problem)
+    assert calls == [[], []]
+    data[key] = None
+    want = wellposed.solve_dirichlet(BvpProblem(setup["domain"], mesh, a=a,
+                                                **data))
+    assert repr(rep.as_dict()) == repr(want.as_dict())
+
+
+@settings(deadline=None, max_examples=12)
+@given(st.sampled_from(["lshape", "square", "box"]),
+       st.sampled_from([0.0, 1e-3, 1.0, 1e3]),
+       st.integers(0, 2 ** 32 - 1))
+def test_u_k0_1_at_zero_index_is_the_order0_term(request, name, scale, seed):
+    """At a = 0 the reported u_K0_1 equals a k_norm call of NormSpec(0,
+    1) on the solution, bit for bit, for random nodal f and g."""
+    domain = request.getfixturevalue(name)
+    mesh = request.getfixturevalue(f"{name}_mesh")
+    rng = np.random.default_rng(seed)
+    f, g = scale * rng.standard_normal((2, mesh.num_nodes))
+    rep = wellposed.solve_dirichlet(BvpProblem(domain, mesh, f=f, g=g))
+    want = sobolev.k_norm(rep.solution, weights.eta_field(domain),
+                          NormSpec(0, 1.0)).value
+    assert rep.norms["u_K0_1"].hex() == want.hex()
