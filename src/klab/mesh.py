@@ -79,7 +79,10 @@ class GradingSpec:
         out = np.array(nodes, dtype=float)
         for c in self.centers:
             rel = out - np.asarray(c)
-            d = np.linalg.norm(rel, axis=1)
+            sq = rel[:, 0] * rel[:, 0]
+            for k in range(1, rel.shape[1]):
+                sq += rel[:, k] * rel[:, k]
+            d = np.sqrt(sq)
             sel = (d < self.radius) & (d > 0.0)
             scale = (d[sel] / self.radius) ** (exponent - 1.0)
             out[sel] = np.asarray(c) + rel[sel] * scale[:, None]
@@ -639,23 +642,32 @@ def minimum_angle(mesh: SimplicialMesh) -> float:
     """Shape-regularity measure, radians.
 
     Smallest interior angle over all triangles in 2D; smallest dihedral
-    angle over all tetrahedra in 3D. The built-in generators keep this
-    above config.MIN_ANGLE_FLOOR for the whole refined family because
-    refinement is nested and the grading map has bounded anisotropy
-    (the radial stretch is at most 1 / kappa inside a collar).
+    angle over all tetrahedra in 3D; pi when there are none. In 2D the
+    built-in generators keep this above config.MIN_ANGLE_FLOOR for the
+    whole refined family: red refinement of a triangle makes four
+    copies similar to it, and the grading map has bounded anisotropy
+    (the radial stretch is at most 1 / kappa inside a collar). 3D
+    refinement is nested too but does not keep every child similar to
+    its parent, so the angle can fall level by level; the floor holds
+    there only because the node cap stops refinement first.
+
+    In 2D edge i runs from corner i to corner i + 1, one (E,) array per
+    coordinate, and the angle at corner i lies between edge i and
+    reversed edge i - 1; each edge length is taken once, and the one
+    arccos is of the largest cosine, since arccos is decreasing.
     """
     if mesh.dimension == 3:
         return kernels.min_dihedral_angle(mesh.nodes, mesh.elements)
-    el = mesh.nodes[mesh.elements]
-    worst = np.pi
+    nodes, el = mesh.nodes, mesh.elements
+    ex, ey = ([nodes[el[:, (i + 1) % 3], c] - nodes[el[:, i], c]
+               for i in range(3)] for c in range(2))
+    length = [np.sqrt(ex[i] * ex[i] + ey[i] * ey[i]) for i in range(3)]
+    cos = -1.0
     for i in range(3):
-        u = el[:, (i + 1) % 3] - el[:, i]
-        v = el[:, (i + 2) % 3] - el[:, i]
-        dot = np.einsum("ed,ed->e", u, v)
-        nrm = np.linalg.norm(u, axis=1) * np.linalg.norm(v, axis=1)
-        ang = np.arccos(np.clip(dot / nrm, -1.0, 1.0))
-        worst = min(worst, float(ang.min()))
-    return worst
+        cos_i = (-(ex[i] * ex[i - 1] + ey[i] * ey[i - 1])
+                 / (length[i] * length[i - 1]))
+        cos = max(cos, float(np.clip(cos_i, -1.0, 1.0).max(initial=-1.0)))
+    return float(np.arccos(cos))
 
 
 # ---------------------------------------------------------------------

@@ -84,9 +84,18 @@ def _derivative_labels(dim: int, order: int) -> list:
 
 
 def _element_classes(mesh: SimplicialMesh, domain: Polyhedron):
-    """Split elements into singular-adjacent and regular index arrays."""
-    near = weights.eta_field(domain).on_singular_set(mesh.nodes)
-    touches = near[mesh.elements].any(axis=1)
+    """Split elements into singular-adjacent and regular index arrays.
+
+    The mask of the nodes on the singular set is measured once per mesh
+    and domain and kept on the mesh, so k11_mass and k_norm on one level
+    share it; it is N bytes, where the index arrays built from it on
+    each call would be 8 E.
+    """
+    held = getattr(mesh, "_singular_nodes", None)
+    if held is None or held[0] is not domain:
+        held = (domain, weights.eta_field(domain).on_singular_set(mesh.nodes))
+        mesh._singular_nodes = held
+    touches = held[1][mesh.elements].any(axis=1)
     return np.where(touches)[0], np.where(~touches)[0]
 
 

@@ -603,3 +603,149 @@ def test_eigensolve_reports_nonconvergence(lshape):
         femcore.generalized_eig_extreme(m_w, k_ff, which="max", maxiter=1,
                                         hierarchy=hierarchy)
     assert err.value.residual > 1e-8
+
+
+# -- the V-cycle's smoother and coarse operators ----------------------
+
+# v_cycle's Jacobi damping, pinned by the reference cycle below.
+OMEGA = 2 / 3
+
+
+def test_vcycle_is_the_damped_jacobi_two_level_cycle(square):
+    """One level of the cycle, written out densely: two sweeps damped by
+    OMEGA from zero, the exact P^T A P coarse correction, two sweeps."""
+    mesh = meshmod.refine(meshmod.build_mesh(square, 0.25), 1)
+    k_ff, _, hierarchy = _free_system(mesh)
+    (p,) = hierarchy
+    a, pd = k_ff.toarray(), p.toarray()
+    d = OMEGA / np.diag(a)
+    r = np.random.default_rng(5).standard_normal(len(a))
+    x = d * r
+    x = x + d * (r - a @ x)
+    x = x + pd @ np.linalg.solve(pd.T @ a @ pd, pd.T @ (r - a @ x))
+    for _ in range(2):
+        x = x + d * (r - a @ x)
+    got = femcore.v_cycle(k_ff, hierarchy)(r)
+    assert np.abs(got - x).max() <= 1e-12 * np.abs(x).max()
+
+
+@functools.lru_cache(maxsize=None)
+def _hierarchy_case(case):
+    """(domain, mesh) of the meshes the smoother bound is checked on."""
+    if case.startswith("lshape"):
+        domain = geometry.build_polygon(geometry.L_SHAPE_VERTICES)
+        h, kappa, levels = {"lshape_k025": (0.0625, 0.25, 3),
+                            "lshape_k05": (0.125, 0.5, 4)}[case]
+        grading = meshmod.default_grading(domain, kappa)
+        base = meshmod.build_mesh(domain, h, grading=grading)
+        return domain, meshmod.refine(base, levels, grading=grading)
+    if case == "square":
+        domain = geometry.build_polygon([(0, 0), (1, 0), (1, 1), (0, 1)])
+        return domain, meshmod.refine(meshmod.build_mesh(domain, 0.25), 3)
+    domain = geometry.build_polyhedron_3d(case)
+    return domain, meshmod.refine(meshmod.build_mesh(domain, 0.5), 2)
+
+
+def _smoothed_levels(a_mat, hierarchy):
+    """The matrices v_cycle smooths, finest first: a_mat and its
+    Galerkin products P^T A P, down to but not including the factored
+    coarsest one."""
+    levels = [a_mat]
+    for p in reversed(hierarchy[1:]):
+        levels.append((p.T @ levels[-1] @ p).tocsr())
+    return levels
+
+
+@pytest.mark.parametrize("case", ["lshape_k025", "lshape_k05", "square",
+                                  "box", "l_prism", "fichera"])
+def test_jacobi_damping_contracts_on_every_level(case):
+    """omega times the Gershgorin bound max_i sum_j |a_ij| / a_ii of
+    D^-1 A stays below 2 on every smoothed level, for K_ff and for the
+    K(1, 1) form, so every sweep contracts every mode; on the L-shape
+    graded with kappa 0.25 the old 2D damping 0.8 did not."""
+    from klab import sobolev
+    domain, mesh = _hierarchy_case(case)
+    hierarchy = mesh.free_hierarchy
+    assert len(hierarchy) >= 2
+    bounds = []
+    for matrix in (femcore.assemble_stiffness(mesh),
+                   sobolev.k11_form(domain, mesh)):
+        for a_l in _smoothed_levels(_free_block(matrix, mesh), hierarchy):
+            bounds.append(float((abs(a_l) @ np.ones(a_l.shape[0])
+                                 / a_l.diagonal()).max()))
+    assert OMEGA * max(bounds) < 2.0
+    if case == "lshape_k025":
+        assert 0.8 * max(bounds) > 2.0
+
+
+def test_vcycle_coarse_operators_are_galerkin_products(monkeypatch):
+    """The coarsest matrix the cycle factors is P^T A P over every
+    level, to 1e-13 relative, and symmetric to the same tolerance."""
+    _, mesh = _hierarchy_case("lshape_k05")
+    k_ff = _free_block(femcore.assemble_stiffness(mesh), mesh)
+    factored = []
+    real = femcore._factor
+
+    def capture(matrix):
+        factored.append(matrix)
+        return real(matrix)
+
+    monkeypatch.setattr(femcore, "_factor", capture)
+    femcore.v_cycle(k_ff, mesh.free_hierarchy)
+    want = k_ff
+    for p in reversed(mesh.free_hierarchy):
+        want = p.T @ want @ p
+    (got,) = factored
+    scale = abs(want).max()
+    assert abs(got - want).max() <= 1e-13 * scale
+    assert abs(got - got.T).max() <= 1e-13 * scale
+
+
+def test_vcycle_cg_holds_on_the_graded_ladder():
+    """CG with the V-cycle on the L-shape graded with kappa 0.25, unit
+    load: 79 iterations at 3 levels with the old damping 0.8."""
+    _, mesh = _hierarchy_case("lshape_k025")
+    k_ff = _free_block(femcore.assemble_stiffness(mesh), mesh)
+    _, info = femcore.cg_solve(k_ff, np.ones(k_ff.shape[0]),
+                               hierarchy=mesh.free_hierarchy)
+    assert mesh.num_nodes == 49665
+    assert info["iterations"] <= 35
+
+
+def _element_hessians_reference(field):
+    """The einsum form on the gathered (E, k, d) recovered gradients."""
+    mesh = field.mesh
+    vols, grads = kernels.simplex_geometry(mesh.nodes, mesh.elements)
+    gnodes = femcore.recover_gradient(field, (vols, grads))
+    h = np.einsum("eic,eid->ecd", gnodes[mesh.elements], grads)
+    return 0.5 * (h + np.transpose(h, (0, 2, 1)))
+
+
+@settings(deadline=None, max_examples=30)
+@given(st.sampled_from(["square", "lshape", "box", "l_prism"]), st.booleans(),
+       st.floats(min_value=0.0, max_value=0.3),
+       st.integers(min_value=0, max_value=2 ** 32 - 1))
+def test_element_hessians_match_einsum(name, graded, jitter, seed):
+    """Bit for bit, signs of zeros included, on jittered meshes with
+    random nodal values, some of them zeros of either sign."""
+    if name in ("square", "lshape"):
+        dom = geometry.build_polygon(
+            [(0, 0), (1, 0), (1, 1), (0, 1)] if name == "square"
+            else geometry.L_SHAPE_VERTICES)
+    else:
+        dom = geometry.build_polyhedron_3d(name)
+    grading = meshmod.default_grading(dom, 0.5) if graded else None
+    m = meshmod.build_mesh(dom, 0.25 if dom.dimension == 2 else 0.5,
+                           grading=grading)
+    rng = np.random.default_rng(seed)
+    nodes = m.nodes + jitter * 0.1 * rng.uniform(-1.0, 1.0, m.nodes.shape)
+    m = meshmod.SimplicialMesh(m.dimension, nodes, m.elements,
+                               m.boundary_facets)
+    values = rng.standard_normal(m.num_nodes)
+    values[rng.random(m.num_nodes) < 0.3] = 0.0
+    values[rng.random(m.num_nodes) < 0.3] *= -1.0
+    field = femcore.FemField(m, values)
+    got = femcore.element_hessians(field)
+    want = _element_hessians_reference(field)
+    assert got.shape == want.shape
+    assert np.array_equal(_bits(got), _bits(want))

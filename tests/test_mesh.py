@@ -157,13 +157,16 @@ def _refine_once_reference(dim, nodes, elements, facets):
 
 
 @functools.lru_cache(maxsize=None)
-def _small_mesh(name, graded):
+def _small_domain(name):
     if name == "lshape":
-        dom = geometry.build_polygon(geometry.L_SHAPE_VERTICES)
-    elif name == "square":
-        dom = geometry.build_polygon([(0, 0), (1, 0), (1, 1), (0, 1)])
-    else:
-        dom = geometry.build_polyhedron_3d(name)
+        return geometry.build_polygon(geometry.L_SHAPE_VERTICES)
+    if name == "square":
+        return geometry.build_polygon([(0, 0), (1, 0), (1, 1), (0, 1)])
+    return geometry.build_polyhedron_3d(name)
+
+
+def _small_mesh(name, graded):
+    dom = _small_domain(name)
     h = 0.25 if dom.dimension == 2 else 0.5
     grading = default_grading(dom, 0.5) if graded else None
     return meshmod.build_mesh(dom, h, grading=grading)
@@ -403,6 +406,78 @@ def test_minimum_dihedral_angle_matches_cross_form(name, graded, jitter, seed,
         mp.setattr(kernels, "BLOCK", block)
         got = meshmod.minimum_angle(jittered)
     assert got == _minimum_dihedral_reference(jittered)
+
+
+def _minimum_angle_reference_2d(mesh):
+    """The gathered (E, 3, 2) form: per corner an einsum dot, two
+    np.linalg.norm lengths and an arccos, the minimum over corners."""
+    el = mesh.nodes[mesh.elements]
+    worst = np.pi
+    for i in range(3):
+        u = el[:, (i + 1) % 3] - el[:, i]
+        v = el[:, (i + 2) % 3] - el[:, i]
+        dot = np.einsum("ed,ed->e", u, v)
+        nrm = np.linalg.norm(u, axis=1) * np.linalg.norm(v, axis=1)
+        ang = np.arccos(np.clip(dot / nrm, -1.0, 1.0))
+        worst = min(worst, float(ang.min()))
+    return worst
+
+
+@settings(deadline=None, max_examples=30)
+@given(st.sampled_from(["square", "lshape"]), st.booleans(),
+       st.integers(min_value=0, max_value=2),
+       st.floats(min_value=0.0, max_value=0.3),
+       st.integers(min_value=0, max_value=2 ** 32 - 1))
+def test_minimum_angle_2d_matches_gathered_form(name, graded, levels, jitter,
+                                                seed):
+    """Bit for bit on graded and refined meshes, jittered or not."""
+    m = _small_mesh(name, graded)
+    if levels:
+        m = meshmod.refine(m, levels)
+    rng = np.random.default_rng(seed)
+    nodes = m.nodes + jitter * 0.1 * rng.uniform(-1.0, 1.0, m.nodes.shape)
+    jittered = meshmod.SimplicialMesh(2, nodes, m.elements, m.boundary_facets)
+    assert meshmod.minimum_angle(jittered) == _minimum_angle_reference_2d(jittered)
+
+
+def test_minimum_angle_on_the_solve_ladder_matches_gathered_form(lshape):
+    g = default_grading(lshape, 0.5)
+    m = meshmod.build_mesh(lshape, 0.125, grading=g)
+    for _ in range(4):
+        m = meshmod.refine(m)
+        assert m.provenance["min_angle"] == _minimum_angle_reference_2d(m)
+
+
+def _grading_map_reference(spec, nodes, exponent):
+    """GradingSpec's map with np.linalg.norm distances on (N, d) arrays."""
+    out = np.array(nodes, dtype=float)
+    for c in spec.centers:
+        rel = out - np.asarray(c)
+        d = np.linalg.norm(rel, axis=1)
+        sel = (d < spec.radius) & (d > 0.0)
+        scale = (d[sel] / spec.radius) ** (exponent - 1.0)
+        out[sel] = np.asarray(c) + rel[sel] * scale[:, None]
+    return out
+
+
+@settings(deadline=None, max_examples=30)
+@given(st.sampled_from(["square", "lshape", "box", "l_prism", "fichera"]),
+       st.floats(min_value=0.1, max_value=1.0),
+       st.integers(min_value=0, max_value=2 ** 32 - 1))
+def test_grading_map_matches_norm_form(name, kappa, seed):
+    """apply and unapply bit for bit, on mesh nodes and on random points
+    that fall inside the collars."""
+    m = _small_mesh(name, False)
+    spec = default_grading(_small_domain(name), kappa)
+    rng = np.random.default_rng(seed)
+    centers = np.asarray(spec.centers)
+    near = (centers[rng.integers(len(centers), size=200)]
+            + spec.radius * rng.uniform(-1.0, 1.0, (200, m.dimension)))
+    for pts in (m.nodes, near):
+        assert np.array_equal(
+            spec.apply(pts), _grading_map_reference(spec, pts, 1.0 / kappa))
+        assert np.array_equal(
+            spec.unapply(pts), _grading_map_reference(spec, pts, kappa))
 
 
 def _element_diameters_reference(mesh):

@@ -267,3 +267,30 @@ def test_whole_mesh_quadratures_do_not_depend_on_the_block(name, mu, a, block):
         mp.setattr(kernels, "BLOCK", block)
         got = _whole_mesh_quadratures(domain, mesh, mu, a)
     assert got == want
+
+
+def test_element_classes_are_measured_once_per_mesh(lshape, monkeypatch):
+    """k11_mass and k_norm on one mesh share one singular-node
+    measurement; another domain object, or another mesh, measures
+    again, and the classes are those a fresh measurement gives."""
+    calls = []
+    real = weights.EtaField.on_singular_set
+
+    def counting(self, points):
+        calls.append(len(points))
+        return real(self, points)
+
+    monkeypatch.setattr(weights.EtaField, "on_singular_set", counting)
+    mesh = meshmod.build_mesh(lshape, 0.25)
+    u = femcore.interpolate(mesh, lambda p: p[:, 0] * p[:, 1])
+    sobolev.k11_mass(lshape, mesh)
+    sobolev.k_norm(u, weights.eta_field(lshape), NormSpec(mu=2, a=1.0))
+    assert calls == [mesh.num_nodes]
+    other = geometry.build_polygon(geometry.L_SHAPE_VERTICES)
+    got = sobolev._element_classes(mesh, other)
+    assert len(calls) == 2
+    fresh = meshmod.SimplicialMesh(2, mesh.nodes, mesh.elements,
+                                   mesh.boundary_facets)
+    for a, b in zip(got, sobolev._element_classes(fresh, lshape)):
+        assert np.array_equal(a, b)
+    assert len(calls) == 3
