@@ -14,8 +14,9 @@ regularity-study   shift-theorem stability ratio across refinement levels
 window-probe       conjugated-operator stability sweep over the index a
 
 Every run writes canonical JSON (and, for convergence studies, CSV)
-into the --out directory; identical configuration and seed reproduce
-identical bytes.
+into the --out directory; identical configuration reproduces identical
+bytes. Every command is deterministic: --seed is accepted everywhere
+and unused.
 
 Exit codes: 0 success, 2 invalid input (bad files, bad schema, bad
 parameters), 3 numerical failure (non-convergence, indefiniteness).
@@ -34,7 +35,8 @@ import numpy as np
 from . import (expressions, femcore, geometry, kernels, mesh as meshmod,
                poincare, report, sobolev, weights, wellposed)
 from .config import SCHEMA_VERSION
-from .errors import NumericalError, SpecError, ValidationError
+from .errors import (ExpressionError, NumericalError, SpecError,
+                     ValidationError)
 from .femcore import FemField
 from .geometry import Polyhedron
 from .sobolev import NormSpec
@@ -124,6 +126,15 @@ def _field(spec: dict, key: str, kind, path: str, required: bool = False,
     return value
 
 
+def _finite_data(expr, where: str):
+    """expr, refused when it is a constant that is not finite (such as
+    1/0): data of that kind would only stall the solver."""
+    if expr is not None and expr.constant is not None \
+            and not math.isfinite(expr.constant):
+        raise ExpressionError(f"{where}: {expr.source!r} is not finite")
+    return expr
+
+
 def load_problem(path) -> dict:
     """Read and validate a problem file; compile its expressions.
 
@@ -189,8 +200,8 @@ def load_problem(path) -> dict:
         "kappa": kappa,
         "a": a,
         "sign": sign,
-        "f": expr("f"),
-        "g": expr("g"),
+        "f": _finite_data(expr("f"), "problem.f"),
+        "g": _finite_data(expr("g"), "problem.g"),
         "exact": expr("exact"),
         "exact_grad": exact_grad,
         "source": {k: spec.get(k) for k in
@@ -398,11 +409,8 @@ def _cmd_norm(args: argparse.Namespace) -> int:
 def _cmd_poincare(args: argparse.Namespace) -> int:
     domain = geometry.load_domain(args.domain)
     m = _mesh_for(args, domain)
-    decomp = poincare.build_decomposition(domain, samples=args.samples,
-                                          seed=args.seed,
-                                          cap_levels=args.cap_levels)
-    cert = poincare.constructive_kappa(domain, m, decomposition=decomp,
-                                       samples=args.samples, seed=args.seed)
+    decomp = poincare.build_decomposition(domain, cap_levels=args.cap_levels)
+    cert = poincare.constructive_kappa(domain, m, decomposition=decomp)
     payload = cert.as_dict()
     payload["mesh"] = _mesh_summary(m)
     path = report.write_json(_out_path(args, "poincare.json"), payload)
@@ -477,10 +485,11 @@ def _cmd_regularity_study(args: argparse.Namespace) -> int:
 
 def _cmd_window_probe(args: argparse.Namespace) -> int:
     domain = geometry.load_domain(args.domain)
-    m = _mesh_for(args, domain)
     f = None
     if args.f_expr is not None:
-        f = expressions.parse_expression(args.f_expr, domain.dimension)
+        f = _finite_data(expressions.parse_expression(
+            args.f_expr, domain.dimension), "--f")
+    m = _mesh_for(args, domain)
     probe = wellposed.weight_window_probe(domain, m, args.a_grid,
                                           threshold=args.threshold, f=f)
     payload = probe.as_dict()
@@ -550,7 +559,8 @@ def _a_grid(text: str) -> list:
 def _add_out(p):
     p.add_argument("--out", default=".", help="output directory")
     p.add_argument("--seed", type=int, default=DEFAULT_SEED,
-                   help="seed for randomized property runs")
+                   help="accepted and unused: every command is "
+                        "deterministic")
 
 
 def _add_mesh_args(p, with_mesh_file: bool = True, min_levels: int = 0):
@@ -627,7 +637,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     q = sub.add_parser("poincare", help="weighted Poincare certificate")
     q.add_argument("--domain", required=True)
-    q.add_argument("--samples", type=_at_least(1), default=1000)
     q.add_argument("--cap-levels", dest="cap_levels", type=_at_least(1),
                    default=4)
     _add_mesh_args(q)

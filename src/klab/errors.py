@@ -47,7 +47,8 @@ class DegenerateLinkError(ValidationError):
 
 
 class DecompositionError(ValidationError):
-    """No admissible near-singular decomposition found within the search budget."""
+    """Inadmissible near-singular region: a wedge opening outside (0, 2 pi],
+    or a vertex ball without its cap constant."""
 
 
 class ExpressionError(ValidationError):

@@ -17,6 +17,44 @@ box"): by domain monotonicity an upper bound of the domain's own, where
 a mesh eigensolve would give a value below it. The cap constants of
 the vertex balls still come from a link eigensolve.
 
+The regions are placed by formula and proven by inequalities, with no
+sampling. `build_decomposition` takes eps = min(l_min / 4, eps_max),
+where l_min is the shortest edge (polygon side) and eps_max the
+largest eps that satisfies every condition below, and delta = eps / 2.
+With c the vertex clearance (`Polyhedron.vertex_clearance`, the
+distance from a vertex to the nearest face off it), s the vertex
+separation and sigma the singular separation
+(`min_vertex_separation`, `min_singular_separation`):
+
+2D, sectors of radius eps:
+    eps <= c       the sector at v lies in the domain and equals
+                   B(v, eps) there, so every point with eta < eps
+                   lies in a sector;
+    2 eps <= s     sectors are disjoint, and eta = r in each.
+
+3D, for klab's grid polyhedra, whose edges are parallel to coordinate
+axes, so edges at a vertex are perpendicular or opposite:
+    2 eps <= c     B(v, 2 eps) meets the domain in its link cone, so
+                   the balls and cones lie in the domain, and every
+                   point with eta < delta and its nearest singular
+                   point within eps of a vertex v lies in B(v, 2 eps),
+                   hence in a region at v;
+    4 eps <= s     regions at distinct vertices, each inside its
+                   B(v, 2 eps), are disjoint;
+    2 eps + delta <= sigma
+                   no edge off v comes within 2 eps + delta of v and
+                   no two disjoint edges within 2 delta: each cylinder
+                   lies in the domain and covers the points within
+                   delta of its edge's middle part, eta = r in every
+                   cylinder and cone, and the delta tubes about edges
+                   off v miss B(v, 2 eps).
+
+The regions at one vertex are disjoint by construction: a cone ends
+where its edge's cylinder starts, two cones apart by 90 degrees cannot
+overlap at slope < 1, and each ball excludes its cones and every
+cylinder. Statements hold up to the null set of region walls, which
+no integral sees.
+
 The module exposes both sides of the comparison: `constructive_kappa`
 assembles the certified constant from regional pieces with explicit
 provenance, while `variational_kappa` computes the sharp discrete
@@ -31,20 +69,13 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.linalg
 
-from . import femcore, geometry, kernels, sobolev, sphere, weights
+from . import femcore, geometry, kernels, sobolev, sphere
 from .errors import DecompositionError, DegenerateLinkError
 from .femcore import FemField
 from .geometry import Polyhedron
 from .mesh import SimplicialMesh
 
 DEFAULT_SEED = 20240917
-# (eps, delta) halvings build_decomposition tries before it gives up
-MAX_HALVINGS = 20
-ETA_MATCH_TOL = 1e-10
-_SAMPLE_INSET = 1e-3
-# Relative margin on a region's bounding ball, far above the rounding of
-# the coordinates its membership test computes.
-_BALL_PAD = 1e-6
 
 
 # ---------------------------------------------------------------------
@@ -203,34 +234,10 @@ class WedgeRegion:
         ok[rows[inside]] = (phi > 0.0) & (phi < self.theta)
         return ok
 
-    def bounding_ball(self) -> tuple[np.ndarray, float]:
-        """Centre and radius of a ball holding the region, centred on the
-        axis at the middle of the z range: the frame is orthonormal, and
-        r < r0 + slope z."""
-        if self.axis is None:
-            return self.origin, self.r0
-        mid = 0.5 * (self.z_lo + self.z_hi)
-        r_max = self.r0 + abs(self.slope) * max(abs(self.z_lo), abs(self.z_hi))
-        return (self.origin + mid * self.axis,
-                math.hypot(0.5 * (self.z_hi - self.z_lo), r_max))
-
     def radial_weight(self, points: np.ndarray) -> np.ndarray:
         rel = np.atleast_2d(points) - self.origin
         return np.hypot(femcore.row_product(rel, self.n1),
                         femcore.row_product(rel, self.n2))
-
-    def sample(self, n: int, rng: np.random.Generator) -> np.ndarray:
-        lo, span = _SAMPLE_INSET, 1.0 - 2.0 * _SAMPLE_INSET
-        base, r_max = self.origin, self.r0
-        if self.axis is not None:
-            z = self.z_lo + (self.z_hi - self.z_lo) * (lo + span
-                                                       * rng.random(n))
-            base = base + z[:, None] * self.axis
-            r_max = self.r0 + self.slope * z
-        r = r_max * np.sqrt(lo + span * rng.random(n))
-        phi = self.theta * (lo + span * rng.random(n))
-        return (base + r[:, None] * np.cos(phi)[:, None] * self.n1
-                + r[:, None] * np.sin(phi)[:, None] * self.n2)
 
     def as_dict(self) -> dict:
         if self.kind == "vertex_sector":
@@ -252,9 +259,23 @@ class VertexBallRegion:
 
     Membership is the exact lattice-octant test of the link, so the
     region is the part of the domain near the vertex not already
-    claimed by an edge region. The radial weight is the distance to
-    the vertex, and c1 = min eta / rho over the region converts the
-    link Hardy bound into a bound with the full singular distance.
+    claimed by an edge region. The radial weight is the distance rho to
+    the vertex, and c1, the infimum of eta / rho over the region,
+    converts the link Hardy bound into a bound with the full singular
+    distance. In closed form
+
+        c1 = min(delta / (2 eps), sin beta, (s_v - 2 eps) / (2 eps)),
+
+    with tan beta the cone slope and s_v the distance from v to the
+    nearest edge off v. Take a point of the region at axial distance z
+    from v along an edge k at v and at distance r from k; for z > 0 it
+    lies in k's wedge, since the link is a union of octants. If z <= 0,
+    its distance to k is rho. If 0 < z < eps, it lies outside v's cone
+    on k, so r >= slope z and r / rho >= sin beta. If z > eps, it lies
+    outside k's cylinder (z < 2 eps < length - eps), so r >= delta,
+    while rho < 2 eps. An edge off v is at least s_v - rho away. The
+    third term is at least the first, because the decomposition keeps
+    s_v >= 2 eps + delta; at delta = eps / 2, c1 = 1/4.
 
     Gradient set: the cap bound integrates each sphere {rho = const}
     in full, so its right side is the gradient integral over the whole
@@ -267,21 +288,19 @@ class VertexBallRegion:
     center: np.ndarray
     radius: float
     link: sphere.SphericalPolygon
+    c1: float
     excluded: list = field(default_factory=list)
     constant: float | None = None
     constant_provenance: str = "eigensolve"
     cap: CapConstant | None = None
-    c1: float | None = None
-    c1_samples: int = 0
     kind: str = "vertex_ball"
 
     def contains(self, points: np.ndarray) -> np.ndarray:
         pts = np.atleast_2d(points)
-        rel = pts - self.center
-        rho = np.linalg.norm(rel, axis=1)
+        rho = self.radial_weight(pts)
         ok = (rho > 0.0) & (rho < self.radius)
         rows = np.flatnonzero(ok)
-        ok[rows] = self.link.contains_directions(rel[rows]
+        ok[rows] = self.link.contains_directions((pts[rows] - self.center)
                                                  / rho[rows, None])
         # Each excluded region sees only the points still inside.
         rows = np.flatnonzero(ok)
@@ -291,40 +310,16 @@ class VertexBallRegion:
         ok[rows] = True
         return ok
 
-    def bounding_ball(self) -> tuple[np.ndarray, float]:
-        return self.center, self.radius
-
     def radial_weight(self, points: np.ndarray) -> np.ndarray:
         pts = np.atleast_2d(points)
         return np.linalg.norm(pts - self.center, axis=1)
-
-    def sample(self, n: int, rng: np.random.Generator) -> np.ndarray:
-        lo, span = _SAMPLE_INSET, 1.0 - 2.0 * _SAMPLE_INSET
-        out = []
-        collected = 0
-        for _ in range(200):
-            m = max(2 * (n - collected), 32)
-            dirs = self.link.sample_directions(m, rng)
-            rho = self.radius * np.cbrt(lo + span * rng.random(m))
-            pts = self.center + rho[:, None] * dirs
-            keep = self.contains(pts)
-            if keep.any():
-                out.append(pts[keep])
-                collected += int(keep.sum())
-            if collected >= n:
-                break
-        else:
-            raise DecompositionError(
-                f"could not sample ball region {self.label}")
-        return np.concatenate(out, axis=0)[:n]
 
     def as_dict(self) -> dict:
         return {"kind": self.kind, "label": self.label,
                 "vertex_id": self.vertex_id, "radius": self.radius,
                 "link_area": self.link.area, "constant": self.constant,
                 "provenance": self.constant_provenance,
-                "c1": self.c1, "c1_provenance": "sampled",
-                "c1_samples": self.c1_samples}
+                "c1": self.c1, "c1_provenance": "analytic"}
 
 
 # ---------------------------------------------------------------------
@@ -338,9 +333,8 @@ class Decomposition:
 
     Every interior point with eta below eta_min_bound lies in some
     region, so eta >= eta_min_bound holds on the residual set; the
-    bound is delta in 3D and epsilon in 2D. eta_min_sampled is the
-    smallest eta over the interior samples outside every region (inf
-    when there are none), set by the coverage check.
+    bound is delta in 3D and epsilon in 2D. The module docstring lists
+    the inequalities on epsilon that prove both facts.
     """
 
     domain: Polyhedron
@@ -348,19 +342,27 @@ class Decomposition:
     delta: float
     regions: list
     eta_min_bound: float
-    trials: int
-    samples: int
-    seed: int
-    eta_min_sampled: float = math.inf
 
     def by_kind(self, kind: str) -> list:
         return [r for r in self.regions if r.kind == kind]
 
     def as_dict(self) -> dict:
         return {"epsilon": self.epsilon, "delta": self.delta,
-                "eta_min_bound": self.eta_min_bound, "trials": self.trials,
-                "samples": self.samples, "seed": self.seed,
+                "eta_min_bound": self.eta_min_bound,
                 "regions": [r.as_dict() for r in self.regions]}
+
+
+def _epsilon(domain: Polyhedron) -> float:
+    """min(l_min / 4, eps_max), eps_max the largest eps that meets the
+    conditions of the module docstring (3D at delta = eps / 2)."""
+    clearance = domain.vertex_clearance()
+    separation = domain.min_vertex_separation()
+    if domain.dimension == 2:
+        eps_max = min(clearance, separation / 2.0)
+    else:
+        eps_max = min(clearance / 2.0, separation / 4.0,
+                      domain.min_singular_separation() / 2.5)
+    return min(domain.min_edge_length() / 4.0, eps_max)
 
 
 def _build_regions_2d(domain: Polyhedron, eps: float) -> list:
@@ -382,9 +384,6 @@ def _build_regions_3d(domain: Polyhedron, eps: float, delta: float) -> list:
         origin, axis, n1, n2, theta = geometry.edge_frame(domain, ei)
         length = float(np.linalg.norm(domain.vertices[e[1]]
                                       - domain.vertices[e[0]]))
-        if length <= 2.0 * eps:
-            raise DecompositionError(
-                f"edge {ei} too short for the cylinder at eps={eps}")
         wedge = {"edge_id": ei, "n1": n1, "n2": n2, "theta": theta,
                  "constant": sector_constant(theta)}
         cylinders.append(WedgeRegion(
@@ -398,6 +397,8 @@ def _build_regions_3d(domain: Polyhedron, eps: float, delta: float) -> list:
                 label=f"cone_v{vi}_e{ei}", vertex_id=int(vi), origin=apex,
                 axis=direction, r0=0.0, slope=slope, z_hi=eps, **wedge))
 
+    # VertexBallRegion's closed form; its third term never binds.
+    c1 = min(delta / (2.0 * eps), slope / math.hypot(1.0, slope))
     balls = []
     for vi in range(len(domain.vertices)):
         link = geometry.vertex_link(domain, vi)
@@ -405,101 +406,33 @@ def _build_regions_3d(domain: Polyhedron, eps: float, delta: float) -> list:
         balls.append(VertexBallRegion(
             label=f"ball_v{vi}", vertex_id=vi,
             center=np.asarray(domain.vertices[vi], float), radius=2.0 * eps,
-            link=link, excluded=own_cones + cylinders))
+            link=link, c1=c1, excluded=own_cones + cylinders))
     return cylinders + cones + balls
 
 
-def _check_decomposition(domain: Polyhedron, decomp: Decomposition,
-                         samples: int, rng: np.random.Generator) -> None:
-    eta = weights.eta_field(domain)
-    clouds = []
-    for region in decomp.regions:
-        pts = region.sample(samples, rng)
-        if not domain.contains(pts, tol=0.0).all():
-            raise DecompositionError(f"{region.label} leaves the domain")
-        if not region.contains(pts).all():
-            raise DecompositionError(
-                f"{region.label} samples violate its coordinate bounds")
-        if isinstance(region, WedgeRegion):
-            gap = np.abs(eta(pts) - region.radial_weight(pts))
-            if gap.max(initial=0.0) > ETA_MATCH_TOL:
-                raise DecompositionError(
-                    f"{region.label}: singular distance deviates from the "
-                    f"region radius by {gap.max():.3e}")
-        else:
-            c1 = float((eta(pts) / region.radial_weight(pts)).min())
-            if c1 <= 0.0:
-                raise DecompositionError(f"{region.label}: c1 is not positive")
-            region.c1 = c1
-            region.c1_samples = len(pts)
-        clouds.append(pts)
-
-    pool = np.concatenate(clouds, axis=0)
-    owner = np.repeat(np.arange(len(decomp.regions)),
-                      [len(c) for c in clouds])
-    for i, region in enumerate(decomp.regions):
-        # Membership is tested row by row, so testing only the points in
-        # the region's bounding ball gives the same verdicts.
-        centre, radius = region.bounding_ball()
-        rel = pool - centre
-        rows = np.flatnonzero(np.einsum("nd,nd->n", rel, rel)
-                              < (radius * (1.0 + _BALL_PAD)) ** 2)
-        foreign = rows[region.contains(pool[rows]) & (owner[rows] != i)]
-        if len(foreign):
-            j = int(owner[foreign[0]])
-            raise DecompositionError(
-                f"{region.label} and {decomp.regions[j].label} overlap")
-
-    interior = weights.sample_interior(domain, samples)
-    outside = np.ones(len(interior), dtype=bool)
-    for region in decomp.regions:
-        outside &= ~region.contains(interior)
-    eta_outside = eta(interior[outside])
-    if (eta_outside < decomp.eta_min_bound * (1.0 - 1e-6)).any():
-        raise DecompositionError(
-            "points near the singular set escape every region")
-    decomp.eta_min_sampled = float(eta_outside.min(initial=math.inf))
-
-
-def build_decomposition(domain: Polyhedron, samples: int = 1000,
-                        seed: int = DEFAULT_SEED,
+def build_decomposition(domain: Polyhedron,
                         cap_levels: int = 4) -> Decomposition:
-    """Search for a valid decomposition by joint (eps, delta) halving.
+    """The decomposition at eps = min(l_min / 4, eps_max), delta = eps / 2.
 
-    Starts from eps = min edge length / 4 and delta = eps / 2, halving
-    both after any failed sampled check. Ball constants are attached
-    once the geometric checks pass.
+    eps_max is the largest eps the module docstring's inequalities
+    allow (2D: eps <= c, 2 eps <= s; 3D: 2 eps <= c, 4 eps <= s,
+    2 eps + delta <= sigma), so the regions lie in the domain, eta
+    equals each wedge's radius, the regions are disjoint and cover
+    every point with eta below eta_min_bound, with no search. The ball
+    constants come from link eigensolves at cap_levels refinements.
     """
-    l_min = domain.min_edge_length()
-    eps0 = l_min / 4.0
-    failures = []
-    for trial in range(MAX_HALVINGS + 1):
-        eps = eps0 / 2.0 ** trial
-        delta = eps / 2.0
-        rng = np.random.default_rng(seed)
-        try:
-            if domain.dimension == 2:
-                regions = _build_regions_2d(domain, eps)
-                bound = eps
-            else:
-                regions = _build_regions_3d(domain, eps, delta)
-                bound = delta
-            decomp = Decomposition(domain=domain, epsilon=eps, delta=delta,
-                                   regions=regions, eta_min_bound=bound,
-                                   trials=trial + 1, samples=samples,
-                                   seed=seed)
-            _check_decomposition(domain, decomp, samples, rng)
-        except DecompositionError as exc:
-            failures.append(f"eps={eps:.6g}: {exc}")
-            continue
-        for region in decomp.by_kind("vertex_ball"):
-            cap = cap_constant_from_link(region.link, levels=cap_levels)
-            region.cap = cap
-            region.constant = cap.value
-        return decomp
-    raise DecompositionError(
-        "no valid decomposition after {} halvings; last failures: {}".format(
-            MAX_HALVINGS, "; ".join(failures[-3:])))
+    eps = _epsilon(domain)
+    delta = eps / 2.0
+    if domain.dimension == 2:
+        regions, bound = _build_regions_2d(domain, eps), eps
+    else:
+        regions, bound = _build_regions_3d(domain, eps, delta), delta
+    decomp = Decomposition(domain=domain, epsilon=eps, delta=delta,
+                           regions=regions, eta_min_bound=bound)
+    for region in decomp.by_kind("vertex_ball"):
+        region.cap = cap_constant_from_link(region.link, levels=cap_levels)
+        region.constant = region.cap.value
+    return decomp
 
 
 # ---------------------------------------------------------------------
@@ -535,7 +468,6 @@ class KappaCertificate:
     variational: float | None
     eta_min: float
     eta_min_bound: float
-    eta_min_sampled: float
     poincare_constant: float
     residual_term: float
     region_terms: list
@@ -553,8 +485,7 @@ class KappaCertificate:
                     "provenance": "constructive"},
                 "eta_min": {"value": self.eta_min,
                             "offset_bound": self.eta_min_bound,
-                            "sampled": self.eta_min_sampled,
-                            "provenance": "sampled"},
+                            "provenance": "analytic"},
                 "poincare_constant": {"value": self.poincare_constant,
                                       "provenance": "bounding box"},
                 "residual_term": self.residual_term,
@@ -578,31 +509,33 @@ def domain_poincare_bound(domain: Polyhedron) -> float:
 
 
 def constructive_kappa(domain: Polyhedron, mesh: SimplicialMesh,
-                       decomposition: Decomposition | None = None,
-                       samples: int = 1000,
-                       seed: int = DEFAULT_SEED) -> KappaCertificate:
+                       decomposition: Decomposition | None = None
+                       ) -> KappaCertificate:
     """Assemble the certified constant kappa from regional pieces.
 
     kappa = 1 + sum of regional constants (against the radial weight,
-    corrected by c1 for balls) + C_P / eta_min^2 for the residual set,
-    with C_P the bounding-box bound of domain_poincare_bound and eta_min
-    the smaller of the decomposition's eta_min_bound and eta_min_sampled.
-    samples and seed build the decomposition when none is given.
+    divided by c1^2 for balls) + C_P / eta_min^2 for the residual set,
+    with C_P the bounding-box bound of domain_poincare_bound. Every
+    piece is proven, not sampled: the wedge constants are (theta /
+    pi)^2 because eta equals the wedge radius, a ball's c1 is the
+    closed-form infimum of eta / rho (VertexBallRegion), and eta_min
+    is the decomposition's eta_min_bound, which its exact coverage
+    condition guarantees on the residual set. The decomposition is
+    built when none is given.
     The variational constant is computed on the same mesh and the
     certificate fails if it exceeds the constructive one beyond the
     documented discretization slack.
     """
-    decomp = decomposition or build_decomposition(domain, samples=samples,
-                                                  seed=seed)
+    decomp = decomposition or build_decomposition(domain)
 
     region_terms = []
     total = 0.0
     for region in decomp.regions:
         entry = region.as_dict()
         if region.kind == "vertex_ball":
-            if region.constant is None or region.c1 is None:
+            if region.constant is None:
                 raise DecompositionError(
-                    f"{region.label} is missing its constant or c1")
+                    f"{region.label} is missing its cap constant")
             term = region.constant / region.c1 ** 2
             entry["cap"] = region.cap.as_dict() if region.cap else None
         else:
@@ -618,7 +551,7 @@ def constructive_kappa(domain: Polyhedron, mesh: SimplicialMesh,
         region_terms.append(entry)
         total += term
 
-    eta_min = min(decomp.eta_min_bound, decomp.eta_min_sampled)
+    eta_min = decomp.eta_min_bound
 
     c_p = domain_poincare_bound(domain)
     residual = c_p / eta_min ** 2
@@ -630,8 +563,7 @@ def constructive_kappa(domain: Polyhedron, mesh: SimplicialMesh,
 
     return KappaCertificate(
         constructive=kappa, variational=var.kappa, eta_min=eta_min,
-        eta_min_bound=decomp.eta_min_bound,
-        eta_min_sampled=decomp.eta_min_sampled, poincare_constant=c_p,
+        eta_min_bound=decomp.eta_min_bound, poincare_constant=c_p,
         residual_term=residual, region_terms=region_terms,
         decomposition=decomp.as_dict(), slack=slack, passed=passed)
 

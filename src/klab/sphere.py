@@ -72,13 +72,6 @@ class SphericalPolygon:
             inside |= ok
         return inside
 
-    def sample_directions(self, n: int, rng: np.random.Generator) -> np.ndarray:
-        """Directions drawn from the coarse triangles (coverage sampling)."""
-        tri = rng.integers(0, len(self.triangles), size=n)
-        bary = rng.dirichlet(np.ones(3), size=n)
-        pts = np.einsum("nk,nkd->nd", bary, self.triangles[tri])
-        return pts / np.linalg.norm(pts, axis=1, keepdims=True)
-
 
 def polygon_from_triangles(triangles: np.ndarray,
                            octant_signs=None) -> SphericalPolygon:

@@ -1,5 +1,6 @@
 import os
 
+import numpy as np
 import pytest
 
 from klab import geometry
@@ -19,6 +20,15 @@ ACCEPTANCE_LINES = []
 
 def problem_path(name: str) -> str:
     return os.path.abspath(os.path.join(PROBLEM_DIR, name))
+
+
+def sample_directions(link, n: int, rng: np.random.Generator) -> np.ndarray:
+    """n unit directions in a spherical polygon, drawn from its coarse
+    triangles (not uniform on the sphere)."""
+    tri = rng.integers(0, len(link.triangles), size=n)
+    bary = rng.dirichlet(np.ones(3), size=n)
+    pts = np.einsum("nk,nkd->nd", bary, link.triangles[tri])
+    return pts / np.linalg.norm(pts, axis=1, keepdims=True)
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):

@@ -158,7 +158,7 @@ def test_criterion_05_sector_oracle(lshape, lshape_mesh):
         lam_fem = 1.0 / poincare.sector_constant_fem(theta, n=128)
         lam_exact = (math.pi / theta) ** 2
         worst = max(worst, abs(lam_fem - lam_exact) / lam_exact)
-    cert = poincare.constructive_kappa(lshape, lshape_mesh, samples=300)
+    cert = poincare.constructive_kappa(lshape, lshape_mesh)
     sectors = [e for e in cert.region_terms if e["kind"] == "vertex_sector"]
     recorded = len(sectors) > 0 and all(
         e["paper_factor"] == pytest.approx(math.pi / e["theta"])
@@ -298,7 +298,7 @@ def test_criterion_11_determinism(tmp_path):
              "--expr", "r^(2/3)*sin(2*theta/3)", "--polar-vertex", "0",
              "--mu", "1", "--a", "1", "--h", "0.25"], out)
         run(["poincare", "--domain", problem_path("square.json"),
-             "--h", "0.25", "--samples", "200"], out)
+             "--h", "0.25"], out)
         run(["solve", "--problem", problem_path("manufactured_square.json"),
              "--levels", "2"], out)
         run(["regularity-study", "--problem",

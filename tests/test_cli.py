@@ -272,12 +272,27 @@ def test_solve_singular_problem(tmp_path):
 
 def test_poincare_command(tmp_path):
     res = run_cli("poincare", "--domain", problem_path("square.json"),
-                  "--h", "0.25", "--samples", "200", "--out", tmp_path)
+                  "--h", "0.25", "--out", tmp_path)
     assert res.returncode == 0, res.stderr
     payload = json.loads((tmp_path / "poincare.json").read_text())
     assert payload["passed"] is True
     assert payload["constructive_kappa"] >= payload["variational_kappa"]
     assert "constructive" in res.stdout
+
+
+def test_poincare_report_does_not_depend_on_seed(tmp_path):
+    """--seed is accepted and reaches no report: the box certificate is
+    byte-identical under two seeds."""
+    from klab import cli
+
+    blobs = []
+    for seed in ("1", "2"):
+        out = tmp_path / seed
+        assert cli.main(["poincare", "--domain", problem_path("box.json"),
+                         "--h", "0.25", "--cap-levels", "2", "--seed", seed,
+                         "--out", str(out)]) == 0
+        blobs.append((out / "poincare.json").read_bytes())
+    assert blobs[0] == blobs[1]
 
 
 def test_window_probe_command(tmp_path):
@@ -369,6 +384,20 @@ def test_invalid_expression_exit_code(tmp_path):
     assert res.returncode == 2
 
 
+def _input_path(arg, tmp_path):
+    """The problems/ file of a name ending in .json; for {name: edits}, a
+    copy of that problem file with the edits, written to tmp_path."""
+    if isinstance(arg, dict):
+        (name, edits), = arg.items()
+        with open(problem_path(name)) as fh:
+            spec = json.load(fh)
+        spec.update(edits, domain=problem_path(spec["domain"]))
+        path = tmp_path / name
+        path.write_text(json.dumps(spec))
+        return path
+    return problem_path(arg) if arg.endswith(".json") else arg
+
+
 @pytest.mark.parametrize("argv", [
     ["mesh", "build", "--domain", "square.json", "--h", "nan"],
     ["mesh", "build", "--domain", "square.json", "--h", "inf"],
@@ -378,9 +407,16 @@ def test_invalid_expression_exit_code(tmp_path):
      "--a-grid", "0,0.5", "--threshold", "nan"],
     ["solve", "--problem", "manufactured_square.json", "--h", "0.5",
      "--tol", "nan"],
-], ids=["h-nan", "h-inf", "a-grid-nan", "threshold-nan", "tol-nan"])
+    ["solve", "--problem", {"lshape_singular.json": {"g": "1/0"}},
+     "--levels", "1"],
+    ["solve", "--problem", {"manufactured_square.json": {"f": "sqrt(-1)"}},
+     "--h", "0.5"],
+    ["window-probe", "--domain", "l_shape.json", "--h", "0.25",
+     "--a-grid", "0,0.5", "--f", "1/0"],
+], ids=["h-nan", "h-inf", "a-grid-nan", "threshold-nan", "tol-nan",
+        "problem-g-inf", "problem-f-nan", "probe-f-inf"])
 def test_non_finite_input_exit_code(tmp_path, argv):
-    argv = [problem_path(a) if a.endswith(".json") else a for a in argv]
+    argv = [_input_path(a, tmp_path) for a in argv]
     res = run_cli(*argv, "--out", tmp_path)
     assert res.returncode == 2, res.stderr
     assert "error" in res.stderr and "Traceback" not in res.stderr

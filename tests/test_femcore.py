@@ -332,7 +332,7 @@ def test_constructive_kappa_builds_the_pattern_once(lshape, lshape_mesh,
         init(self, *a, **kw)
 
     monkeypatch.setattr(sp.coo_matrix, "__init__", coo_init)
-    cert = poincare.constructive_kappa(lshape, mesh, samples=300)
+    cert = poincare.constructive_kappa(lshape, mesh)
     assert cert.passed
     assert builds == [1]
     assert conversions == []

@@ -6,7 +6,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from klab import (femcore, geometry, kernels, mesh as meshmod, poincare,
@@ -14,7 +14,7 @@ from klab import (femcore, geometry, kernels, mesh as meshmod, poincare,
 from klab.errors import DecompositionError, MeshSizeError
 from klab.sobolev import NormSpec
 
-from conftest import problem_path
+from conftest import problem_path, sample_directions
 
 
 def test_sector_constant_analytic():
@@ -65,18 +65,17 @@ def test_cap_constant_hemisphere():
 
 
 def test_build_decomposition_square(square):
-    dec = poincare.build_decomposition(square, samples=400)
+    dec = poincare.build_decomposition(square)
     assert len(dec.regions) == 4
     assert all(r.kind == "vertex_sector" for r in dec.regions)
     assert dec.epsilon == pytest.approx(0.25)
-    assert dec.trials == 1
     assert dec.eta_min_bound == dec.epsilon
     for r in dec.regions:
         assert r.constant == pytest.approx(0.25)
 
 
 def test_build_decomposition_lshape(lshape):
-    dec = poincare.build_decomposition(lshape, samples=400)
+    dec = poincare.build_decomposition(lshape)
     assert len(dec.regions) == 6
     thetas = sorted(r.theta for r in dec.regions)
     assert thetas[-1] == pytest.approx(1.5 * math.pi)
@@ -84,7 +83,7 @@ def test_build_decomposition_lshape(lshape):
 
 
 def test_build_decomposition_box(box):
-    dec = poincare.build_decomposition(box, samples=150, cap_levels=2)
+    dec = poincare.build_decomposition(box, cap_levels=2)
     assert len(dec.by_kind("edge_cylinder")) == 12
     assert len(dec.by_kind("vertex_cone")) == 24
     assert len(dec.by_kind("vertex_ball")) == 8
@@ -96,22 +95,6 @@ def test_build_decomposition_box(box):
         assert r.cap.dofs > 0
     d = dec.as_dict()
     assert len(d["regions"]) == 44
-
-
-@pytest.mark.parametrize("name", ["lshape", "box", "fichera"])
-def test_check_decomposition_reports_overlap(name):
-    """A copy of a region overlaps the region, and of the regions that
-    claim a foreign sample the check names the first."""
-    dom, regions = _regions(name)
-    twin = dataclasses.replace(regions[0], label="twin")
-    eps = dom.min_edge_length() / 4.0
-    decomp = poincare.Decomposition(
-        domain=dom, epsilon=eps, delta=eps / 2.0, regions=regions + [twin],
-        eta_min_bound=eps, trials=1, samples=200, seed=1)
-    with pytest.raises(DecompositionError,
-                       match=f"{regions[0].label} and twin overlap"):
-        poincare._check_decomposition(dom, decomp, 200,
-                                      np.random.default_rng(1))
 
 
 def _polar_reference(rel, n1, n2):
@@ -182,7 +165,7 @@ def _boundary_points(region, n, rng):
     on the last bit of each coordinate."""
     u = rng.random(n)
     if region.kind == "vertex_ball":
-        dirs = region.link.sample_directions(n, rng)
+        dirs = sample_directions(region.link, n, rng)
         return region.center + region.radius * dirs
     base, axis = region.origin, region.axis
     z = region.z_lo + (region.z_hi - region.z_lo) * u
@@ -204,6 +187,147 @@ def _boundary_points(region, n, rng):
     return np.concatenate(out)
 
 
+# Relative inset of region samples from the region's walls.
+_SAMPLE_INSET = 1e-3
+
+
+def _sample_region(region, n, rng):
+    """n points inside the region, kept off its walls by _SAMPLE_INSET: a
+    wedge's in its own coordinates, a ball's by rejection from the link
+    cone."""
+    lo, span = _SAMPLE_INSET, 1.0 - 2.0 * _SAMPLE_INSET
+    if region.kind == "vertex_ball":
+        out, found = [], 0
+        while found < n:
+            m = 3 * (n - found) // 2 + 32
+            dirs = sample_directions(region.link, m, rng)
+            rho = region.radius * np.cbrt(lo + span * rng.random(m))
+            pts = region.center + rho[:, None] * dirs
+            out.append(pts[region.contains(pts)])
+            found += len(out[-1])
+        return np.concatenate(out)[:n]
+    base, r_max, z = region.origin, region.r0, None
+    if region.axis is not None:
+        z = region.z_lo + (region.z_hi - region.z_lo) * (lo + span
+                                                         * rng.random(n))
+        r_max = region.r0 + region.slope * z
+    r = r_max * np.sqrt(lo + span * rng.random(n))
+    phi = region.theta * (lo + span * rng.random(n))
+    return _wedge_points(base, region.axis, region.n1, region.n2, z, r, phi)
+
+
+def _near_singular_points(domain, radius, n, rng):
+    """Points of the domain within radius of a random singular point (a
+    corner in 2D, a point of an edge in 3D)."""
+    if domain.dimension == 2:
+        centres = domain.vertices[rng.integers(len(domain.vertices), size=n)]
+    else:
+        segs = domain.singular_segments()[rng.integers(len(domain.edges),
+                                                       size=n)]
+        t = rng.random(n)[:, None]
+        centres = (1.0 - t) * segs[:, 0] + t * segs[:, 1]
+    step = rng.standard_normal((n, domain.dimension))
+    step *= radius * rng.random(n)[:, None] / np.linalg.norm(step, axis=1,
+                                                             keepdims=True)
+    pts = centres + step
+    return pts[domain.contains(pts, tol=0.0)]
+
+
+def _sampled_check(domain, decomp, n, rng):
+    """The sampled reference of the exact conditions: region samples lie
+    in the domain, eta equals every wedge's radius and is at least c1 rho
+    on every ball, no sample lies in a second region, and no sampled
+    point with eta below eta_min_bound escapes every region."""
+    eta = weights.eta_field(domain)
+    clouds = [_sample_region(region, n, rng) for region in decomp.regions]
+    for region, pts in zip(decomp.regions, clouds):
+        assert domain.contains(pts, tol=0.0).all(), region.label
+        assert region.contains(pts).all(), region.label
+        ratio = eta(pts) / region.radial_weight(pts)
+        if region.kind == "vertex_ball":
+            assert ratio.min() >= region.c1 * (1.0 - 1e-12), region.label
+        else:
+            assert np.abs(ratio - 1.0).max() <= 1e-10, region.label
+    pool = np.concatenate(clouds)
+    owner = np.repeat(np.arange(len(clouds)), [len(c) for c in clouds])
+    for i, region in enumerate(decomp.regions):
+        assert (owner[region.contains(pool)] == i).all(), region.label
+    probe = np.concatenate([
+        weights.sample_interior(domain, n),
+        _near_singular_points(domain, 2.0 * decomp.eta_min_bound, 20 * n,
+                              rng)])
+    outside = ~np.any([r.contains(probe) for r in decomp.regions], axis=0)
+    assert (eta(probe[outside])
+            >= decomp.eta_min_bound * (1.0 - 1e-9)).all()
+
+
+NOTCH = [(0.0, 0.0), (3.0, 0.0), (3.0, 3.0), (1.5, 0.3), (0.0, 3.0)]
+
+
+def _convex_polygon(angles, axes):
+    """Corners at the given multiples of 10 degrees on an ellipse."""
+    t = np.radians(10.0 * np.array(sorted(angles)))
+    return geometry.build_polygon(np.column_stack([axes[0] * np.cos(t),
+                                                   axes[1] * np.sin(t)]))
+
+
+_LENGTHS = st.floats(0.2, 3.0)
+_DOMAINS = st.one_of(
+    st.sampled_from(["square", "l_shape", "box", "l_prism", "fichera"]).map(
+        lambda name: geometry.load_domain(problem_path(f"{name}.json"))),
+    st.tuples(_LENGTHS, _LENGTHS, _LENGTHS).map(
+        lambda lengths: geometry.build_polyhedron_3d("box", lengths=lengths)),
+    st.floats(0.1, 3.0).map(
+        lambda height: geometry.build_polyhedron_3d("l_prism", height=height)),
+    st.builds(_convex_polygon, st.sets(st.integers(0, 35), min_size=3,
+                                       max_size=8),
+              st.tuples(_LENGTHS, _LENGTHS)),
+    st.tuples(st.floats(0.5, 2.5), st.floats(0.05, 2.5)).map(
+        lambda notch: geometry.build_polygon(NOTCH[:3] + [notch]
+                                             + NOTCH[4:])))
+
+
+@settings(deadline=None, max_examples=12)
+@example(domain=geometry.build_polygon(NOTCH), seed=0)
+@given(_DOMAINS, st.integers(min_value=0, max_value=2 ** 32 - 1))
+def test_decomposition_passes_sampled_checks(domain, seed):
+    """At the closed-form radius every sampled check of the exact
+    conditions passes: containment, eta = radius, c1, disjointness and
+    coverage."""
+    decomp = poincare.build_decomposition(domain, cap_levels=2)
+    _sampled_check(domain, decomp, 100, np.random.default_rng(seed))
+
+
+def test_decomposition_radius_closed_form():
+    """eps = l_min / 4 on every problems/ domain; on the notch polygon the
+    vertex clearance 0.3 binds, where halving after sampled failures gave
+    0.1875."""
+    for name in ("square", "l_shape", "box", "l_prism", "fichera"):
+        domain = geometry.load_domain(problem_path(f"{name}.json"))
+        decomp = poincare.build_decomposition(domain, cap_levels=2)
+        assert decomp.epsilon == domain.min_edge_length() / 4.0
+        assert decomp.delta == decomp.epsilon / 2.0
+    notch = geometry.build_polygon(NOTCH)
+    assert notch.vertex_clearance() == pytest.approx(0.3, rel=1e-12)
+    assert poincare.build_decomposition(notch).epsilon == \
+        notch.vertex_clearance()
+
+
+@pytest.mark.parametrize("name", ["box", "l_prism", "fichera"])
+def test_dense_sampled_c1_meets_closed_form(name):
+    """The closed-form c1 = 1/4 is the infimum of eta / rho on a ball (the
+    one with the largest link): 100,000 samples stay above it and come
+    within 0.01 of it."""
+    domain = geometry.load_domain(problem_path(f"{name}.json"))
+    ball = max(poincare.build_decomposition(domain, cap_levels=2).by_kind(
+        "vertex_ball"), key=lambda region: region.link.area)
+    pts = _sample_region(ball, 100_000, np.random.default_rng(1))
+    sampled = float((weights.eta_field(domain)(pts)
+                     / ball.radial_weight(pts)).min())
+    assert ball.c1 == 0.25
+    assert ball.c1 <= sampled <= ball.c1 + 0.01
+
+
 @settings(deadline=None, max_examples=20)
 @given(st.sampled_from(["lshape", "box", "l_prism", "fichera"]),
        st.booleans(), st.integers(min_value=0, max_value=2 ** 32 - 1))
@@ -223,7 +347,7 @@ def test_region_membership_matches_full_array_formula(name, rotate, seed):
         pts = pts @ rot.T
     edges = np.concatenate([_boundary_points(r, 8, rng) for r in regions])
     pts = np.concatenate([pts, edges]
-                         + [r.sample(8, rng) for r in regions
+                         + [_sample_region(r, 8, rng) for r in regions
                             if r.kind != "vertex_ball" or not rotate])
     alone = 400 + rng.choice(len(edges), size=30, replace=False)
     for region in regions:
@@ -232,10 +356,6 @@ def test_region_membership_matches_full_array_formula(name, rotate, seed):
             region.label
         for i in alone:
             assert region.contains(pts[i:i + 1])[0] == got[i], region.label
-        # the overlap check tests only the points in this ball
-        centre, radius = region.bounding_ball()
-        assert np.all(np.linalg.norm(pts[got] - centre, axis=1)
-                      <= radius * (1.0 + 1e-12)), region.label
         if isinstance(region, poincare.WedgeRegion):
             want, _ = _polar_reference(pts - region.origin, region.n1,
                                        region.n2)
@@ -261,7 +381,7 @@ def test_region_inequality_random_fields(lshape, lshape_mesh):
     # each region's constant is a real Hardy bound: for zero-trace
     # fields the regional integral of u^2 / w^2 stays below constant
     # times the Dirichlet energy over the whole domain
-    dec = poincare.build_decomposition(lshape, samples=300)
+    dec = poincare.build_decomposition(lshape)
     rng = np.random.default_rng(poincare.DEFAULT_SEED)
     fields = poincare.random_zero_trace_fields(lshape_mesh, 10, rng)
     for u in fields:
@@ -328,7 +448,7 @@ def test_variational_kappa_monotone_under_nesting(box):
 
 
 def test_constructive_kappa_certificate(lshape, lshape_mesh):
-    cert = poincare.constructive_kappa(lshape, lshape_mesh, samples=300)
+    cert = poincare.constructive_kappa(lshape, lshape_mesh)
     assert cert.passed
     assert cert.constructive >= cert.variational
     assert cert.residual_term > 0.0
@@ -353,26 +473,21 @@ def test_constructive_kappa_certificate(lshape, lshape_mesh):
                                       "provenance": "bounding box"}
 
 
-def test_certificate_samples_the_interior_once(lshape, lshape_mesh,
-                                               monkeypatch):
-    """The coverage check draws the interior samples once, and the
-    smallest eta outside every region it stores is the certificate's
-    sampled eta_min; the report carries it only there."""
-    draws = []
-    sample = weights.sample_interior
-    monkeypatch.setattr(weights, "sample_interior",
-                        lambda *args: draws.append(args) or sample(*args))
-    dec = poincare.build_decomposition(lshape, samples=300)
-    cert = poincare.constructive_kappa(lshape, lshape_mesh, decomposition=dec,
-                                       samples=300)
-    assert draws == [(lshape, 300)]
-    interior = sample(lshape, 300)
-    outside = ~np.any([r.contains(interior) for r in dec.regions], axis=0)
-    eta = weights.eta_field(lshape)
-    assert dec.eta_min_sampled == eta(interior[outside]).min()
-    assert cert.eta_min_sampled == dec.eta_min_sampled
-    assert cert.eta_min == min(dec.eta_min_bound, dec.eta_min_sampled)
-    assert "eta_min_sampled" not in dec.as_dict()
+def test_certificate_samples_nothing(box, box_mesh, monkeypatch):
+    """No interior sample is drawn: eta_min is the decomposition's proven
+    bound and c1 its closed form, and the report calls both analytic."""
+    def refuse(*args):
+        raise AssertionError("the certificate sampled the interior")
+    monkeypatch.setattr(weights, "sample_interior", refuse)
+    dec = poincare.build_decomposition(box, cap_levels=2)
+    cert = poincare.constructive_kappa(box, box_mesh, decomposition=dec)
+    assert cert.eta_min == dec.eta_min_bound == dec.delta
+    assert cert.as_dict()["eta_min"] == {"value": dec.delta,
+                                         "offset_bound": dec.delta,
+                                         "provenance": "analytic"}
+    for region in dec.by_kind("vertex_ball"):
+        assert region.c1 == 0.25
+        assert region.as_dict()["c1_provenance"] == "analytic"
 
 
 def test_constructive_kappa_assembles_stiffness_once(lshape, lshape_mesh,
@@ -383,7 +498,7 @@ def test_constructive_kappa_assembles_stiffness_once(lshape, lshape_mesh,
     assemble = femcore.assemble_stiffness
     monkeypatch.setattr(femcore, "assemble_stiffness",
                         lambda m: calls.append(1) or assemble(m))
-    cert = poincare.constructive_kappa(lshape, lshape_mesh, samples=300)
+    cert = poincare.constructive_kappa(lshape, lshape_mesh)
     assert len(calls) == 1
     var = poincare.variational_kappa(lshape, lshape_mesh)
     assert cert.poincare_constant == poincare.domain_poincare_bound(lshape)
@@ -391,7 +506,7 @@ def test_constructive_kappa_assembles_stiffness_once(lshape, lshape_mesh,
 
 
 def test_constructive_kappa_box(box, box_mesh):
-    cert = poincare.constructive_kappa(box, box_mesh, samples=150)
+    cert = poincare.constructive_kappa(box, box_mesh)
     assert cert.passed
     assert cert.constructive >= cert.variational
     kinds = {e["kind"] for e in cert.region_terms}
@@ -412,9 +527,8 @@ def test_acrit_lower_bound_below_discrete_acrit(name):
     domain = geometry.load_domain(problem_path(f"{name}.json"))
     mesh = meshmod.build_mesh(domain,
                               0.125 if domain.dimension == 2 else 0.25)
-    decomp = poincare.build_decomposition(domain, samples=150, cap_levels=2)
-    cert = poincare.constructive_kappa(domain, mesh, decomposition=decomp,
-                                       samples=150)
+    decomp = poincare.build_decomposition(domain, cap_levels=2)
+    cert = poincare.constructive_kappa(domain, mesh, decomposition=decomp)
     bound = cert.as_dict()["acrit_lower_bound"]
     assert bound["provenance"] == "constructive"
     assert bound["value"] == (cert.constructive - 1.0) ** -0.5
@@ -437,15 +551,15 @@ REGION_REPORT_KEYS = {
                      "slope", "eps", "constant", "provenance"},
                     _WEDGE_TERM_KEYS),
     "vertex_ball": ({"kind", "label", "vertex_id", "radius", "link_area",
-                     "constant", "provenance", "c1", "c1_provenance",
-                     "c1_samples"}, {"cap", "term"}),
+                     "constant", "provenance", "c1", "c1_provenance"},
+                    {"cap", "term"}),
 }
 
 
 def test_region_report_keys(lshape, lshape_mesh, box, box_mesh):
     """Each region kind writes exactly its own keys into poincare.json."""
-    box_decomp = poincare.build_decomposition(box, samples=150, cap_levels=2)
-    certs = [poincare.constructive_kappa(lshape, lshape_mesh, samples=300),
+    box_decomp = poincare.build_decomposition(box, cap_levels=2)
+    certs = [poincare.constructive_kappa(lshape, lshape_mesh),
              poincare.constructive_kappa(box, box_mesh,
                                          decomposition=box_decomp)]
     seen = set()

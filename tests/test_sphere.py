@@ -8,6 +8,8 @@ import pytest
 from klab import geometry, poincare, sphere
 from klab.errors import DegenerateLinkError
 
+from conftest import sample_directions
+
 RNG = np.random.default_rng(3)
 # Coordinate rounding of the reference refinement's node dedup.
 _ROUND = 12
@@ -101,7 +103,7 @@ def test_contains_directions_octant():
 
 def test_sample_directions_inside():
     hemi = sphere.hemisphere()
-    pts = hemi.sample_directions(300, np.random.default_rng(5))
+    pts = sample_directions(hemi, 300, np.random.default_rng(5))
     assert np.allclose(np.linalg.norm(pts, axis=1), 1.0)
     assert (pts[:, 2] > -1e-12).all()
 
